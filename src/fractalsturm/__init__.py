@@ -2,11 +2,11 @@
 are self-similar (Cantor-type) measures.
 
 Everything is built from immutable dataclasses and pure functions, so
-concurrent read access is safe.  The hot counting kernel uses numba when
-available; set FRACTALSTURM_NO_NUMBA=1 to force the interpreted path.
+concurrent read access is safe.  Eigenvalue counts come from one inertia
+sweep of the tridiagonal pencil per spectral parameter; a SpectralContext
+resolves a pencil's reference shift and zero band once for many queries.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .assembly import (
     BoundaryCondition,
     PencilDiscretization,
@@ -57,6 +57,7 @@ from .spectral import (
     AsymptoticsReport,
     CountingResult,
     GeometricReport,
+    SpectralContext,
     SplittingCheck,
     asymptotics_report,
     count,

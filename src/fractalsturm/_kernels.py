@@ -1,98 +1,104 @@
-"""Tridiagonal pivot kernels, optionally compiled with numba.
+"""Tridiagonal inertia kernel.
 
 Counting eigenvalues of the pencil (A, B) reduces to one LDL^T sweep over
 the tridiagonal matrix A - lam*B per query, and every bisection step and
-every counting-function sample pays for one sweep.  That loop is the hot
-path of the package, so it is written as a plain scalar loop that numba
-can compile.  Setting the environment variable FRACTALSTURM_NO_NUMBA=1
-(or numba being absent) selects the interpreted fallback over the same
-numpy arrays; results are identical.
+every counting-function sample pays for one sweep.  The O(n) parts that
+vectorise (diagonal and squared off-diagonal of A - lam*B, the pencil
+scale, the counts over the stored pivots) run in numpy.  Only the pivot
+recurrence d_i = c_i - e_{i-1}^2 / d_{i-1} is sequential; it runs as a
+plain loop over Python floats, _CHUNK nodes at a time, so the float lists
+it needs stay small.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
-_env = os.environ.get("FRACTALSTURM_NO_NUMBA", "").strip().lower()
-NUMBA_ENABLED = njit is not None and _env not in {"1", "true", "yes", "on"}
+# The kernel is plain Python and numpy; perfbench records this flag.
+NUMBA_ENABLED = False
 
 # Pivots below _CLAMP * scale are clamped (sign preserved) so that the
 # recurrence never overflows; a pivot that is exactly zero is reported as
-# a breakdown and the caller retries with a relative micro-shift of lam.
+# a breakdown and the sweep is retried with a relative micro-shift of lam.
 _CLAMP = 5e-32
+_CHUNK = 4096
 
 
-def _make_single():
-    def sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
-        n = a_diag.shape[0]
-        scale = 0.0
-        for i in range(n):
-            m = abs(a_diag[i] - lam * b_diag[i])
-            if m > scale:
-                scale = m
-        for i in range(n - 1):
-            e = abs(a_off[i] - lam * b_off[i])
-            if e > scale:
-                scale = e
-        if scale == 0.0:
-            return 0, n, 0, 0.0
+def _sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
+    """One clamped LDL^T sweep of A - lam B.
 
-        clamp = _CLAMP * scale
-        neg = 0
-        near = 0
-        breakdown = 0
-        min_rel = 1e308
-        d_prev = 0.0
-        for i in range(n):
-            d = a_diag[i] - lam * b_diag[i]
-            if i > 0:
-                e = a_off[i - 1] - lam * b_off[i - 1]
-                d -= e * e / d_prev
-            if d < 0.0:
-                neg += 1
-            mag = abs(d)
-            if mag < near_tol * scale:
-                near += 1
-            if mag / scale < min_rel:
-                min_rel = mag / scale
-            if d == 0.0:
-                breakdown += 1
-                d = clamp
-            elif mag < clamp:
-                d = clamp if d > 0.0 else -clamp
+    Returns (negatives, near-zeros, breakdowns, smallest |pivot| / scale),
+    where scale is the largest entry of A - lam B in magnitude.
+    """
+    n = a_diag.shape[0]
+    m = max(n - 1, 0)
+    c = a_diag - lam * b_diag
+    e = a_off[:m] - lam * b_off[:m]
+    scale = max(float(np.max(np.abs(c), initial=0.0)), float(np.max(np.abs(e), initial=0.0)))
+    if scale == 0.0:
+        return 0, n, 0, 0.0
+    e2 = e * e
+    clamp = _CLAMP * scale
+    pivots = np.empty(n)
+    d_prev = 1.0  # the first pivot is c_0 - 0.0 / 1.0 == c_0
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        es = e2[start - 1:stop - 1].tolist() if start else [0.0] + e2[:stop - 1].tolist()
+        out = []
+        append = out.append
+        for ci, ei in zip(c[start:stop].tolist(), es):
+            d = ci - ei / d_prev
+            append(d)
+            if -clamp < d < clamp:
+                d = -clamp if d < 0.0 else clamp
             d_prev = d
-        return neg, near, breakdown, min_rel
-
-    return sweep
-
-
-def _make_many(single):
-    def sweep_many(a_diag, a_off, b_diag, b_off, lams, near_tol, negs, nears):
-        for k in range(lams.shape[0]):
-            neg, near, _, _ = single(a_diag, a_off, b_diag, b_off, lams[k], near_tol)
-            negs[k] = neg
-            nears[k] = near
-
-    return sweep_many
+        pivots[start:stop] = out
+    mag = np.abs(pivots)
+    return (
+        int(np.count_nonzero(pivots < 0.0)),
+        int(np.count_nonzero(mag < near_tol * scale)),
+        int(np.count_nonzero(pivots == 0.0)),
+        min(float(mag.min()) / scale, 1e308),
+    )
 
 
-# interpreted reference implementations, importable regardless of the flag
-sturm_pivots_python = _make_single()
-sturm_pivots_many_python = _make_many(sturm_pivots_python)
+def _inertia(a_diag, a_off, b_diag, b_off, lam, near_tol):
+    """_sweep at lam with breakdown recovery.
 
-if NUMBA_ENABLED:
-    sturm_pivots = njit(cache=True)(_make_single())
-    sturm_pivots_many = njit(cache=True)(_make_many(sturm_pivots))
-else:
-    sturm_pivots = sturm_pivots_python
-    sturm_pivots_many = sturm_pivots_many_python
+    A pivot landing exactly on zero makes the count ambiguous; lam is
+    then nudged by a relative micro-shift (1e-14 of the pencil scale at
+    lam) and the sweep repeated, growing the shift up to three times
+    before accepting the clamped result.  Negatives and near-zeros come
+    from the last sweep; breakdowns and the pivot ratio describe lam
+    itself.
+    """
+    neg, near, breakdown, min_rel = _sweep(a_diag, a_off, b_diag, b_off, lam, near_tol)
+    if breakdown:
+        norm_a = max(np.max(np.abs(a_diag), initial=0.0), np.max(np.abs(a_off), initial=0.0))
+        norm_b = max(np.max(np.abs(b_diag), initial=0.0), np.max(np.abs(b_off), initial=0.0))
+        unit = (norm_a + abs(lam) * norm_b) / max(norm_b, 1e-300)
+        shift = 1e-14 * max(unit, abs(lam), 1.0)
+        for attempt in range(1, 4):
+            neg, near, retry, _ = _sweep(
+                a_diag, a_off, b_diag, b_off, lam + attempt * shift, near_tol
+            )
+            if not retry:
+                break
+    return neg, near, breakdown, min_rel
+
+
+def sturm_pivots(a_diag, a_off, b_diag, b_off, lam, near_tol):
+    """(negatives, near-zeros, breakdowns, min pivot ratio) of A - lam B."""
+    # A function object of its own, apart from the _inertia that
+    # sturm_pivots_many calls: a tracer that wraps every binding of this
+    # one (perfbench/tracer.py) then counts each batch sweep once.
+    return _inertia(a_diag, a_off, b_diag, b_off, lam, near_tol)
+
+
+def sturm_pivots_many(a_diag, a_off, b_diag, b_off, lams, near_tol, negs, nears):
+    """Fill negs[k], nears[k] with the inertia of A - lams[k] B."""
+    for k, lam in enumerate(lams.tolist()):
+        negs[k], nears[k], _, _ = _inertia(a_diag, a_off, b_diag, b_off, lam, near_tol)
 
 
 def _as_arrays(a_diag, a_off, b_diag, b_off):
@@ -105,32 +111,14 @@ def _as_arrays(a_diag, a_off, b_diag, b_off):
 
 
 def negative_pivot_count(a_diag, a_off, b_diag, b_off, lam, near_tol=1e-12):
-    """Inertia sweep with breakdown recovery.
-
-    Returns (negatives, near_zeros).  A pivot landing exactly on zero
-    makes the factorization ambiguous; in that case lam is nudged by a
-    relative micro-shift (1e-14 of the pencil scale at lam) and the sweep
-    repeated, growing the shift up to three times before accepting the
-    clamped result.
-    """
+    """(negatives, near-zeros) of A - lam B, with breakdown recovery."""
     ad, ao, bd, bo = _as_arrays(a_diag, a_off, b_diag, b_off)
-    neg, near, breakdown, _ = sturm_pivots(ad, ao, bd, bo, float(lam), near_tol)
-    if breakdown:
-        norm_a = max(np.max(np.abs(ad), initial=0.0), np.max(np.abs(ao), initial=0.0))
-        norm_b = max(np.max(np.abs(bd), initial=0.0), np.max(np.abs(bo), initial=0.0))
-        unit = (norm_a + abs(lam) * norm_b) / max(norm_b, 1e-300)
-        shift = 1e-14 * max(unit, abs(lam), 1.0)
-        for attempt in range(1, 4):
-            neg, near, breakdown, _ = sturm_pivots(
-                ad, ao, bd, bo, float(lam) + attempt * shift, near_tol
-            )
-            if not breakdown:
-                break
-    return int(neg), int(near)
+    neg, near, _, _ = sturm_pivots(ad, ao, bd, bo, float(lam), near_tol)
+    return neg, near
 
 
 def negative_pivot_counts(a_diag, a_off, b_diag, b_off, lams, near_tol=1e-12):
-    """Inertia sweep over a grid of spectral parameters."""
+    """negative_pivot_count over a grid of spectral parameters."""
     ad, ao, bd, bo = _as_arrays(a_diag, a_off, b_diag, b_off)
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     negs = np.empty(lams.shape[0], dtype=np.int64)
@@ -143,10 +131,9 @@ def min_pivot_ratio(a_diag, a_off, b_diag, b_off, lam):
     """(negatives, smallest |pivot| / pencil scale) at lam.
 
     Used by the positivity scan: a shift is accepted only when every
-    pivot is positive with a safe relative margin.
+    pivot is positive with a safe relative margin.  The ratio is 0.0
+    when lam is an exact breakdown.
     """
     ad, ao, bd, bo = _as_arrays(a_diag, a_off, b_diag, b_off)
-    neg, _, breakdown, min_rel = sturm_pivots(ad, ao, bd, bo, float(lam), 0.0)
-    if breakdown:
-        return int(neg), 0.0
-    return int(neg), float(min_rel)
+    neg, _, _, min_rel = sturm_pivots(ad, ao, bd, bo, float(lam), 0.0)
+    return neg, min_rel

@@ -34,19 +34,9 @@ from .assembly import (
 )
 from .errors import FractalSturmError, InputError, UnsupportedConfigurationError
 from .measures import CompositeMeasure
-from .reduction import pushforward_params, transform_measure
+from .reduction import transform_measure
 from .selfsim import MonotonePrimitive, SelfSimilarParams, evaluate, validate_contraction
-from .spectral import (
-    asymptotics_report,
-    count,
-    counting_function,
-    eigenvalues,
-    geometric_asymptotics,
-    ladder_counts,
-    resolve_shift,
-    splitting_inequality,
-    write_counting_csv,
-)
+from .spectral import SpectralContext, ladder_counts, splitting_inequality, write_counting_csv
 
 _PARAM_KEYS = {"a", "dprime", "betaprime"}
 
@@ -125,6 +115,18 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _selfsim_p(problem: Problem, message: str) -> SelfSimilarParams:
+    """p's parameters when p is purely self-similar, else UnsupportedConfigurationError.
+
+    A composite p with atoms or a density next to its self-similar part
+    has p_params set too; routes that use p_params alone reject it here.
+    """
+    m = problem.p_measure
+    if problem.p_params is None or m.atoms or m.density is not None:
+        raise UnsupportedConfigurationError(message)
+    return problem.p_params
+
+
 def _build_discretization(problem: Problem, depth: int, k_iter: int | None) -> PencilDiscretization:
     """Route to the assembly matching the problem's coefficient types."""
     if problem.r is None:
@@ -133,27 +135,22 @@ def _build_discretization(problem: Problem, depth: int, k_iter: int | None) -> P
         raise UnsupportedConfigurationError(
             "q must be 0 when r is a self-similar primitive; transform first"
         )
-    if problem.p_params is None:
-        raise UnsupportedConfigurationError(
-            "p must be self-similar when r is a self-similar primitive"
-        )
+    p = _selfsim_p(problem, "p must be self-similar when r is a self-similar primitive")
     scale = problem.p_measure.selfsim[1]
     if k_iter is not None:
         return assemble_iterated_pair(
-            problem.r, k_iter, problem.p_params, problem.bc, depth,
+            problem.r, k_iter, p, problem.bc, depth,
             r_mass=problem.r_mass, p_scale=scale,
         )
     return assemble_selfsimilar_pair(
-        problem.r, problem.p_params, problem.bc, depth,
+        problem.r, p, problem.bc, depth,
         r_mass=problem.r_mass, p_scale=scale,
     )
 
 
 def _pair_weights(problem: Problem) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(d, dprime) of the scaling products for the problem's string."""
-    if problem.p_params is None:
-        raise UnsupportedConfigurationError("asymptotics needs a self-similar p")
-    p = problem.p_params
+    p = _selfsim_p(problem, "asymptotics needs a self-similar p")
     if problem.r is None:
         return tuple(p.a), tuple(p.dprime)
     validate_contraction(problem.r, p)
@@ -188,16 +185,12 @@ def cmd_transform(args) -> int:
             "r_mass": problem.r_mass,
         }
     else:
-        if problem.p_params is not None and tuple(problem.p_params.a) == tuple(problem.r.params.a):
-            scale = problem.p_measure.selfsim[1]
-            tilde = pushforward_params(problem.r, problem.p_params)
-            p_json = CompositeMeasure.from_selfsim(tilde, scale).to_json()
-        else:
-            p_json = transform_measure(problem.p_measure, problem.r, depth=args.depth).to_json()
+        # a self-similar part with r's cell widths maps exactly through
+        # pushforward_params inside transform_measure
         out = {
             "r": "lebesgue",
             "q": transform_measure(problem.q, problem.r, depth=args.depth).to_json(),
-            "p": p_json,
+            "p": transform_measure(problem.p_measure, problem.r, depth=args.depth).to_json(),
             "r_mass": problem.r_mass,
         }
     _emit(json.dumps(out, indent=2) + "\n", args.out)
@@ -216,21 +209,20 @@ def _spectrum_sides(problem: Problem) -> list[int]:
 
 def cmd_spectrum(args) -> int:
     problem = load_problem(args.problem)
-    disc = _build_discretization(problem, args.depth, args.k_iter)
-    xi = resolve_shift(disc)
+    ctx = SpectralContext(_build_discretization(problem, args.depth, args.k_iter))
     rows: list[tuple[int, int, float]] = []
     if args.n_eigs is not None:
         for side in _spectrum_sides(problem):
-            eigs = eigenvalues(disc, args.n_eigs, side, xi, rtol=args.tol)
+            eigs = ctx.eigenvalues(args.n_eigs, side, rtol=args.tol)
             rows += [(side, n + 1, lam) for n, lam in enumerate(eigs)]
     else:
         lam_max = args.lambda_max
         if lam_max is None:
             raise InputError("spectrum needs --n-eigs or --lambda-max")
         for side in _spectrum_sides(problem):
-            res = count(disc, side * abs(lam_max), xi)
+            res = ctx.count(side * abs(lam_max))
             total = res.n_plus if side > 0 else res.n_minus
-            eigs = eigenvalues(disc, total, side, xi, rtol=args.tol)
+            eigs = ctx.eigenvalues(total, side, rtol=args.tol)
             rows += [(side, n + 1, lam) for n, lam in enumerate(eigs)]
     if args.json:
         text = json.dumps(
@@ -257,22 +249,19 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_asymptotics(args) -> int:
     problem = load_problem(args.problem)
     d, dprime = _pair_weights(problem)
-    disc = _build_discretization(problem, args.depth, args.k_iter)
-    xi = resolve_shift(disc)
+    ctx = SpectralContext(_build_discretization(problem, args.depth, args.k_iter))
     products = [di * dpi for di, dpi in zip(d, dprime)]
     nonzero = [p for p in products if p != 0.0]
     if len(nonzero) == 1:
         z_plus, z_minus = ladder_counts(problem.p_params)
-        report = geometric_asymptotics(
-            disc, nonzero[0], args.k_max, z_plus, z_minus, xi
-        ).to_json()
+        report = ctx.geometric_asymptotics(nonzero[0], args.k_max, z_plus, z_minus).to_json()
         csv_text = None
     else:
         grid = _parse_grid(args.grid)
-        rep = asymptotics_report(disc, d, dprime, grid, xi)
+        rep = ctx.asymptotics_report(d, dprime, grid)
         report = rep.to_json()
         buf = io.StringIO()
-        write_counting_csv(buf, counting_function(disc, grid, xi), rep.dimension)
+        write_counting_csv(buf, ctx.counting_function(grid), rep.dimension)
         csv_text = buf.getvalue()
     if csv_text is not None and args.out is not None:
         _emit(csv_text, args.out)

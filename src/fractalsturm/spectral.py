@@ -39,12 +39,18 @@ _NUDGE_REL = 1e-9
 
 @dataclass(frozen=True)
 class CountingResult:
-    """Counts N+(lam) = #{eigs in [0, lam]} / N-(lam) = #{eigs in [lam, 0)}."""
+    """Counts N+(lam) = #{eigs in [0, lam]} / N-(lam) = #{eigs in [lam, 0)}.
+
+    near_zero is the number of near-zero pivots seen at the two ends of
+    the counted interval; a nonzero value flags an eigenvalue close
+    enough to an end to make the count ambiguous.
+    """
 
     lam: float
     n_plus: int
     n_minus: int
     reference_shift: float
+    near_zero: int = 0
 
 
 def inertia(disc: PencilDiscretization, lam: float, near_tol: float = 1e-12) -> tuple[int, int]:
@@ -60,7 +66,7 @@ def zero_tolerance(disc: PencilDiscretization) -> float:
     Floating-point assembly perturbs an exact zero eigenvalue (e.g. the
     Neumann constant mode) by roughly eps * |A| / |B| in pencil units;
     eigenvalues inside the band count as 0.  Heuristic, overridable in
-    count()/eigenvalue().
+    count()/SpectralContext.
     """
     norm_a = max(np.max(np.abs(disc.a_diag), initial=0.0), np.max(np.abs(disc.a_off), initial=0.0))
     norm_b = max(np.max(np.abs(disc.b_diag), initial=0.0), np.max(np.abs(disc.b_off), initial=0.0))
@@ -86,17 +92,196 @@ def resolve_shift(disc: PencilDiscretization, reference_shift: float | None = No
     return xi
 
 
-def _count_open_interval(disc: PencilDiscretization, xi: float, lo: float, hi: float) -> int:
-    """Number of pencil eigenvalues in the open interval (lo, hi)."""
-    if hi <= lo:
-        return 0
-    neg_lo, _ = inertia(disc, lo)
-    neg_hi, _ = inertia(disc, hi)
-    if hi <= xi:
-        return neg_lo - neg_hi
-    if lo >= xi:
-        return neg_hi - neg_lo
-    return neg_lo + neg_hi
+class SpectralContext:
+    """Counting and eigenvalue queries on one pencil.
+
+    The reference shift xi and the zero band (-zt, zt) are resolved once,
+    on construction.  N+(lam) counts the eigenvalues in the open interval
+    (-zt, lam + zt) and N-(lam) those in (lam - zt, -zt), both ends of
+    lam widened by a relative nudge, so every interval ends at the band
+    edge -zt: its inertia is swept here once and shared by all queries.
+    """
+
+    def __init__(
+        self,
+        disc: PencilDiscretization,
+        reference_shift: float | None = None,
+        zero_tol: float | None = None,
+    ):
+        self.disc = disc
+        self.xi = resolve_shift(disc, reference_shift)
+        self.zt = zero_tolerance(disc) if zero_tol is None else float(zero_tol)
+        self._edge = inertia(disc, -self.zt)
+
+    def _endpoint(self, lam: float) -> float:
+        """The end of the interval counted at lam other than -zt."""
+        if lam >= 0.0:
+            return lam + _NUDGE_REL * abs(lam) + self.zt
+        return lam - _NUDGE_REL * abs(lam) - self.zt
+
+    def _result(self, lam: float, end: float, neg_end: int, near_end: int) -> CountingResult:
+        edge = -self.zt
+        neg_edge, near_edge = self._edge
+        if lam >= 0.0:
+            lo, hi, neg_lo, neg_hi = edge, end, neg_edge, neg_end
+        else:
+            lo, hi, neg_lo, neg_hi = end, edge, neg_end, neg_edge
+        # negatives at x count the eigenvalues between xi and x
+        if hi <= lo:
+            n = 0
+        elif hi <= self.xi:
+            n = neg_lo - neg_hi
+        elif lo >= self.xi:
+            n = neg_hi - neg_lo
+        else:
+            n = neg_lo + neg_hi
+        if lam >= 0.0:
+            return CountingResult(lam, n, 0, self.xi, near_edge + near_end)
+        return CountingResult(lam, 0, n, self.xi, near_edge + near_end)
+
+    def counting_function(self, lams) -> list[CountingResult]:
+        """Counts over a grid, one sweep per distinct interval end."""
+        lams = [float(x) for x in lams]
+        ends = [self._endpoint(lam) for lam in lams]
+        distinct = list(dict.fromkeys(ends))
+        d = self.disc
+        negs, nears = negative_pivot_counts(d.a_diag, d.a_off, d.b_diag, d.b_off, distinct)
+        swept = dict(zip(distinct, zip(negs.tolist(), nears.tolist())))
+        return [self._result(lam, end, *swept[end]) for lam, end in zip(lams, ends)]
+
+    def count(self, lam: float) -> CountingResult:
+        """Counting function at lam by Sylvester inertia.
+
+        N+ includes an eigenvalue at 0 and one exactly at lam (resolved by
+        a relative nudge); N- covers [lam, 0) for negative lam.
+        """
+        return self.counting_function([lam])[0]
+
+    def eigenvalue(
+        self, n: int, side: int = 1, rtol: float = 1e-10, max_lambda: float = 1e30
+    ) -> float:
+        """n-th eigenvalue (n >= 1) on the given side of 0 by count bisection."""
+        if n < 1:
+            raise InvalidParametersError("eigenvalue index starts at 1")
+        if side not in (1, -1):
+            raise InvalidParametersError("side must be +1 or -1")
+
+        def counted(x: float) -> int:
+            res = self.count(side * x)
+            return res.n_plus if side == 1 else res.n_minus
+
+        if counted(0.0) >= n:
+            return 0.0
+        lo, hi = 0.0, 1.0
+        while counted(hi) < n:
+            lo = hi
+            hi *= 8.0
+            if hi > max_lambda:
+                raise EigenvalueNotFoundError(
+                    f"no eigenvalue #{n} on side {side:+d} below {max_lambda}"
+                )
+        while hi - lo > rtol * hi + 1e-14:
+            mid = 0.5 * (lo + hi)
+            if counted(mid) >= n:
+                hi = mid
+            else:
+                lo = mid
+        val = 0.5 * (lo + hi)
+        if val <= 2.0 * self.zt:
+            val = 0.0
+        return side * val
+
+    def eigenvalues(self, how_many: int, side: int = 1, rtol: float = 1e-10) -> list[float]:
+        return [self.eigenvalue(k, side, rtol=rtol) for k in range(1, how_many + 1)]
+
+    def asymptotics_report(self, d, dprime, lambdas) -> AsymptoticsReport:
+        """Sample N±(lam)/lam^D on a (positive) lambda grid.
+
+        The band (min, max) of the positive-side ratio is taken over the
+        top decade of the grid.  When the lengths are commensurable the
+        report also measures the log-periodicity defect: the largest
+        change of the profile under one period shift (two periods in the
+        antiperiodic case, where one shift maps N+ to N- instead).
+        """
+        dim = spectral_dimension(d, dprime)
+        nu, tag = period_and_case(d, dprime)
+        lambdas = np.asarray(sorted(float(x) for x in lambdas))
+        if np.any(lambdas <= 0.0):
+            raise InvalidParametersError("lambda grid must be positive")
+        n_plus = np.array([r.n_plus for r in self.counting_function(lambdas)], dtype=float)
+        if any(dp < 0.0 for dp in dprime):
+            res_minus = self.counting_function(-lambdas)
+            n_minus = np.array([r.n_minus for r in res_minus], dtype=float)
+        else:
+            n_minus = np.zeros_like(n_plus)
+        ratio_plus = n_plus / lambdas**dim
+        ratio_minus = n_minus / lambdas**dim
+
+        top = lambdas >= lambdas[-1] / 10.0
+        band = (float(ratio_plus[top].min()), float(ratio_plus[top].max()))
+
+        defect = None
+        if nu is not None:
+            shift = math.exp(nu) if tag != "antiperiodic" else math.exp(2.0 * nu)
+            here = (lambdas >= lambdas[-1] / 100.0) & (
+                lambdas * shift <= lambdas[-1] * (1.0 + 1e-12)
+            )
+            base = lambdas[here]
+            if base.size:
+                there = self.counting_function(base * shift)
+                rho_here = n_plus[here] / base**dim
+                rho_there = np.array([r.n_plus for r in there]) / (base * shift) ** dim
+                defect = float(np.max(np.abs(rho_here - rho_there)))
+        return AsymptoticsReport(
+            dimension=dim,
+            period=nu,
+            case_tag=tag,
+            lambdas=lambdas,
+            n_plus=n_plus.astype(int),
+            n_minus=n_minus.astype(int),
+            ratio_plus=ratio_plus,
+            ratio_minus=ratio_minus,
+            ratio_band=band,
+            periodicity_defect=defect,
+        )
+
+    def geometric_asymptotics(
+        self, product: float, k_max: int, z_plus: int, z_minus: int = 0
+    ) -> GeometricReport:
+        """Successive-ratio diagnostics for the geometric regime.
+
+        With one nonzero scaling product d_m d'_m, eigenvalues split into
+        Z-periodic ladders.  A positive product keeps each side Z+- (resp.
+        Z-)-periodic with ratio (d_m d'_m)^{-1}.  A negative product maps
+        each side onto the other and back, so a side repeats only after
+        two substitutions: every Z+-th positive (Z--th negative)
+        eigenvalue grows by (d_m d'_m)^{-2}, and the two sides interleave
+        with one factor |d_m d'_m|^{-1}.
+        """
+        if product == 0.0 or abs(product) >= 1.0:
+            raise InvalidParametersError("scaling product must satisfy 0 < |product| < 1")
+        if k_max < 1:
+            raise InvalidParametersError("k_max must be >= 1")
+        if product > 0.0:
+            target = 1.0 / product
+            interleave = None
+        else:
+            target = 1.0 / product**2
+            interleave = 1.0 / abs(product)
+
+        ladders = []
+        for side, period in ((1, z_plus), (-1, z_minus)):
+            if period <= 0:
+                continue
+            needed = period * (k_max + 1)
+            eigs = self.eigenvalues(needed, side)
+            for offset in range(1, period + 1):
+                rungs = [eigs[idx] for idx in range(offset - 1, needed, period)]
+                ratios = tuple(
+                    rungs[j + 1] / rungs[j] for j in range(len(rungs) - 1) if rungs[j] != 0.0
+                )
+                ladders.append(GeometricLadder(side, offset, tuple(rungs), ratios))
+        return GeometricReport(product, target, interleave, tuple(ladders))
 
 
 def count(
@@ -105,21 +290,8 @@ def count(
     reference_shift: float | None = None,
     zero_tol: float | None = None,
 ) -> CountingResult:
-    """Counting function at lam by Sylvester inertia.
-
-    N+ includes an eigenvalue at 0 and one exactly at lam (resolved by a
-    relative nudge); N- covers [lam, 0) for negative lam.
-    """
-    xi = resolve_shift(disc, reference_shift)
-    zt = zero_tolerance(disc) if zero_tol is None else float(zero_tol)
-    lam = float(lam)
-    if lam >= 0.0:
-        hi = lam + _NUDGE_REL * abs(lam) + zt
-        n_plus = _count_open_interval(disc, xi, -zt, hi)
-        return CountingResult(lam, n_plus, 0, xi)
-    lo = lam - _NUDGE_REL * abs(lam) - zt
-    n_minus = _count_open_interval(disc, xi, lo, -zt)
-    return CountingResult(lam, 0, n_minus, xi)
+    """Counting function at lam: SpectralContext.count on a fresh context."""
+    return SpectralContext(disc, reference_shift, zero_tol).count(lam)
 
 
 def counting_function(
@@ -128,33 +300,8 @@ def counting_function(
     reference_shift: float | None = None,
     zero_tol: float | None = None,
 ) -> list[CountingResult]:
-    """Batch counting over a grid, one kernel pass per endpoint."""
-    xi = resolve_shift(disc, reference_shift)
-    zt = zero_tolerance(disc) if zero_tol is None else float(zero_tol)
-    lams = [float(x) for x in lams]
-    queries = []
-    for lam in lams:
-        if lam >= 0.0:
-            queries.append((-zt, lam + _NUDGE_REL * abs(lam) + zt))
-        else:
-            queries.append((lam - _NUDGE_REL * abs(lam) - zt, -zt))
-    flat = np.array([x for pair in queries for x in pair])
-    negs, _ = negative_pivot_counts(disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, flat)
-    out = []
-    for idx, lam in enumerate(lams):
-        lo, hi = queries[idx]
-        neg_lo, neg_hi = int(negs[2 * idx]), int(negs[2 * idx + 1])
-        if hi <= xi:
-            n = neg_lo - neg_hi
-        elif lo >= xi:
-            n = neg_hi - neg_lo
-        else:
-            n = neg_lo + neg_hi
-        if lam >= 0.0:
-            out.append(CountingResult(lam, n, 0, xi))
-        else:
-            out.append(CountingResult(lam, 0, n, xi))
-    return out
+    """Counts over a grid: SpectralContext.counting_function on a fresh context."""
+    return SpectralContext(disc, reference_shift, zero_tol).counting_function(lams)
 
 
 def eigenvalue(
@@ -166,38 +313,7 @@ def eigenvalue(
     max_lambda: float = 1e30,
 ) -> float:
     """n-th eigenvalue (n >= 1) on the given side of 0 by count bisection."""
-    if n < 1:
-        raise InvalidParametersError("eigenvalue index starts at 1")
-    if side not in (1, -1):
-        raise InvalidParametersError("side must be +1 or -1")
-    xi = resolve_shift(disc, reference_shift)
-    zt = zero_tolerance(disc)
-
-    def counted(x: float) -> int:
-        if side == 1:
-            return _count_open_interval(disc, xi, -zt, x + _NUDGE_REL * abs(x) + zt)
-        return _count_open_interval(disc, xi, -x - _NUDGE_REL * abs(x) - zt, -zt)
-
-    if counted(0.0) >= n:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while counted(hi) < n:
-        lo = hi
-        hi *= 8.0
-        if hi > max_lambda:
-            raise EigenvalueNotFoundError(
-                f"no eigenvalue #{n} on side {side:+d} below {max_lambda}"
-            )
-    while hi - lo > rtol * hi + 1e-14:
-        mid = 0.5 * (lo + hi)
-        if counted(mid) >= n:
-            hi = mid
-        else:
-            lo = mid
-    val = 0.5 * (lo + hi)
-    if val <= 2.0 * zt:
-        val = 0.0
-    return side * val
+    return SpectralContext(disc, reference_shift).eigenvalue(n, side, rtol, max_lambda)
 
 
 def eigenvalues(
@@ -207,8 +323,7 @@ def eigenvalues(
     reference_shift: float | None = None,
     rtol: float = 1e-10,
 ) -> list[float]:
-    xi = resolve_shift(disc, reference_shift)
-    return [eigenvalue(disc, k, side, xi, rtol=rtol) for k in range(1, how_many + 1)]
+    return SpectralContext(disc, reference_shift).eigenvalues(how_many, side, rtol)
 
 
 def spectral_dimension(d, dprime) -> float:
@@ -333,57 +448,8 @@ def asymptotics_report(
     lambdas,
     reference_shift: float | None = None,
 ) -> AsymptoticsReport:
-    """Sample N±(lam)/lam^D on a (positive) lambda grid.
-
-    The band (min, max) of the positive-side ratio is taken over the top
-    decade of the grid.  When the lengths are commensurable the report
-    also measures the log-periodicity defect: the largest change of the
-    profile under one period shift (two periods in the antiperiodic
-    case, where one shift maps N+ to N- instead).
-    """
-    dim = spectral_dimension(d, dprime)
-    nu, tag = period_and_case(d, dprime)
-    lambdas = np.asarray(sorted(float(x) for x in lambdas))
-    if np.any(lambdas <= 0.0):
-        raise InvalidParametersError("lambda grid must be positive")
-    xi = resolve_shift(disc, reference_shift)
-    res_plus = counting_function(disc, lambdas, xi)
-    n_plus = np.array([r.n_plus for r in res_plus], dtype=float)
-    signed = any(dp < 0.0 for dp in dprime)
-    if signed:
-        res_minus = counting_function(disc, -lambdas, xi)
-        n_minus = np.array([r.n_minus for r in res_minus], dtype=float)
-    else:
-        n_minus = np.zeros_like(n_plus)
-    ratio_plus = n_plus / lambdas**dim
-    ratio_minus = n_minus / lambdas**dim
-
-    top = lambdas >= lambdas[-1] / 10.0
-    band = (float(ratio_plus[top].min()), float(ratio_plus[top].max()))
-
-    defect = None
-    if nu is not None:
-        shift = math.exp(nu) if tag != "antiperiodic" else math.exp(2.0 * nu)
-        base = lambdas[lambdas >= lambdas[-1] / 100.0]
-        base = base[base * shift <= lambdas[-1] * (1.0 + 1e-12)]
-        if base.size:
-            here = counting_function(disc, base, xi)
-            there = counting_function(disc, base * shift, xi)
-            rho_here = np.array([r.n_plus for r in here]) / base**dim
-            rho_there = np.array([r.n_plus for r in there]) / (base * shift) ** dim
-            defect = float(np.max(np.abs(rho_here - rho_there)))
-    return AsymptoticsReport(
-        dimension=dim,
-        period=nu,
-        case_tag=tag,
-        lambdas=lambdas,
-        n_plus=n_plus.astype(int),
-        n_minus=n_minus.astype(int),
-        ratio_plus=ratio_plus,
-        ratio_minus=ratio_minus,
-        ratio_band=band,
-        periodicity_defect=defect,
-    )
+    """Power-law report: SpectralContext.asymptotics_report on a fresh context."""
+    return SpectralContext(disc, reference_shift).asymptotics_report(d, dprime, lambdas)
 
 
 def ladder_counts(params: SelfSimilarParams) -> tuple[int, int]:
@@ -441,45 +507,10 @@ def geometric_asymptotics(
     z_minus: int = 0,
     reference_shift: float | None = None,
 ) -> GeometricReport:
-    """Successive-ratio diagnostics for the geometric regime.
-
-    With one nonzero scaling product d_m d'_m, eigenvalues split into
-    Z-periodic ladders.  A positive product keeps each side Z+- (resp.
-    Z-)-periodic with ratio (d_m d'_m)^{-1}.  A negative product maps
-    each side onto the other and back, so a side repeats only after two
-    substitutions: every Z+-th positive (Z--th negative) eigenvalue
-    grows by (d_m d'_m)^{-2}, and the two sides interleave with one
-    factor |d_m d'_m|^{-1}.
-    """
-    if product == 0.0 or abs(product) >= 1.0:
-        raise InvalidParametersError("scaling product must satisfy 0 < |product| < 1")
-    if k_max < 1:
-        raise InvalidParametersError("k_max must be >= 1")
-    xi = resolve_shift(disc, reference_shift)
-    if product > 0.0:
-        period_plus, period_minus = z_plus, z_minus
-        target = 1.0 / product
-        interleave = None
-    else:
-        period_plus, period_minus = z_plus, z_minus
-        target = 1.0 / product**2
-        interleave = 1.0 / abs(product)
-
-    ladders = []
-    for side, period in ((1, period_plus), (-1, period_minus)):
-        if period <= 0:
-            continue
-        needed = period * (k_max + 1)
-        eigs = [eigenvalue(disc, n, side, xi) for n in range(1, needed + 1)]
-        for offset in range(1, period + 1):
-            rungs = [eigs[idx] for idx in range(offset - 1, needed, period)]
-            ratios = tuple(
-                rungs[j + 1] / rungs[j] for j in range(len(rungs) - 1) if rungs[j] != 0.0
-            )
-            ladders.append(
-                GeometricLadder(side, offset, tuple(rungs), ratios)
-            )
-    return GeometricReport(product, target, interleave, tuple(ladders))
+    """Ladder report: SpectralContext.geometric_asymptotics on a fresh context."""
+    return SpectralContext(disc, reference_shift).geometric_asymptotics(
+        product, k_max, z_plus, z_minus
+    )
 
 
 @dataclass(frozen=True)
@@ -524,17 +555,15 @@ def splitting_inequality(
     if any(dp < 0.0 for dp in p.dprime):
         raise InvalidParametersError("the splitting check needs a nondecreasing P")
     disc = assemble_iterated_pair(r_base, k, p, bc, depth)
-    xi = resolve_shift(disc, reference_shift)
-    lhs = count(disc, lam, xi).n_plus
     rp = r_base.params
     if k == 0:
         d = list(rp.a)
     else:
         d = [a if dp != 0.0 else 0.0 for a, dp in zip(rp.a, rp.dprime)]
-    terms = tuple(
-        count(disc, d[i] * p.dprime[i] * lam, xi).n_plus for i in range(p.n)
-    )
-    return SplittingCheck(float(lam), int(lhs), terms, int(lhs) <= sum(terms))
+    args = [lam] + [d[i] * p.dprime[i] * lam for i in range(p.n)]
+    ctx = SpectralContext(disc, reference_shift)
+    lhs, *terms = (r.n_plus for r in ctx.counting_function(args))
+    return SplittingCheck(float(lam), lhs, tuple(terms), lhs <= sum(terms))
 
 
 def write_counting_csv(fileobj, results, dimension: float) -> None:

@@ -40,3 +40,54 @@ def dense_count(disc, lam, reference_shift=None):
         return int(np.sum((mus > -zt) & (mus < hi))), 0
     lo = lam - 1e-9 * abs(lam) - zt
     return 0, int(np.sum((mus > lo) & (mus < -zt)))
+
+
+_CLAMP = 5e-32
+
+
+def clamped_sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
+    """Reference LDL^T sweep of A - lam B, one node at a time.
+
+    (negatives, near-zeros, breakdowns, smallest |pivot| / scale) with the
+    package's clamp rule: a pivot that is exactly zero is a breakdown and
+    continues as +clamp, a nonzero pivot below clamp = 5e-32 * scale in
+    magnitude continues as sign * clamp.
+    """
+    n = a_diag.shape[0]
+    scale = 0.0
+    for i in range(n):
+        m = abs(a_diag[i] - lam * b_diag[i])
+        if m > scale:
+            scale = m
+    for i in range(n - 1):
+        e = abs(a_off[i] - lam * b_off[i])
+        if e > scale:
+            scale = e
+    if scale == 0.0:
+        return 0, n, 0, 0.0
+
+    clamp = _CLAMP * scale
+    neg = 0
+    near = 0
+    breakdown = 0
+    min_rel = 1e308
+    d_prev = 0.0
+    for i in range(n):
+        d = a_diag[i] - lam * b_diag[i]
+        if i > 0:
+            e = a_off[i - 1] - lam * b_off[i - 1]
+            d -= e * e / d_prev
+        if d < 0.0:
+            neg += 1
+        mag = abs(d)
+        if mag < near_tol * scale:
+            near += 1
+        if mag / scale < min_rel:
+            min_rel = mag / scale
+        if d == 0.0:
+            breakdown += 1
+            d = clamp
+        elif mag < clamp:
+            d = clamp if d > 0.0 else -clamp
+        d_prev = d
+    return neg, near, breakdown, min_rel

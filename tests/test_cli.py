@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fractalsturm import MonotonePrimitive, SelfSimilarParams, identity_params
+from fractalsturm import CompositeMeasure, MonotonePrimitive, SelfSimilarParams, identity_params
 from fractalsturm.cli import main
 
 CANTOR_PARAMS = {
@@ -58,6 +58,22 @@ def problems(tmp_path):
                 "p": {"atoms": [[0.4, 1.0], [0.6, 1.0]]},
                 "bc": {"U": "dirichlet"},
             },
+        ),
+        "composite_pair": write(
+            "composite_pair.json",
+            {
+                "r": MonotonePrimitive.cantor().to_json(),
+                "p": {
+                    "atoms": [[0.2, 0.5], [0.7, 0.25]],
+                    "density": {"breaks": [0.0, 0.5, 1.0], "values": [1.0, 2.0]},
+                    "selfsim": dict(CANTOR_PARAMS, scale=2.0),
+                },
+                "bc": {"U": "neumann"},
+            },
+        ),
+        "composite": write(
+            "composite.json",
+            {"p": {"atoms": [[0.5, 1.0]], "selfsim": CANTOR_PARAMS}, "bc": {"U": "neumann"}},
         ),
         "garbage": str((tmp_path / "garbage.json").write_text("not json {") or tmp_path / "garbage.json"),
     }
@@ -131,6 +147,15 @@ class TestTransform:
         got = SelfSimilarParams.from_json(ss)
         assert got == identity_params(2)
 
+    def test_composite_p_keeps_atoms_and_density(self, problems, capsys):
+        # the self-similar part has r's cell widths, yet the atoms
+        # (0.75) and the density (1.5) must survive next to it (2.0)
+        rc = main(["transform", problems["composite_pair"]])
+        assert rc == 0
+        p = CompositeMeasure.from_json(json.loads(capsys.readouterr().out)["p"])
+        assert p.selfsim is not None
+        assert p.total_mass() == pytest.approx(4.25, rel=1e-12)
+
     def test_plateau_mass_exit_3(self, problems, capsys):
         rc = main(["transform", problems["plateau"]])
         assert rc == 3
@@ -170,6 +195,17 @@ class TestSpectrum:
         lines = capsys.readouterr().out.strip().splitlines()
         sides = {line.split(",")[0] for line in lines[1:]}
         assert sides == {"1", "-1"}
+
+    @pytest.mark.parametrize(
+        "command, problem",
+        [
+            (["spectrum", "--n-eigs", "1"], "composite_pair"),
+            (["asymptotics"], "composite_pair"),
+            (["asymptotics"], "composite"),
+        ],
+    )
+    def test_composite_p_rejected_on_selfsim_routes(self, problems, capsys, command, problem):
+        assert main([command[0], problems[problem], *command[1:]]) == 3
 
     def test_indefinite_pencil_exit_4(self, problems, capsys):
         rc = main(["spectrum", problems["indefinite"], "--n-eigs", "1", "--depth", "10"])

@@ -1,13 +1,16 @@
-"""Tests for the LDL^T pivot kernels (compiled and interpreted paths)."""
+"""Tests for the LDL^T inertia kernel."""
 
-import os
-import subprocess
-import sys
+from unittest import mock
 
 import numpy as np
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fractalsturm import _kernels as kern
+from fractalsturm.assembly import PencilDiscretization
+from fractalsturm.spectral import count, counting_function
+
+from _oracles import clamped_sweep
 
 
 def random_pencil(rng, n):
@@ -27,15 +30,61 @@ def dense_negative_count(a_diag, a_off, b_diag, b_off, lam):
     return int(np.sum(np.linalg.eigvalsh(m) < 0))
 
 
-def test_python_matches_compiled_on_random_pencils():
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        n = rng.integers(2, 60)
+@st.composite
+def pencils(draw):
+    """Random tridiagonal pencils, some with zero rows of B.
+
+    Small-integer entries with an integer lam make exact zero pivots
+    (breakdowns) and a vanishing scale common.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a_diag = rng.integers(-3, 4, n).astype(float)
+        a_off = rng.integers(-2, 3, n - 1).astype(float)
+        b_diag = rng.integers(0, 3, n).astype(float)
+        b_off = rng.integers(-1, 2, n - 1).astype(float)
+        lam = float(rng.integers(-3, 4))
+    else:
         a_diag, a_off, b_diag, b_off = random_pencil(rng, n)
-        lam = rng.normal(scale=5.0)
-        jit = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, lam, 1e-12)
-        py = kern.sturm_pivots_python(a_diag, a_off, b_diag, b_off, lam, 1e-12)
-        assert jit == py
+        lam = float(rng.normal(scale=5.0))
+    zero_rows = rng.random(n) < draw(st.sampled_from([0.0, 0.3]))
+    b_diag[zero_rows] = 0.0
+    b_off[zero_rows[:-1] | zero_rows[1:]] = 0.0
+    return a_diag, a_off, b_diag, b_off, lam
+
+
+TWO_BY_TWO = (np.array([2.0, 3.0]), np.array([0.0]), np.ones(2), np.array([0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pencil=pencils(), chunk=st.sampled_from([1, 2, 3, 7, 4096]))
+@example(pencil=(*TWO_BY_TWO, 2.0), chunk=1)
+@example(pencil=(np.array([5.0]), np.zeros(0), np.array([2.0]), np.zeros(0), 2.5), chunk=4096)
+def test_sweep_matches_reference_loop(pencil, chunk):
+    *arrays, lam = pencil
+    with mock.patch.object(kern, "_CHUNK", chunk):
+        got = kern._sweep(*arrays, lam, 1e-12)
+    assert got == clamped_sweep(*arrays, lam, 1e-12)
+
+
+def test_sweep_matches_reference_across_chunk_boundaries():
+    rng = np.random.default_rng(5)
+    for n in (kern._CHUNK - 1, kern._CHUNK, kern._CHUNK + 1, 2 * kern._CHUNK + 1):
+        a_diag, a_off, b_diag, b_off = random_pencil(rng, n)
+        for lam in (-3.0, 0.7, 40.0):
+            got = kern._sweep(a_diag, a_off, b_diag, b_off, lam, 1e-12)
+            assert got == clamped_sweep(a_diag, a_off, b_diag, b_off, lam, 1e-12)
+
+
+def test_scalar_batch_and_counting_paths_agree_at_breakdown():
+    # lambda = 2 zeroes the first pivot of A - lambda B exactly
+    a_diag, a_off, b_diag, b_off = TWO_BY_TWO
+    disc = PencilDiscretization(np.array([0.0, 1.0]), a_diag, a_off, b_diag, b_off, 0, ())
+    scalar, _ = kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, 2.0)
+    negs, _ = kern.negative_pivot_counts(a_diag, a_off, b_diag, b_off, [2.0])
+    assert scalar == negs[0] == 1
+    assert count(disc, 2.0).n_plus == counting_function(disc, [2.0])[0].n_plus == 1
 
 
 def test_negative_count_matches_dense_inertia():
@@ -117,15 +166,3 @@ def test_single_node_pencil():
     b_off = np.zeros(0)
     assert kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, 2.0)[0] == 0
     assert kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, 3.0)[0] == 1
-
-
-def test_interpreted_fallback_env_flag():
-    code = (
-        "import fractalsturm._kernels as k; import numpy as np; "
-        "assert not k.NUMBA_ENABLED; "
-        "ad = np.array([2.0, 3.0]); ao = np.array([0.0]); "
-        "bd = np.ones(2); bo = np.array([0.0]); "
-        "assert k.negative_pivot_count(ad, ao, bd, bo, 2.5) == (1, 0)"
-    )
-    env = dict(os.environ, FRACTALSTURM_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)

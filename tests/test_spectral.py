@@ -15,6 +15,7 @@ from fractalsturm import (
     InvalidParametersError,
     MonotonePrimitive,
     SelfSimilarParams,
+    SpectralContext,
     asymptotics_report,
     assemble,
     assemble_iterated_pair,
@@ -31,6 +32,7 @@ from fractalsturm import (
     splitting_inequality,
     write_counting_csv,
 )
+from fractalsturm import _kernels
 from fractalsturm.spectral import resolve_shift, zero_tolerance
 
 from _oracles import dense_count, pencil_eigenvalues
@@ -88,6 +90,13 @@ class TestCounting:
         disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), DIRICHLET, depth=10)
         lam = 1000.0
         assert count(disc, lam).n_plus == math.floor(math.sqrt(lam) / math.pi)
+
+    def test_near_zero_pivots_reported(self):
+        # without a zero band the Neumann constant mode sits on the band edge
+        disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), NEUMANN, depth=5)
+        assert count(disc, 10.0, zero_tol=0.0).near_zero >= 1
+        assert count(disc, 10.0).near_zero == 0
+        assert counting_function(disc, [10.0], zero_tol=0.0)[0].near_zero >= 1
 
     def test_indefinite_potential_has_no_shift(self):
         two = CompositeMeasure.from_atoms([(0.4, 1.0), (0.6, 1.0)])
@@ -311,3 +320,47 @@ class TestShiftResolution:
         zt2 = zero_tolerance(disc.scaled(1000.0))
         assert zt1 > 0
         assert zt2 == pytest.approx(zt1, rel=1e-9)
+
+
+class TestSweepCounts:
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        """Spectral parameters of every inertia sweep, in call order."""
+        lams = []
+        sweep = _kernels._sweep
+
+        def recording(a_diag, a_off, b_diag, b_off, lam, near_tol):
+            lams.append(lam)
+            return sweep(a_diag, a_off, b_diag, b_off, lam, near_tol)
+
+        monkeypatch.setattr(_kernels, "_sweep", recording)
+        return lams
+
+    def test_eigenvalues_sweep_once_per_bisection_step(self, swept, monkeypatch):
+        disc = assemble(1.0, 0.0, CompositeMeasure.from_selfsim(cantor_ladder()), NEUMANN, depth=9)
+        xi = resolve_shift(disc)
+        queries = []
+        count_one = SpectralContext.count
+
+        def counting(ctx, lam):
+            queries.append(lam)
+            return count_one(ctx, lam)
+
+        monkeypatch.setattr(SpectralContext, "count", counting)
+        swept.clear()
+        eigenvalues(disc, 6, reference_shift=xi)
+        # one sweep validates xi and one takes the band edge, for all six
+        assert len(swept) == len(queries) + 2
+        assert len(queries) > 6 * 20
+
+    def test_asymptotics_report_sweeps_each_endpoint_once(self, swept):
+        cl = cantor_ladder()
+        disc = assemble_iterated_pair(MonotonePrimitive.cantor(), 0, cl, NEUMANN, depth=7)
+        xi = resolve_shift(disc)
+        lams = np.geomspace(1e2, 1e5, 13)
+        swept.clear()
+        rep = asymptotics_report(disc, cl.a, cl.dprime, lams, xi)
+        assert rep.periodicity_defect is not None
+        assert len(swept) == len(set(swept))
+        # xi, the band edge, the grid, and the grid points shifted by one period
+        assert len(lams) + 2 < len(swept) < 2 * len(lams) + 2
