@@ -35,12 +35,10 @@ from .errors import (
 from .measures import CompositeMeasure, StepFunction, common_atoms, step_approximation
 from .reduction import generalized_inverse, pushforward_params, transform_measure
 from .selfsim import (
-    Cell,
     MonotonePrimitive,
     PiecewiseLinear,
     SelfSimilarParams,
     cantor_ladder,
-    cells,
     evaluate,
     evaluate_many,
     fixed_point_boundaries,

@@ -35,6 +35,7 @@ from .measures import CompositeMeasure
 from .selfsim import (
     MonotonePrimitive,
     SelfSimilarParams,
+    _children,
     jump_atoms,
     junction_gaps,
     moments,
@@ -185,11 +186,8 @@ def _mesh_nodes(p: CompositeMeasure, q: CompositeMeasure, depth: int) -> np.ndar
             has_selfsim = True
             params = mu.selfsim[0]
             cells = support_cells(params, depth)
-            ends = np.empty(2 * len(cells))
-            for k, c in enumerate(cells):
-                ends[2 * k] = c.left
-                ends[2 * k + 1] = c.left + c.width
-            cand.append(ends)
+            cand.append(cells[:, 0])
+            cand.append(cells[:, 0] + cells[:, 1])
             branching = sum(1 for dp in params.dprime if dp != 0.0)
             if branching <= 1:
                 jump_depth = min(depth, 48)
@@ -221,18 +219,27 @@ class _Accumulator:
         self.diag = np.zeros(nodes.size)
         self.off = np.zeros(nodes.size - 1)
 
-    def add_atom(self, pos: float, weight: float):
-        j = int(np.searchsorted(self.nodes, pos))
-        for cand in (j - 1, j):
-            if 0 <= cand < self.nodes.size and abs(self.nodes[cand] - pos) <= 1e-12:
-                self.diag[cand] += weight
-                return
-        # point mass between nodes: stamp the exact hat-function products
-        j = int(np.clip(j - 1, 0, self.nodes.size - 2))
-        al = (self.nodes[j + 1] - pos) / (self.nodes[j + 1] - self.nodes[j])
-        self.diag[j] += weight * al * al
-        self.diag[j + 1] += weight * (1.0 - al) * (1.0 - al)
-        self.off[j] += weight * al * (1.0 - al)
+    def add_atoms(self, pos: np.ndarray, weight: np.ndarray):
+        """Stamp point masses one after the other, in the order given.
+
+        A mass within 1e-12 of a node lands on that node (the left one
+        when two qualify); one between nodes gets the exact hat-function
+        products.
+        """
+        nodes = self.nodes
+        j = np.searchsorted(nodes, pos)
+        on_left = (j >= 1) & (np.abs(nodes[np.maximum(j - 1, 0)] - pos) <= 1e-12)
+        on_right = (j < nodes.size) & (np.abs(nodes[np.minimum(j, nodes.size - 1)] - pos) <= 1e-12)
+        hit = on_left | on_right
+        jb = np.clip(j - 1, 0, nodes.size - 2)
+        al = (nodes[jb + 1] - pos) / (nodes[jb + 1] - nodes[jb])
+        # per mass one or two diagonal entries, flattened in input order
+        # so shared entries add up in the order the masses come
+        idx = np.stack((np.where(on_left, j - 1, np.where(hit, j, jb)), jb + 1), axis=1)
+        val = np.stack((np.where(hit, weight, weight * al * al), weight * (1.0 - al) * (1.0 - al)), axis=1)
+        used = np.stack((np.ones_like(hit), ~hit), axis=1)
+        np.add.at(self.diag, idx[used], val[used])
+        np.add.at(self.off, jb[~hit], (weight * al * (1.0 - al))[~hit])
 
     def add_density(self, density):
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
@@ -243,53 +250,65 @@ class _Accumulator:
         self.off += vals * h / 6.0
 
     def add_selfsim(self, params: SelfSimilarParams, scale: float, depth: int, extra: int = 30):
+        """Stamp scale * dP, exact per cell of the self-similar tree.
+
+        The cells are expanded one level at a time, parent-major, from
+        the root.  A cell that fits one mesh interval (1e-12 slack) is
+        stamped through the copy moments; a straddling cell emits its
+        junction atoms and splits into its live children.  What still
+        straddles at level depth + extra is lumped at its midpoint.
+        Each stamp is the value a depth-first walk computes, and within
+        a level shared entries are summed left to right as that walk
+        does; where cells of different levels or junction atoms share an
+        entry the order differs, so a sum can move in its last bits
+        (tests allow 1e-13 relative).
+        """
         mu = moments(params, 2)
         nodes = self.nodes
-        gaps = junction_gaps(params)
-
-        def place(left: float, width: float, weight: float, level: int):
-            j = int(np.clip(np.searchsorted(nodes, left, side="right") - 1, 0, nodes.size - 2))
-            if left >= nodes[j] - 1e-12 and left + width <= nodes[j + 1] + 1e-12:
-                # the cell sits inside one mesh interval: the copy moments
-                # carry its full Stieltjes content, interior jumps included
-                xl, xr = nodes[j], nodes[j + 1]
-                h = xr - xl
-                al = (xr - left) / h
-                bl = -width / h
-                ar = (left - xl) / h
-                br = width / h
-                w = scale * weight
-                self.diag[j] += w * (al * al * mu[0] + 2 * al * bl * mu[1] + bl * bl * mu[2])
-                self.diag[j + 1] += w * (ar * ar * mu[0] + 2 * ar * br * mu[1] + br * br * mu[2])
-                self.off[j] += w * (al * ar * mu[0] + (al * br + ar * bl) * mu[1] + bl * br * mu[2])
-                return
-            if level < depth + extra:
-                # splitting into copies loses the junction atoms between
-                # neighbouring copy values; emit them explicitly
-                for i in range(params.n):
-                    if i > 0 and gaps[i - 1] != 0.0:
-                        self.add_atom(
-                            left + width * params.alpha[i], scale * weight * gaps[i - 1]
-                        )
-                    wi = weight * params.dprime[i]
-                    if wi == 0.0:
-                        continue
-                    place(left + width * params.alpha[i], width * params.a[i], wi, level + 1)
-                return
-            # unresolvable straddle at the maximum depth: lump the remaining
-            # (vanishingly small) cell mass at its midpoint
-            mid = left + 0.5 * width
-            al = (nodes[j + 1] - mid) / (nodes[j + 1] - nodes[j])
-            w = scale * weight * mu[0]
-            self.diag[j] += w * al * al
-            self.diag[j + 1] += w * (1 - al) * (1 - al)
-            self.off[j] += w * al * (1 - al)
-
-        place(0.0, 1.0, 1.0, 0)
+        gaps = np.asarray(junction_gaps(params))
+        jumpy = np.flatnonzero(gaps != 0.0) + 1
+        left, width, weight, offset = (np.array([v]) for v in (0.0, 1.0, 1.0, 0.0))
+        for level in range(depth + extra + 1):
+            j = np.clip(np.searchsorted(nodes, left, side="right") - 1, 0, nodes.size - 2)
+            xl, xr = nodes[j], nodes[j + 1]
+            fits = (left >= xl - 1e-12) & (left + width <= xr + 1e-12)
+            # a cell inside one mesh interval: the copy moments carry its
+            # full Stieltjes content, interior jumps included
+            xl, xr, jf, lf, wf = xl[fits], xr[fits], j[fits], left[fits], width[fits]
+            h = xr - xl
+            al = (xr - lf) / h
+            bl = -wf / h
+            ar = (lf - xl) / h
+            br = wf / h
+            w = scale * weight[fits]
+            dl = w * (al * al * mu[0] + 2 * al * bl * mu[1] + bl * bl * mu[2])
+            dr = w * (ar * ar * mu[0] + 2 * ar * br * mu[1] + br * br * mu[2])
+            np.add.at(self.diag, np.stack((jf, jf + 1), axis=1), np.stack((dl, dr), axis=1))
+            np.add.at(self.off, jf, w * (al * ar * mu[0] + (al * br + ar * bl) * mu[1] + bl * br * mu[2]))
+            straddle = ~fits
+            left, width, weight, offset, j = (x[straddle] for x in (left, width, weight, offset, j))
+            if left.size == 0 or level == depth + extra:
+                break
+            # splitting into copies loses the junction atoms between
+            # neighbouring copy values; emit them explicitly
+            if jumpy.size:
+                self.add_atoms(
+                    (left[:, None] + width[:, None] * params.alpha[jumpy]).ravel(),
+                    ((scale * weight)[:, None] * gaps[jumpy - 1]).ravel(),
+                )
+            left, width, weight, offset = _children(params, left, width, weight, offset)
+        # unresolvable straddles at the maximum depth: lump the remaining
+        # (vanishingly small) cell mass at its midpoint
+        mid = left + 0.5 * width
+        al = (nodes[j + 1] - mid) / (nodes[j + 1] - nodes[j])
+        w = scale * weight * mu[0]
+        np.add.at(self.diag, j, w * al * al)
+        np.add.at(self.diag, j + 1, w * (1 - al) * (1 - al))
+        np.add.at(self.off, j, w * al * (1 - al))
 
     def add_measure(self, mu: CompositeMeasure, depth: int):
-        for pos, w in mu.atoms:
-            self.add_atom(pos, w)
+        if mu.atoms:
+            self.add_atoms(*np.array(mu.atoms).T)
         if mu.density is not None and np.any(mu.density.values):
             self.add_density(mu.density)
         if mu.selfsim is not None:
@@ -420,26 +439,22 @@ def _assemble_from_segments(
             merged[-1][0] += ln
         else:
             merged.append([ln, mass])
-    k = len(merged)
-    nodes = np.empty(k + 1)
-    nodes[0] = 0.0
-    np.cumsum([ln for ln, _ in merged], out=nodes[1:])
+    ln, mass = np.array(merged).T
+    nodes = np.concatenate(([0.0], np.cumsum(ln)))
     nodes[-1] = 1.0
 
-    a_diag = np.zeros(k + 1)
-    a_off = np.zeros(k)
-    b_diag = np.zeros(k + 1)
-    b_off = np.zeros(k)
-    for j, (ln, mass) in enumerate(merged):
-        s = 1.0 / (r_mass * ln)
-        a_diag[j] += s
-        a_diag[j + 1] += s
-        a_off[j] -= s
-        if mass != 0.0:
-            w = mass_scale * mass
-            b_diag[j] += w * quad[0]
-            b_diag[j + 1] += w * quad[2]
-            b_off[j] += w * quad[1]
+    # each entry gets at most two terms, and two terms sum the same
+    # in either order, so this matches stamping segment by segment
+    s = 1.0 / (r_mass * ln)
+    a_diag = np.zeros(nodes.size)
+    a_diag[:-1] += s
+    a_diag[1:] += s
+    a_off = -s
+    w = mass_scale * mass
+    b_diag = np.zeros(nodes.size)
+    b_diag[:-1] += w * quad[0]
+    b_diag[1:] += w * quad[2]
+    b_off = w * quad[1]
     return _finalize(nodes, a_diag, a_off, b_diag, b_off, bc)
 
 

@@ -49,12 +49,36 @@ class StepFunction:
         idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, self.values.size - 1)
         return self.values[idx]
 
-    def integral(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Exact integral of the step function over [lo, hi]."""
-        if hi < lo:
-            return -self.integral(hi, lo)
-        cuts = np.clip(self.breaks, lo, hi)
-        return float(np.sum(self.values * np.diff(cuts)))
+    def integral(self, lo=0.0, hi=1.0):
+        """Exact integral of the step function over [lo, hi].
+
+        Scalar bounds give a float.  Array bounds give an array with one
+        integral per pair, equal to the scalar call on each pair: an
+        interval inside one piece gets value * (hi - lo), one that spans
+        several pieces sums its clipped pieces as the scalar call does.
+        No difference of an antiderivative is taken, so narrow intervals
+        keep their relative accuracy.
+        """
+        if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+            if hi < lo:
+                return -self.integral(hi, lo)
+            cuts = np.clip(self.breaks, lo, hi)
+            return float(np.sum(self.values * np.diff(cuts)))
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        flip = hi < lo
+        a = np.clip(np.where(flip, hi, lo), self.breaks[0], self.breaks[-1])
+        b = np.clip(np.where(flip, lo, hi), self.breaks[0], self.breaks[-1])
+        last = self.values.size - 1
+        ia = np.clip(np.searchsorted(self.breaks, a, side="right") - 1, 0, last)
+        ib = np.clip(np.searchsorted(self.breaks, b, side="left") - 1, 0, last)
+        out = self.values[ia] * (b - a)
+        spans = np.flatnonzero(ib > ia)
+        step = max(1, 2**20 // self.breaks.size)
+        for k in range(0, spans.size, step):
+            chunk = spans[k : k + step]
+            cuts = np.clip(self.breaks, a[chunk, None], b[chunk, None])
+            out[chunk] = np.sum(self.values * np.diff(cuts, axis=1), axis=1)
+        return np.where(flip, -out, out)
 
     def abs_integral(self) -> float:
         return float(np.sum(np.abs(self.values) * np.diff(self.breaks)))
@@ -148,7 +172,7 @@ class CompositeMeasure:
                 tv += abs(scale) * per_level / (1.0 - s) if s < 1.0 else np.inf
             else:
                 osc = params.osc_bound()
-                tv += abs(scale) * sum(abs(c.weight) for c in support_cells(params, depth)) * osc
+                tv += abs(scale) * float(np.sum(np.abs(support_cells(params, depth)[:, 2]))) * osc
         return float(tv)
 
     def cdf(self, x: float, depth: int = 48) -> float:
@@ -239,8 +263,8 @@ def integrate_against(mu: CompositeMeasure, g, depth: int = 10) -> float:
         mass = params.p1 - params.p0
         for pos, jump in jump_atoms(params, depth, include_endpoints=False):
             total += scale * jump * g(pos)
-        for c in support_cells(params, depth):
-            total += scale * c.weight * mass * g(c.left + 0.5 * c.width)
+        for left, width, weight, _ in support_cells(params, depth).tolist():
+            total += scale * weight * mass * g(left + 0.5 * width)
     return float(total)
 
 

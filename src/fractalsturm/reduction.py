@@ -77,30 +77,20 @@ def _density_through(r: MonotonePrimitive, density: StepFunction, depth: int):
     single points.  Cell masses are exact; within a cell the image mass
     is spread uniformly, which is the only approximation.
     """
-    cells = support_cells(r.params, depth)
-    atoms: list[tuple[float, float]] = []
-    img_breaks = [0.0]
-    img_values = []
-
-    def plateau(lo: float, hi: float, value_t: float):
-        if hi - lo <= 0.0:
-            return
-        mass = density.integral(lo, hi)
-        if mass != 0.0:
-            atoms.append((value_t, mass))
-
-    prev_end = 0.0
-    prev_img = 0.0
-    for c in cells:
-        plateau(prev_end, c.left, c.offset)
-        mass = density.integral(c.left, c.left + c.width)
-        img_breaks.append(prev_img + c.weight)
-        img_values.append(mass / c.weight)
-        prev_end = c.left + c.width
-        prev_img += c.weight
-    plateau(prev_end, 1.0, 1.0)
+    left, width, weight, offset = support_cells(r.params, depth).T
+    right = left + width
+    mass = density.integral(left, right)
+    # plateau k runs from the end of cell k-1 to the start of cell k and
+    # collapses to the value P takes there; the last one ends at 1
+    lo = np.concatenate(([0.0], right))
+    hi = np.concatenate((left, [1.0]))
+    value_t = np.concatenate((offset, [1.0]))
+    plateau = density.integral(lo, hi)
+    atom = (hi - lo > 0.0) & (plateau != 0.0)
+    atoms = list(zip(value_t[atom].tolist(), plateau[atom].tolist()))
+    img_breaks = np.concatenate(([0.0], np.cumsum(weight)))
     img_breaks[-1] = 1.0  # guard cumulative rounding
-    return atoms, StepFunction(np.asarray(img_breaks), np.asarray(img_values))
+    return atoms, StepFunction(img_breaks, mass / weight)
 
 
 def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8) -> CompositeMeasure:
@@ -133,10 +123,10 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
         else:
             # incompatible cell structure: scatter cell masses through R
             mass0 = params.p1 - params.p0
-            for c in support_cells(params, depth):
-                lo_t = evaluate(rp, c.left, 60)[0]
-                hi_t = evaluate(rp, c.left + c.width, 60)[0]
-                cell_mass = scale * c.weight * mass0
+            for left, width, weight, _ in support_cells(params, depth).tolist():
+                lo_t = evaluate(rp, left, 60)[0]
+                hi_t = evaluate(rp, left + width, 60)[0]
+                cell_mass = scale * weight * mass0
                 if cell_mass == 0.0:
                     continue
                 atoms.append((0.5 * (lo_t + hi_t), cell_mass))

@@ -19,8 +19,8 @@ dP, all of which feed the quadrature rules of the assembly stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class SelfSimilarParams:
     betaprime: tuple[float, ...]
     p0: float = 0.0
     p1: float = 1.0
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    """Left cell endpoints alpha_1 = 0, ..., alpha_n, plus 1 (read-only)."""
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_float_tuple(self.a))
@@ -70,15 +72,13 @@ class SelfSimilarParams:
             raise InvalidParametersError("p0 does not solve the corner equation at 0")
         if abs(self.betaprime[-1] + self.dprime[-1] * self.p1 - self.p1) > ref:
             raise InvalidParametersError("p1 does not solve the corner equation at 1")
+        alpha = np.concatenate(([0.0], np.cumsum(self.a)))
+        alpha.setflags(write=False)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n(self) -> int:
         return len(self.a)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Left cell endpoints alpha_1 = 0, ..., alpha_n, plus 1."""
-        return np.concatenate(([0.0], np.cumsum(self.a)))
 
     def sup_bound(self) -> float:
         """A bound M with sup |P| <= M, infinite if max |d'| >= 1."""
@@ -425,76 +425,46 @@ def pair_moments(r: MonotonePrimitive, p: SelfSimilarParams, order: int = 2) -> 
     return m
 
 
-class Cell(NamedTuple):
-    """Depth-m cell: P(left + width*t) = offset + weight*P(t) on [0,1]."""
+def _children(params: SelfSimilarParams, left, width, weight, offset):
+    """Children with nonzero weight of the given cells, parent-major.
 
-    left: float
-    width: float
-    weight: float
-    offset: float
+    Takes and returns (left, width, weight, offset) arrays.  The order
+    keeps cells left to right, and each value is the float expression a
+    depth-first walk evaluates, so the results are bit-identical to it.
+    """
+    w = (weight[:, None] * np.asarray(params.dprime)).ravel()
+    live = w != 0.0
+    return (
+        (left[:, None] + width[:, None] * params.alpha[:-1]).ravel()[live],
+        (width[:, None] * np.asarray(params.a)).ravel()[live],
+        w[live],
+        (offset[:, None] + weight[:, None] * np.asarray(params.betaprime)).ravel()[live],
+    )
 
 
-def cells(params: SelfSimilarParams, depth: int) -> list[Cell]:
-    """All n^depth cells at the given depth, left to right."""
-    if depth < 0:
-        raise InvalidParametersError("depth must be >= 0")
-    if params.n**depth > 4_000_000:
-        raise InvalidParametersError("cell enumeration too large; lower the depth")
-    out = [Cell(0.0, 1.0, 1.0, 0.0)]
+def _levels(params: SelfSimilarParams, depth: int):
+    """Live cells of every depth 0..depth, one (left, width, weight, offset) per depth."""
+    cells = tuple(np.array([v]) for v in (0.0, 1.0, 1.0, 0.0))
+    yield cells
     for _ in range(depth):
-        nxt = []
-        for c in out:
-            for i in range(params.n):
-                nxt.append(
-                    Cell(
-                        c.left + c.width * params.alpha[i],
-                        c.width * params.a[i],
-                        c.weight * params.dprime[i],
-                        c.offset + c.weight * params.betaprime[i],
-                    )
-                )
-        out = nxt
-    return out
+        cells = _children(params, *cells)
+        yield cells
 
 
-def support_cells(params: SelfSimilarParams, depth: int) -> list[Cell]:
+def support_cells(params: SelfSimilarParams, depth: int) -> np.ndarray:
     """Depth-m cells with nonzero weight, pruning dead subtrees.
 
-    Cells whose word contains a d' = 0 letter carry no dP mass and are
-    skipped; the output is ordered left to right.
+    Returns an (m, 4) array with columns left, width, weight, offset:
+    P(left + width*t) = offset + weight*P(t) on [0, 1].  Cells whose word
+    contains a d' = 0 letter carry no dP mass and are skipped.  The cells
+    are expanded one level at a time, parent-major, so the rows run left
+    to right and every entry is bit-identical to a depth-first walk.
     """
     if depth < 0:
         raise InvalidParametersError("depth must be >= 0")
-    alpha = params.alpha
-    out: list[Cell] = []
-
-    def walk(level: int, left: float, width: float, weight: float, offset: float):
-        if level == depth:
-            out.append(Cell(left, width, weight, offset))
-            return
-        for i in range(params.n):
-            w = weight * params.dprime[i]
-            if w == 0.0:
-                continue
-            walk(
-                level + 1,
-                left + width * alpha[i],
-                width * params.a[i],
-                w,
-                offset + weight * params.betaprime[i],
-            )
-
-    walk(0, 0.0, 1.0, 1.0, 0.0)
-    return out
-
-
-def _one_sided_limits(params: SelfSimilarParams) -> tuple[float, float]:
-    """(right limit at 0, left limit at 1) of the fixed point.
-
-    Construction enforces the corner equations, so these coincide with
-    the boundary values and P has no atoms at the ends.
-    """
-    return params.p0, params.p1
+    for deepest in _levels(params, depth):
+        pass
+    return np.stack(deepest, axis=1)
 
 
 def junction_gaps(params: SelfSimilarParams) -> tuple[float, ...]:
@@ -517,37 +487,28 @@ def jump_atoms(params: SelfSimilarParams, depth: int, include_endpoints: bool = 
 
     Returns (position, jump) pairs sorted by position.  Junction values
     use the true one-sided limits, so each listed jump is exact; only
-    junctions deeper than `depth` are omitted.
+    junctions deeper than `depth` are omitted.  The junctions of all live
+    cells of depth 0..depth-1 are collected level by level; jumps that
+    land on the same float position are summed in that level order, so
+    with three or more of them the sum can differ from a depth-first
+    walk's in the last bit.  The
+    corner equations pin P(0) = p0 and P(1) = p1, so the ends carry no
+    atom and `include_endpoints` adds nothing.
     """
-    r0, l1 = _one_sided_limits(params)
-    alpha = params.alpha
-    found: dict[float, float] = {}
-
-    def visit(level, left, width, weight):
-        for i in range(params.n - 1):
-            pos = left + width * alpha[i + 1]
-            jump = weight * (
-                (params.betaprime[i + 1] + params.dprime[i + 1] * r0)
-                - (params.betaprime[i] + params.dprime[i] * l1)
-            )
-            if jump != 0.0:
-                found[pos] = found.get(pos, 0.0) + jump
-        if level == depth:
-            return
-        for i in range(params.n):
-            w = weight * params.dprime[i]
-            if w == 0.0:
-                continue
-            visit(level + 1, left + width * alpha[i], width * params.a[i], w)
-
     if depth < 1:
         raise InvalidParametersError("depth must be >= 1")
-    visit(1, 0.0, 1.0, 1.0)
-    if include_endpoints:
-        j0 = r0 - params.p0
-        j1 = params.p1 - l1
-        if j0 != 0.0:
-            found[0.0] = found.get(0.0, 0.0) + j0
-        if j1 != 0.0:
-            found[1.0] = found.get(1.0, 0.0) + j1
-    return sorted(found.items())
+    inner = params.alpha[1:-1]
+    gaps = np.asarray(junction_gaps(params))
+    pos, jump = [], []
+    for left, width, weight, _ in _levels(params, depth - 1):
+        pos.append((left[:, None] + width[:, None] * inner).ravel())
+        jump.append((weight[:, None] * gaps).ravel())
+    pos, jump = np.concatenate(pos), np.concatenate(jump)
+    keep = jump != 0.0
+    pos, jump = pos[keep], jump[keep]
+    order = np.argsort(pos, kind="stable")
+    pos, jump = pos[order], jump[order]
+    if pos.size == 0:
+        return []
+    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+    return list(zip(pos[first].tolist(), np.add.reduceat(jump, first).tolist()))

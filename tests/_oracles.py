@@ -1,8 +1,10 @@
-"""Dense reference solutions for the tridiagonal pencil tests.
+"""Reference implementations for the tests.
 
-Everything here goes through generic LAPACK paths (dense symmetric
+The dense solutions go through generic LAPACK paths (dense symmetric
 eigensolvers) so that the banded inertia code is checked against an
-independent formulation.
+independent formulation.  The cell walks, the general accumulator and
+the pair-route stamping are the one-call-per-cell loops that the
+vectorised library code must reproduce.
 """
 
 import numpy as np
@@ -91,3 +93,207 @@ def clamped_sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
             d = clamp if d > 0.0 else -clamp
         d_prev = d
     return neg, near, breakdown, min_rel
+
+
+def walk_support_cells(params, depth):
+    """Depth-first reference for `support_cells`: rows (left, width, weight, offset)."""
+    alpha = params.alpha
+    out = []
+
+    def walk(level, left, width, weight, offset):
+        if level == depth:
+            out.append((left, width, weight, offset))
+            return
+        for i in range(params.n):
+            w = weight * params.dprime[i]
+            if w == 0.0:
+                continue
+            walk(level + 1, left + width * alpha[i], width * params.a[i], w,
+                 offset + weight * params.betaprime[i])
+
+    walk(0, 0.0, 1.0, 1.0, 0.0)
+    return np.array(out).reshape(-1, 4)
+
+
+def visit_jump_atoms(params, depth):
+    """Depth-first reference for `jump_atoms`: sorted (position, jump) pairs."""
+    alpha = params.alpha
+    found = {}
+
+    def visit(level, left, width, weight):
+        for i in range(params.n - 1):
+            pos = left + width * alpha[i + 1]
+            jump = weight * (
+                (params.betaprime[i + 1] + params.dprime[i + 1] * params.p0)
+                - (params.betaprime[i] + params.dprime[i] * params.p1)
+            )
+            if jump != 0.0:
+                found[pos] = found.get(pos, 0.0) + jump
+        if level == depth:
+            return
+        for i in range(params.n):
+            w = weight * params.dprime[i]
+            if w != 0.0:
+                visit(level + 1, left + width * alpha[i], width * params.a[i], w)
+
+    visit(1, 0.0, 1.0, 1.0)
+    return sorted(found.items())
+
+
+def reference_mesh_nodes(p, q, depth):
+    """Mesh of `assembly.assemble` built from the depth-first walks."""
+    from fractalsturm.assembly import _dedupe
+
+    cand = [np.array([0.0, 1.0])]
+    has_selfsim = has_density = False
+    for mu in (p, q):
+        if mu.selfsim is not None:
+            has_selfsim = True
+            params = mu.selfsim[0]
+            cells = walk_support_cells(params, depth)
+            cand.append(np.concatenate((cells[:, 0], cells[:, 0] + cells[:, 1])))
+            branching = sum(1 for dp in params.dprime if dp != 0.0)
+            if branching <= 1:
+                jump_depth = min(depth, 48)
+            else:
+                jump_depth = min(depth, int(np.log(4096.0) / np.log(branching)))
+            jumps = visit_jump_atoms(params, max(1, jump_depth))
+            if len(jumps) > 4096:
+                jumps.sort(key=lambda pw: -abs(pw[1]))
+                jumps = jumps[:4096]
+            if jumps:
+                cand.append(np.array([pos for pos, _ in jumps]))
+        if mu.atoms:
+            cand.append(np.array([pos for pos, _ in mu.atoms]))
+        if mu.density is not None and np.any(mu.density.values):
+            has_density = True
+            cand.append(mu.density.breaks)
+    if has_density or not has_selfsim:
+        m = min(depth, 10) if has_selfsim else depth
+        cand.append(np.linspace(0.0, 1.0, 2**m + 1))
+    return _dedupe(np.concatenate(cand))
+
+
+class RecursiveAccumulator:
+    """Depth-first reference for the general assembly accumulator.
+
+    One call per atom and one recursive call per cell, in left-to-right
+    depth-first order.
+    """
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+        self.diag = np.zeros(nodes.size)
+        self.off = np.zeros(nodes.size - 1)
+
+    def add_atom(self, pos, weight):
+        j = int(np.searchsorted(self.nodes, pos))
+        for cand in (j - 1, j):
+            if 0 <= cand < self.nodes.size and abs(self.nodes[cand] - pos) <= 1e-12:
+                self.diag[cand] += weight
+                return
+        j = int(np.clip(j - 1, 0, self.nodes.size - 2))
+        al = (self.nodes[j + 1] - pos) / (self.nodes[j + 1] - self.nodes[j])
+        self.diag[j] += weight * al * al
+        self.diag[j + 1] += weight * (1.0 - al) * (1.0 - al)
+        self.off[j] += weight * al * (1.0 - al)
+
+    def add_density(self, density):
+        mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        vals = density(mids)
+        h = np.diff(self.nodes)
+        self.diag[:-1] += vals * h / 3.0
+        self.diag[1:] += vals * h / 3.0
+        self.off += vals * h / 6.0
+
+    def add_selfsim(self, params, scale, depth, extra=30):
+        from fractalsturm.selfsim import junction_gaps, moments
+
+        mu = moments(params, 2)
+        nodes = self.nodes
+        gaps = junction_gaps(params)
+
+        def place(left, width, weight, level):
+            j = int(np.clip(np.searchsorted(nodes, left, side="right") - 1, 0, nodes.size - 2))
+            if left >= nodes[j] - 1e-12 and left + width <= nodes[j + 1] + 1e-12:
+                xl, xr = nodes[j], nodes[j + 1]
+                h = xr - xl
+                al = (xr - left) / h
+                bl = -width / h
+                ar = (left - xl) / h
+                br = width / h
+                w = scale * weight
+                self.diag[j] += w * (al * al * mu[0] + 2 * al * bl * mu[1] + bl * bl * mu[2])
+                self.diag[j + 1] += w * (ar * ar * mu[0] + 2 * ar * br * mu[1] + br * br * mu[2])
+                self.off[j] += w * (al * ar * mu[0] + (al * br + ar * bl) * mu[1] + bl * br * mu[2])
+                return
+            if level < depth + extra:
+                for i in range(params.n):
+                    if i > 0 and gaps[i - 1] != 0.0:
+                        self.add_atom(left + width * params.alpha[i], scale * weight * gaps[i - 1])
+                    wi = weight * params.dprime[i]
+                    if wi != 0.0:
+                        place(left + width * params.alpha[i], width * params.a[i], wi, level + 1)
+                return
+            mid = left + 0.5 * width
+            al = (nodes[j + 1] - mid) / (nodes[j + 1] - nodes[j])
+            w = scale * weight * mu[0]
+            self.diag[j] += w * al * al
+            self.diag[j + 1] += w * (1 - al) * (1 - al)
+            self.off[j] += w * al * (1 - al)
+
+        place(0.0, 1.0, 1.0, 0)
+
+    def add_measure(self, mu, depth):
+        for pos, w in mu.atoms:
+            self.add_atom(pos, w)
+        if mu.density is not None and np.any(mu.density.values):
+            self.add_density(mu.density)
+        if mu.selfsim is not None:
+            self.add_selfsim(mu.selfsim[0], mu.selfsim[1], depth)
+
+
+def reference_assemble(r_mass, q, p, bc, depth):
+    """`assembly.assemble` on composite q and p through the depth-first reference."""
+    from fractalsturm.assembly import _finalize
+
+    nodes = reference_mesh_nodes(p, q, depth)
+    stiff = 1.0 / (r_mass * np.diff(nodes))
+    a_diag = np.zeros(nodes.size)
+    a_diag[:-1] += stiff
+    a_diag[1:] += stiff
+    qa = RecursiveAccumulator(nodes)
+    qa.add_measure(q, depth)
+    pa = RecursiveAccumulator(nodes)
+    pa.add_measure(p, depth)
+    return _finalize(nodes, a_diag + qa.diag, -stiff + qa.off, pa.diag, pa.off, bc)
+
+
+def reference_from_segments(segments, quad, r_mass, bc, mass_scale=1.0):
+    """Pair-route pencil stamped one segment at a time."""
+    from fractalsturm.assembly import _finalize
+
+    merged = []
+    for ln, mass in segments:
+        if mass == 0.0 and merged and merged[-1][1] == 0.0:
+            merged[-1][0] += ln
+        else:
+            merged.append([ln, mass])
+    k = len(merged)
+    nodes = np.empty(k + 1)
+    nodes[0] = 0.0
+    np.cumsum([ln for ln, _ in merged], out=nodes[1:])
+    nodes[-1] = 1.0
+    a_diag, a_off = np.zeros(k + 1), np.zeros(k)
+    b_diag, b_off = np.zeros(k + 1), np.zeros(k)
+    for j, (ln, mass) in enumerate(merged):
+        s = 1.0 / (r_mass * ln)
+        a_diag[j] += s
+        a_diag[j + 1] += s
+        a_off[j] -= s
+        if mass != 0.0:
+            w = mass_scale * mass
+            b_diag[j] += w * quad[0]
+            b_diag[j + 1] += w * quad[2]
+            b_off[j] += w * quad[1]
+    return _finalize(nodes, a_diag, a_off, b_diag, b_off, bc)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalsturm import (
     BoundaryCondition,
@@ -20,13 +22,51 @@ from fractalsturm import (
     count,
     eigenvalue,
     eigenvalues,
+    moments,
+    pair_moments,
     positivity_scan,
     resolvent_sandwich,
 )
+from fractalsturm.assembly import _Accumulator, _walk_segments
+
+from _oracles import RecursiveAccumulator, reference_assemble, reference_from_segments
 
 DIRICHLET = BoundaryCondition(None, None)
 NEUMANN = BoundaryCondition(0.0, 0.0)
 TWO_ATOMS = CompositeMeasure.from_atoms([(0.4, 1.0), (0.6, 1.0)])
+PENCIL_FIELDS = ("nodes", "a_diag", "a_off", "b_diag", "b_off")
+
+
+@st.composite
+def monotone_params(draw):
+    """Nondecreasing P from 0 to 1: zero letters, and junction gaps that
+    are either all zero (cumulative offsets) or nonnegative jumps."""
+    n = draw(st.integers(2, 4))
+    a = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    d = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=n - 2))
+    d[list(dead)] = 0.0
+    gaps = np.zeros(n - 1)
+    if draw(st.booleans()):
+        d *= draw(st.floats(0.2, 0.9)) / d.sum()
+        split = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1)))
+        gaps = (1.0 - d.sum()) * (split / split.sum() if split.sum() > 0 else np.full(n - 1, 1 / (n - 1)))
+    else:
+        d /= d.sum()
+    b = np.concatenate(([0.0], np.cumsum(d[:-1] + gaps)))
+    return SelfSimilarParams(a=tuple(a / a.sum()), dprime=tuple(d), betaprime=tuple(b))
+
+
+def atom_lists(max_size):
+    return st.lists(st.tuples(st.floats(0.001, 0.999), st.floats(0.1, 2.0)), max_size=max_size)
+
+
+@st.composite
+def step_densities(draw):
+    k = draw(st.integers(1, 4))
+    inner = sorted(set(draw(st.lists(st.floats(0.01, 0.99), min_size=k - 1, max_size=k - 1))))
+    values = draw(st.lists(st.floats(0.0, 2.0), min_size=len(inner) + 1, max_size=len(inner) + 1))
+    return StepFunction(np.array([0.0, *inner, 1.0]), np.array(values))
 
 
 class TestBoundaryData:
@@ -118,6 +158,45 @@ class TestAssemble:
         disc = assemble(1.0, 0.0, TWO_ATOMS, DIRICHLET, depth=8)
         assert count(disc, 100.0).n_plus == count(disc.scaled(3.0), 100.0).n_plus
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        monotone_params(),
+        st.floats(0.2, 2.0),
+        atom_lists(4),
+        st.none() | step_densities(),
+        atom_lists(3),
+        st.none() | step_densities(),
+        st.sampled_from([DIRICHLET, NEUMANN, BoundaryCondition(0.7, 2.5), BoundaryCondition(None, 1.5)]),
+        st.integers(1, 6),
+    )
+    def test_matches_depth_first_reference(self, params, scale, p_atoms, p_dens, q_atoms, q_dens, bc, depth):
+        # random atoms sit strictly inside self-similar cells, so the cells
+        # around them split down to the lumping level
+        p = CompositeMeasure(atoms=tuple(p_atoms), density=p_dens, selfsim=(params, scale))
+        q = CompositeMeasure(atoms=tuple(q_atoms), density=q_dens)
+        got = assemble(1.3, q, p, bc, depth)
+        want = reference_assemble(1.3, q, p, bc, depth)
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.a_diag, want.a_diag)
+        assert np.array_equal(got.a_off, want.a_off)
+        # stamps reach shared entries level by level instead of depth first
+        np.testing.assert_allclose(got.b_diag, want.b_diag, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got.b_off, want.b_off, rtol=1e-13, atol=0.0)
+
+        # the batched atom stamp against one call per mass, including
+        # masses on a node and within the 1e-12 node tolerance
+        nodes = got.nodes
+        pos = [x for x, _ in p_atoms] + [nodes[0], nodes[-1], nodes[1] + 5e-13, nodes[-2] - 5e-13]
+        pos += [x for x, _ in p_atoms]
+        weight = np.linspace(0.5, 1.5, len(pos))
+        acc = _Accumulator(nodes)
+        acc.add_atoms(np.array(pos), weight)
+        ref = RecursiveAccumulator(nodes)
+        for x, w in zip(pos, weight):
+            ref.add_atom(x, w)
+        assert np.array_equal(acc.diag, ref.diag)
+        assert np.array_equal(acc.off, ref.off)
+
     def test_triplet_text(self):
         disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), DIRICHLET, depth=2)
         lines = disc.triplet_text("A").strip().splitlines()
@@ -146,6 +225,27 @@ class TestPairRoutes:
         disc = assemble_selfsimilar_pair(MonotonePrimitive.cantor(), cantor_ladder(), DIRICHLET, depth=9)
         for k, e in enumerate(eigenvalues(disc, 3), start=1):
             assert e == pytest.approx(np.pi**2 * k**2, rel=1e-3)
+
+    def test_stamping_matches_segment_loop(self):
+        cantor = cantor_ladder()
+        identity = MonotonePrimitive.identity(3)
+        m = pair_moments(identity, cantor, 2)
+        quad = np.array([m[0] - 2 * m[1] + m[2], m[1] - m[2], m[2]])
+        segs = _walk_segments(cantor, 15, lambda level, i: identity.params.dprime[i])
+        got = assemble_selfsimilar_pair(identity, cantor, NEUMANN, 15)
+        want = reference_from_segments(segs, quad, 1.0, NEUMANN)
+        assert got.n_free == 65_536
+        for field in PENCIL_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+        r = MonotonePrimitive.cantor()
+        mu = moments(cantor, 2)
+        quad = np.array([mu[0] - 2 * mu[1] + mu[2], mu[1] - mu[2], mu[2]])
+        segs = _walk_segments(cantor, 9, lambda level, i: r.params.dprime[i] if level <= 6 else r.params.a[i])
+        got = assemble_iterated_pair(r, 6, cantor, NEUMANN, 9)
+        want = reference_from_segments(segs, quad, 1.0, NEUMANN)
+        for field in PENCIL_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_iteration_count_validation(self):
         with pytest.raises(InvalidParametersError):

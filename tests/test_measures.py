@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalsturm import (
     ApproximationFailureError,
@@ -14,6 +16,7 @@ from fractalsturm import (
     StepFunction,
     cantor_ladder,
     evaluate,
+    support_cells,
 )
 from fractalsturm.measures import common_atoms, integrate_against, step_approximation
 
@@ -35,6 +38,35 @@ class TestStepFunction:
         assert f.integral() == pytest.approx(0.25 * 2.0 - 0.75)
         assert f.integral(0.25, 0.5) == pytest.approx(-0.25)
         assert f.abs_integral() == pytest.approx(0.25 * 2.0 + 0.75)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.001, 0.999), max_size=40, unique=True), st.data())
+    def test_array_integral_matches_scalar_calls(self, inner, data):
+        # breaks on depth-3 Cantor cell ends, as the reduction meets them
+        cells = support_cells(CANTOR, 3)
+        ends = cells[:, 0] + cells[:, 1]
+        on_ends = data.draw(st.lists(st.sampled_from(ends[:-1].tolist()), max_size=4))
+        breaks = np.array([0.0, *sorted(set(inner) | set(on_ends)), 1.0])
+        values = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=breaks.size - 1, max_size=breaks.size - 1))
+        f = StepFunction(breaks, np.array(values))
+        points = st.sampled_from(breaks.tolist() + ends.tolist()) | st.floats(-0.1, 1.1)
+        pairs = data.draw(st.lists(st.tuples(points, points), min_size=1, max_size=60))
+        lo = np.array([x for x, _ in pairs])
+        hi = np.array([y for _, y in pairs])
+        hi[::3] = lo[::3]  # zero-width plateaus
+        got = f.integral(lo, hi)
+        assert np.array_equal(got, [f.integral(float(x), float(y)) for x, y in zip(lo, hi)])
+        assert np.array_equal(f.integral(lo[0], hi), [f.integral(float(lo[0]), float(y)) for y in hi])
+
+    def test_array_integral_keeps_narrow_plateaus(self):
+        # 1e-12-wide plateaus next to O(1) mass; a difference of a running
+        # antiderivative would keep only about four digits of them
+        f = StepFunction(np.array([0.0, 0.3, 0.7, 1.0]), np.array([1.7, 0.9, 2.3]))
+        lo = np.array([0.0, 0.3 - 1e-12, 0.5, 0.7, 1.0 - 1e-12])
+        hi = np.array([0.3 - 1e-12, 0.3, 0.5 + 1e-12, 0.7 + 1e-12, 1.0])
+        exact = np.array([1.7, 1.7, 0.9, 2.3, 2.3]) * (hi - lo)
+        got = f.integral(lo, hi)
+        assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact))
 
     def test_breaks_must_increase(self):
         with pytest.raises(InvalidParametersError):

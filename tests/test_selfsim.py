@@ -16,7 +16,6 @@ from fractalsturm import (
     PiecewiseLinear,
     SelfSimilarParams,
     cantor_ladder,
-    cells,
     evaluate,
     evaluate_many,
     fixed_point_boundaries,
@@ -29,6 +28,8 @@ from fractalsturm import (
     support_cells,
     validate_contraction,
 )
+
+from _oracles import visit_jump_atoms, walk_support_cells
 
 CANTOR = cantor_ladder()
 JUMP = SelfSimilarParams(a=(0.5, 0.5), dprime=(0.5, 0.0), betaprime=(0.0, 1.0))
@@ -182,13 +183,37 @@ def test_iterate_seed_must_match_boundaries():
         iterate(CANTOR, 1, seed=bad)
 
 
-def test_cells_and_support_cells():
-    assert len(cells(CANTOR, 2)) == 9
+def test_support_cells_array_shape():
     sup = support_cells(CANTOR, 2)
-    assert len(sup) == 4
-    assert all(c.width == pytest.approx(1 / 9) for c in sup)
-    assert all(c.weight == pytest.approx(0.25) for c in sup)
-    assert sum(c.weight for c in sup) == pytest.approx(1.0)
+    assert sup.shape == (4, 4)
+    left, width, weight, offset = sup.T
+    np.testing.assert_allclose(left, [0.0, 2 / 9, 2 / 3, 8 / 9])
+    np.testing.assert_allclose(width, 1 / 9)
+    np.testing.assert_allclose(weight, 0.25)
+    np.testing.assert_allclose(offset, [0.0, 0.25, 0.5, 0.75])
+    assert support_cells(CANTOR, 0).tolist() == [[0.0, 1.0, 1.0, 0.0]]
+
+
+@st.composite
+def substitution_params(draw):
+    """Random (a, d', beta') with p0 = 0, p1 = 1: signed and zero letters,
+    free interior offsets, hence nonzero junction gaps."""
+    n = draw(st.integers(2, 4))
+    a = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    d = draw(st.lists(st.sampled_from([0.0]) | st.floats(-0.9, 0.9), min_size=n, max_size=n))
+    b = [0.0] + draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 2, max_size=n - 2)) + [1.0 - d[-1]]
+    return SelfSimilarParams(a=tuple(a / a.sum()), dprime=tuple(d), betaprime=tuple(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(substitution_params(), st.integers(0, 6))
+def test_level_expansion_matches_depth_first_walk(params, depth):
+    cells = support_cells(params, depth)
+    want = walk_support_cells(params, depth)
+    assert cells.dtype == np.float64 and cells.shape == want.shape
+    assert np.array_equal(cells, want)
+    if depth >= 1:
+        assert jump_atoms(params, depth) == visit_jump_atoms(params, depth)
 
 
 def test_monotone_primitive_validation():
