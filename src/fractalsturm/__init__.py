@@ -40,7 +40,6 @@ from .selfsim import (
     SelfSimilarParams,
     cantor_ladder,
     evaluate,
-    evaluate_many,
     fixed_point_boundaries,
     identity_params,
     iterate,

@@ -3,25 +3,106 @@
 Counting eigenvalues of the pencil (A, B) reduces to one LDL^T sweep over
 the tridiagonal matrix A - lam*B per query, and every bisection step and
 every counting-function sample pays for one sweep.  The O(n) parts that
-vectorise (diagonal and squared off-diagonal of A - lam*B, the pencil
-scale, the counts over the stored pivots) run in numpy.  Only the pivot
-recurrence d_i = c_i - e_{i-1}^2 / d_{i-1} is sequential; it runs as a
-plain loop over Python floats, _CHUNK nodes at a time, so the float lists
-it needs stay small.
+vectorise (diagonal and off-diagonal of A - lam*B, the pencil scale, the
+counts over the stored pivots) run in numpy.  The pivot recurrence
+
+    d_i = c_i - (e_{i-1} / d_{i-1}) * e_{i-1}
+
+is sequential.  It runs in runs of LAPACK dpttrf, the LDL^T factorisation
+of a positive definite tridiagonal matrix, which writes the pivots in
+place and stops at the first pivot <= 0.  The kernel applies the clamp
+rule to that pivot, computes the next pivot by hand and calls dpttrf
+again on the tail.  A run that starts on a negative pivot goes to dpttrf
+negated: negation is exact, so the pivots of -(A - lam B) are exactly
+-d_i, and the run stops at the first pivot >= 0.  A plain loop over
+Python floats carries the recurrence on instead in two cases: when the
+runs get short (at least _MIN_RUNS runs averaging at most _RUN_NODES
+nodes, as happens mid-spectrum where the pivot signs alternate), and
+from the first nonzero pivot below the clamp that dpttrf carried on
+unclamped.  Both paths evaluate the recurrence in the one operation
+order above, so they give the same bits.
+
+A LAPACK build that fuses d - (e/d)*e into one FMA (some aarch64
+builds do) can differ from the Python continuation in the last bit; a
+count can then move only where a pivot sits exactly on a tie.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf
 
-# The kernel is plain Python and numpy; perfbench records this flag.
+# The kernel is plain Python, numpy and LAPACK; perfbench records this flag.
 NUMBA_ENABLED = False
 
 # Pivots below _CLAMP * scale are clamped (sign preserved) so that the
 # recurrence never overflows; a pivot that is exactly zero is reported as
 # a breakdown and the sweep is retried with a relative micro-shift of lam.
 _CLAMP = 5e-32
-_CHUNK = 4096
+# Hand over to the Python loop once at least _MIN_RUNS dpttrf runs have
+# covered at most _RUN_NODES nodes each on average.
+_MIN_RUNS = 8
+_RUN_NODES = 32
+# The Python loop converts _BLOCK nodes to floats at a time; float lists
+# over a whole 65,536-node tail ran about 20% slower per node (Python
+# 3.11, 2-vCPU x86 host).
+_BLOCK = 4096
+
+
+def _carry(piv, clamp):
+    """The value that carries a pivot on: piv, or sign * clamp when smaller."""
+    if -clamp < piv < clamp:
+        return -clamp if piv < 0.0 else clamp
+    return piv
+
+
+def _runs(d, c, e, clamp):
+    """Pivot recurrence over d (a copy of c) in dpttrf runs, in place.
+
+    Returns i such that d[:i + 1] hold pivots: all of them when i is the
+    last node, otherwise the runs got short and the recurrence is still
+    to be carried on from d[i].
+    """
+    n = d.shape[0]
+    mult = e.copy()  # dpttrf overwrites e_k with the multiplier e_k / d_k
+    flip = None  # -c, made at the first run of negative pivots
+    i = runs = 0
+    while i < n - 1 and (runs < _MIN_RUNS or i > _RUN_NODES * runs):
+        runs += 1
+        if d[i] < 0.0:
+            # a run of negative pivots is a positive run of the negation
+            if flip is None:
+                flip = -c
+            flip[i] = -d[i]
+            info = dpttrf(flip[i:], mult[i:], overwrite_d=1, overwrite_e=1)[2]
+            stop = i + info if info else n
+            np.negative(flip[i:stop], out=d[i:stop])
+        else:
+            info = dpttrf(d[i:], mult[i:], overwrite_d=1, overwrite_e=1)[2]
+        if not info:
+            return n - 1
+        i += info - 1  # the pivot d[i] stopped the run: <= 0, or >= 0 after a flip
+        if i < n - 1:
+            ei = e[i]
+            d[i + 1] = c[i + 1] - (ei / _carry(d[i], clamp)) * ei
+            i += 1
+    return i
+
+
+def _loop(d, c, e, i, clamp):
+    """Carry the recurrence on from the pivot d[i] to the end, in Python floats."""
+    n = d.shape[0]
+    prev = _carry(d[i].item(), clamp)
+    for start in range(i + 1, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        out = []
+        append = out.append
+        for ci, ei in zip(c[start:stop].tolist(), e[start - 1:stop - 1].tolist()):
+            prev = ci - (ei / prev) * ei
+            append(prev)
+            if -clamp < prev < clamp:
+                prev = -clamp if prev < 0.0 else clamp
+        d[start:stop] = out
 
 
 def _sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
@@ -37,23 +118,19 @@ def _sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
     scale = max(float(np.max(np.abs(c), initial=0.0)), float(np.max(np.abs(e), initial=0.0)))
     if scale == 0.0:
         return 0, n, 0, 0.0
-    e2 = e * e
     clamp = _CLAMP * scale
-    pivots = np.empty(n)
-    d_prev = 1.0  # the first pivot is c_0 - 0.0 / 1.0 == c_0
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        es = e2[start - 1:stop - 1].tolist() if start else [0.0] + e2[:stop - 1].tolist()
-        out = []
-        append = out.append
-        for ci, ei in zip(c[start:stop].tolist(), es):
-            d = ci - ei / d_prev
-            append(d)
-            if -clamp < d < clamp:
-                d = -clamp if d < 0.0 else clamp
-            d_prev = d
-        pivots[start:stop] = out
+    pivots = c.copy()
+    i = _runs(pivots, c, e, clamp)
     mag = np.abs(pivots)
+    if mag[:i].min(initial=np.inf) < clamp:
+        # dpttrf carries a nonzero pivot below the clamp on unclamped; the
+        # first such pivot is still exact, so redo the rest from there
+        tiny = np.flatnonzero((pivots[:i] != 0.0) & (mag[:i] < clamp))
+        if tiny.size:
+            i = int(tiny[0])
+    if i < n - 1:
+        _loop(pivots, c, e, i, clamp)
+        np.abs(pivots, out=mag)
     return (
         int(np.count_nonzero(pivots < 0.0)),
         int(np.count_nonzero(mag < near_tol * scale)),

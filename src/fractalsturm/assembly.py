@@ -31,7 +31,7 @@ from .errors import (
     ResolventPoleError,
     UnsupportedConfigurationError,
 )
-from .measures import CompositeMeasure
+from .measures import CompositeMeasure, _atom_arrays, _cluster_starts, _run_sums
 from .selfsim import (
     MonotonePrimitive,
     SelfSimilarParams,
@@ -151,30 +151,13 @@ class PencilDiscretization:
             self.constrained,
         )
 
-    def triplet_text(self, which: str = "A") -> str:
-        """Banded triplet dump 'row col value' for debugging."""
-        if which not in ("A", "B"):
-            raise InvalidParametersError("which must be 'A' or 'B'")
-        diag = self.a_diag if which == "A" else self.b_diag
-        off = self.a_off if which == "A" else self.b_off
-        lines = []
-        for i in range(diag.size):
-            lines.append(f"{i} {i} {diag[i]:.17g}")
-            if i + 1 < diag.size:
-                lines.append(f"{i} {i + 1} {off[i]:.17g}")
-                lines.append(f"{i + 1} {i} {off[i]:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def _dedupe(xs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     xs = np.sort(xs)
-    keep = [xs[0]]
-    for x in xs[1:]:
-        if x - keep[-1] > tol:
-            keep.append(x)
+    keep = xs[_cluster_starts(xs, tol)]
     keep[0] = 0.0
     keep[-1] = 1.0
-    return np.asarray(keep)
+    return keep
 
 
 def _mesh_nodes(p: CompositeMeasure, q: CompositeMeasure, depth: int) -> np.ndarray:
@@ -193,7 +176,7 @@ def _mesh_nodes(p: CompositeMeasure, q: CompositeMeasure, depth: int) -> np.ndar
                 jump_depth = min(depth, 48)
             else:
                 jump_depth = min(depth, int(np.log(4096.0) / np.log(branching)))
-            jumps = jump_atoms(params, max(1, jump_depth), include_endpoints=False)
+            jumps = jump_atoms(params, max(1, jump_depth))
             if len(jumps) > 4096:
                 # cap the mesh size; dropped atoms still get lumped in-cell
                 jumps.sort(key=lambda pw: -abs(pw[1]))
@@ -308,7 +291,7 @@ class _Accumulator:
 
     def add_measure(self, mu: CompositeMeasure, depth: int):
         if mu.atoms:
-            self.add_atoms(*np.array(mu.atoms).T)
+            self.add_atoms(*_atom_arrays(mu.atoms))
         if mu.density is not None and np.any(mu.density.values):
             self.add_density(mu.density)
         if mu.selfsim is not None:
@@ -388,58 +371,67 @@ def _walk_segments(
     p: SelfSimilarParams,
     depth: int,
     t_factor,
-) -> list[tuple[float, float]]:
-    """Depth-first pass emitting (t_length, mass_weight) leaves.
+) -> np.ndarray:
+    """Leaves of the cell tree as (t_length, mass_weight) rows, left to right.
 
     t_factor(level, i) is the horizontal shrink of letter i at a given
     level (1-based).  Letters with zero shrink must carry no dP mass
     (otherwise an atom would appear on the image axis); massless
     subtrees with positive shrink collapse to single resistor segments.
+    The tree is expanded one level at a time: each cell with mass is
+    replaced, in place, by its children in letter order, so the rows keep
+    the depth-first order, and each t_length is the product a depth-first
+    walk forms.
     """
     if any(abs(g) > _TOL for g in junction_gaps(p)):
         raise UnsupportedConfigurationError(
             "dP carries atoms at cell junctions; assemble from the composite measure instead"
         )
-    segments: list[tuple[float, float]] = []
-
-    def walk(level: int, tprod: float, mass: float):
-        if level > depth:
-            segments.append((tprod, mass))
-            return
-        for i in range(p.n):
-            tf = t_factor(level, i)
-            m2 = mass * p.dprime[i]
-            if tf == 0.0:
-                if m2 != 0.0:
-                    raise UnsupportedConfigurationError(
-                        f"cell letter {i}: dP mass sits on a plateau of R"
-                    )
-                continue
-            tp2 = tprod * tf
-            if m2 == 0.0:
-                segments.append((tp2, 0.0))
-            else:
-                walk(level + 1, tp2, m2)
-
-    walk(1, 1.0, 1.0)
-    return segments
+    dprime = np.asarray(p.dprime)
+    tprod = np.ones(1)
+    mass = np.ones(1)
+    for level in range(1, depth + 1):
+        tf = np.array([t_factor(level, i) for i in range(p.n)])
+        live = np.flatnonzero(mass != 0.0)
+        m2 = mass[live, None] * dprime
+        flat = (tf == 0.0) & np.any(m2 != 0.0, axis=0)
+        if flat.any():
+            raise UnsupportedConfigurationError(
+                f"cell letter {int(np.argmax(flat))}: dP mass sits on a plateau of R"
+            )
+        letters = np.flatnonzero(tf != 0.0)
+        # a cell with mass gives way to its children, a massless leaf stays
+        count = np.ones(mass.size, dtype=np.int64)
+        count[live] = letters.size
+        at = np.cumsum(count) - count
+        slots = (at[live, None] + np.arange(letters.size)).ravel()
+        new_t = np.empty(int(count.sum()))
+        new_m = np.zeros(new_t.size)
+        leaf = np.ones(mass.size, dtype=bool)
+        leaf[live] = False
+        new_t[at[leaf]] = tprod[leaf]
+        new_t[slots] = (tprod[live, None] * tf[letters]).ravel()
+        new_m[slots] = m2[:, letters].ravel()
+        tprod, mass = new_t, new_m
+    mass[mass == 0.0] = 0.0  # no signed zeros
+    return np.stack((tprod, mass), axis=1)
 
 
 def _assemble_from_segments(
-    segments: list[tuple[float, float]],
+    segments: np.ndarray,
     quad: np.ndarray,
     r_mass: float,
     bc: BoundaryCondition,
     mass_scale: float = 1.0,
 ) -> PencilDiscretization:
-    # merge consecutive massless segments (exact series condensation)
-    merged: list[list[float]] = []
-    for ln, mass in segments:
-        if mass == 0.0 and merged and merged[-1][1] == 0.0:
-            merged[-1][0] += ln
-        else:
-            merged.append([ln, mass])
-    ln, mass = np.array(merged).T
+    # merge runs of consecutive massless segments (exact series
+    # condensation), summing each run left to right
+    ln, mass = segments.T
+    zero = mass == 0.0
+    head = np.ones(ln.size, dtype=bool)
+    head[1:] = ~(zero[1:] & zero[:-1])
+    start = np.flatnonzero(head)
+    ln, mass = _run_sums(ln, start), mass[start]
     nodes = np.concatenate(([0.0], np.cumsum(ln)))
     nodes[-1] = 1.0
 

@@ -5,6 +5,7 @@ a general coefficient to a piecewise constant one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,51 @@ from .selfsim import (
 )
 
 _TOL = 1e-12
+
+
+def _atom_arrays(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and weights of a sequence of (position, weight) pairs."""
+    atoms = tuple(atoms)
+    if set(map(len, atoms)) - {2}:
+        raise InvalidParametersError("atoms must be (position, weight) pairs")
+    flat = np.fromiter(itertools.chain.from_iterable(atoms), dtype=float, count=2 * len(atoms))
+    if not np.all(np.isfinite(flat)):
+        # fromiter reads None as nan
+        raise InvalidParametersError("atom positions and weights must be finite numbers")
+    return flat[0::2], flat[1::2]
+
+
+def _cluster_starts(xs: np.ndarray, tol: float) -> np.ndarray:
+    """Indices that open a cluster of the sorted array xs.
+
+    Read left to right, a cluster takes every x with x - (its first
+    element) <= tol.  A step above tol always opens a cluster; only
+    stretches of small steps spanning more than tol are walked one
+    element at a time, since there a chain of small steps can still open
+    one.
+    """
+    if xs.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(xs) > tol) + 1, [xs.size]))
+    chained = []
+    wide = np.flatnonzero(xs[bounds[1:] - 1] - xs[bounds[:-1]] > tol)
+    for lo, hi in zip(bounds[wide].tolist(), bounds[wide + 1].tolist()):
+        first = xs[lo]
+        for j, x in enumerate(xs[lo + 1:hi].tolist(), start=lo + 1):
+            if x - first > tol:
+                chained.append(j)
+                first = x
+    return np.sort(np.concatenate((bounds[:-1], np.array(chained, dtype=np.int64))))
+
+
+def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of each run values[starts[k]:starts[k + 1]], added left to right."""
+    size = np.diff(np.append(starts, values.size))
+    total = values[starts]
+    for k in range(1, int(size.max(initial=1))):
+        run = np.flatnonzero(size > k)
+        total[run] += values[starts[run] + k]
+    return total
 
 
 @dataclass(frozen=True)
@@ -108,14 +154,13 @@ class CompositeMeasure:
     selfsim: tuple[SelfSimilarParams, float] | None = None
 
     def __post_init__(self):
-        cleaned = []
-        for pos, w in self.atoms:
-            pos, w = float(pos), float(w)
-            if pos < -_TOL or pos > 1.0 + _TOL:
-                raise InvalidParametersError(f"atom at {pos} outside [0, 1]")
-            cleaned.append((min(max(pos, 0.0), 1.0), w))
-        cleaned.sort()
-        object.__setattr__(self, "atoms", tuple(cleaned))
+        pos, w = _atom_arrays(self.atoms)
+        outside = np.flatnonzero((pos < -_TOL) | (pos > 1.0 + _TOL))
+        if outside.size:
+            raise InvalidParametersError(f"atom at {float(pos[outside[0]])} outside [0, 1]")
+        pos = np.clip(pos, 0.0, 1.0)
+        order = np.lexsort((w, pos))
+        object.__setattr__(self, "atoms", tuple(zip(pos[order].tolist(), w[order].tolist())))
         if self.selfsim is not None:
             params, scale = self.selfsim
             object.__setattr__(self, "selfsim", (params, float(scale)))
@@ -261,7 +306,7 @@ def integrate_against(mu: CompositeMeasure, g, depth: int = 10) -> float:
     if mu.selfsim is not None:
         params, scale = mu.selfsim
         mass = params.p1 - params.p0
-        for pos, jump in jump_atoms(params, depth, include_endpoints=False):
+        for pos, jump in jump_atoms(params, depth):
             total += scale * jump * g(pos)
         for left, width, weight, _ in support_cells(params, depth).tolist():
             total += scale * weight * mass * g(left + 0.5 * width)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParametersError, ParameterMismatchError, UnsupportedConfigurationError
-from .measures import CompositeMeasure, StepFunction
+from .measures import CompositeMeasure, StepFunction, _cluster_starts, _run_sums
 from .selfsim import MonotonePrimitive, SelfSimilarParams, evaluate, support_cells
 
 _TOL = 1e-12
@@ -72,9 +72,9 @@ def generalized_inverse(r: MonotonePrimitive, t: float, depth: int = 48, iters: 
 def _density_through(r: MonotonePrimitive, density: StepFunction, depth: int):
     """Push a step density through R at the given cell depth.
 
-    Returns (atoms, image_step).  Support cells of R map onto abutting
-    image intervals of length = cell weight; gaps (plateaus) map to
-    single points.  Cell masses are exact; within a cell the image mass
+    Returns (atom positions, atom weights, image_step).  Support cells
+    of R map onto abutting image intervals of length = cell weight; gaps
+    (plateaus) map to single points.  Cell masses are exact; within a cell the image mass
     is spread uniformly, which is the only approximation.
     """
     left, width, weight, offset = support_cells(r.params, depth).T
@@ -87,10 +87,9 @@ def _density_through(r: MonotonePrimitive, density: StepFunction, depth: int):
     value_t = np.concatenate((offset, [1.0]))
     plateau = density.integral(lo, hi)
     atom = (hi - lo > 0.0) & (plateau != 0.0)
-    atoms = list(zip(value_t[atom].tolist(), plateau[atom].tolist()))
     img_breaks = np.concatenate(([0.0], np.cumsum(weight)))
     img_breaks[-1] = 1.0  # guard cumulative rounding
-    return atoms, StepFunction(img_breaks, mass / weight)
+    return value_t[atom], plateau[atom], StepFunction(img_breaks, mass / weight)
 
 
 def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8) -> CompositeMeasure:
@@ -105,12 +104,12 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
     atoms: list[tuple[float, float]] = [
         (evaluate(r.params, pos, 60)[0], w) for pos, w in f.atoms
     ]
+    plateau_pos = plateau_w = np.zeros(0)
     density_out: StepFunction | None = None
     selfsim_out = None
 
     if f.density is not None and np.any(f.density.values):
-        extra_atoms, density_out = _density_through(r, f.density, depth)
-        atoms.extend(extra_atoms)
+        plateau_pos, plateau_w, density_out = _density_through(r, f.density, depth)
 
     if f.selfsim is not None:
         params, scale = f.selfsim
@@ -131,12 +130,14 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
                     continue
                 atoms.append((0.5 * (lo_t + hi_t), cell_mass))
 
-    atoms.sort()
-    merged: list[list[float]] = []
-    for pos, w in atoms:
-        if merged and pos - merged[-1][0] <= 1e-12:
-            merged[-1][1] += w
-        else:
-            merged.append([pos, w])
-    atom_tuple = tuple((p, w) for p, w in merged if w != 0.0)
+    # atoms within 1e-12 of the first of their cluster merge into it,
+    # weights summed in (position, weight) order
+    pos = np.concatenate(([x for x, _ in atoms], plateau_pos))
+    w = np.concatenate(([v for _, v in atoms], plateau_w))
+    order = np.lexsort((w, pos))
+    pos, w = pos[order], w[order]
+    starts = _cluster_starts(pos, 1e-12)
+    pos, w = pos[starts], _run_sums(w, starts)
+    keep = w != 0.0
+    atom_tuple = tuple(zip(pos[keep].tolist(), w[keep].tolist()))
     return CompositeMeasure(atoms=atom_tuple, density=density_out, selfsim=selfsim_out)

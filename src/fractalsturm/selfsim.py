@@ -322,16 +322,6 @@ def evaluate(
     return offset + scale * mid, abs(scale) * params.osc_bound()
 
 
-def evaluate_many(params: SelfSimilarParams, xs, depth: int = 48) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.shape, dtype=float)
-    flat = xs.ravel()
-    res = out.ravel()
-    for k in range(flat.size):
-        res[k] = evaluate(params, flat[k], depth)[0]
-    return out
-
-
 def iterate(params: SelfSimilarParams, k: int, seed: PiecewiseLinear | None = None) -> PiecewiseLinear:
     """Apply the substitution operator k times to a piecewise linear seed.
 
@@ -482,7 +472,7 @@ def junction_gaps(params: SelfSimilarParams) -> tuple[float, ...]:
     )
 
 
-def jump_atoms(params: SelfSimilarParams, depth: int, include_endpoints: bool = True) -> list[tuple[float, float]]:
+def jump_atoms(params: SelfSimilarParams, depth: int) -> list[tuple[float, float]]:
     """Exact jumps of P at cell junctions down to the given depth.
 
     Returns (position, jump) pairs sorted by position.  Junction values
@@ -491,9 +481,8 @@ def jump_atoms(params: SelfSimilarParams, depth: int, include_endpoints: bool = 
     cells of depth 0..depth-1 are collected level by level; jumps that
     land on the same float position are summed in that level order, so
     with three or more of them the sum can differ from a depth-first
-    walk's in the last bit.  The
-    corner equations pin P(0) = p0 and P(1) = p1, so the ends carry no
-    atom and `include_endpoints` adds nothing.
+    walk's in the last bit.  The corner equations pin P(0) = p0 and
+    P(1) = p1, so the ends carry no atom.
     """
     if depth < 1:
         raise InvalidParametersError("depth must be >= 1")

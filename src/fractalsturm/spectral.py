@@ -459,7 +459,7 @@ def ladder_counts(params: SelfSimilarParams) -> tuple[int, int]:
     back, so its period covers two levels of junction atoms.
     """
     negative = any(a * dp < 0.0 for a, dp in zip(params.a, params.dprime))
-    jumps = jump_atoms(params, depth=2 if negative else 1, include_endpoints=False)
+    jumps = jump_atoms(params, depth=2 if negative else 1)
     z_plus = sum(1 for _, j in jumps if j > 0.0)
     z_minus = sum(1 for _, j in jumps if j < 0.0)
     return z_plus, z_minus

@@ -2,9 +2,10 @@
 
 The dense solutions go through generic LAPACK paths (dense symmetric
 eigensolvers) so that the banded inertia code is checked against an
-independent formulation.  The cell walks, the general accumulator and
-the pair-route stamping are the one-call-per-cell loops that the
-vectorised library code must reproduce.
+independent formulation.  The cell walks, the general accumulator, the
+pair-route stamping and the merge rules of the mesh and atom lists are
+the one-call-per-item loops that the vectorised library code must
+reproduce.
 """
 
 import numpy as np
@@ -78,7 +79,7 @@ def clamped_sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
         d = a_diag[i] - lam * b_diag[i]
         if i > 0:
             e = a_off[i - 1] - lam * b_off[i - 1]
-            d -= e * e / d_prev
+            d -= (e / d_prev) * e
         if d < 0.0:
             neg += 1
         mag = abs(d)
@@ -269,6 +270,33 @@ def reference_assemble(r_mass, q, p, bc, depth):
     return _finalize(nodes, a_diag + qa.diag, -stiff + qa.off, pa.diag, pa.off, bc)
 
 
+def walk_segments(p, depth, t_factor):
+    """Depth-first reference for `assembly._walk_segments`: (t_length, mass) leaves."""
+    from fractalsturm.errors import UnsupportedConfigurationError
+
+    segments = []
+
+    def walk(level, tprod, mass):
+        if level > depth:
+            segments.append((tprod, mass))
+            return
+        for i in range(p.n):
+            tf = t_factor(level, i)
+            m2 = mass * p.dprime[i]
+            if tf == 0.0:
+                if m2 != 0.0:
+                    raise UnsupportedConfigurationError(f"cell letter {i}: dP mass sits on a plateau of R")
+                continue
+            tp2 = tprod * tf
+            if m2 == 0.0:
+                segments.append((tp2, 0.0))
+            else:
+                walk(level + 1, tp2, m2)
+
+    walk(1, 1.0, 1.0)
+    return segments
+
+
 def reference_from_segments(segments, quad, r_mass, bc, mass_scale=1.0):
     """Pair-route pencil stamped one segment at a time."""
     from fractalsturm.assembly import _finalize
@@ -297,3 +325,40 @@ def reference_from_segments(segments, quad, r_mass, bc, mass_scale=1.0):
             b_diag[j + 1] += w * quad[2]
             b_off[j] += w * quad[1]
     return _finalize(nodes, a_diag, a_off, b_diag, b_off, bc)
+
+
+def dedupe_loop(xs, tol=1e-13):
+    """Loop reference for `assembly._dedupe`: a node starts a cluster when it
+    lies more than tol above the first node of the current cluster."""
+    xs = np.sort(xs)
+    keep = [xs[0]]
+    for x in xs[1:]:
+        if x - keep[-1] > tol:
+            keep.append(x)
+    keep[0] = 0.0
+    keep[-1] = 1.0
+    return np.asarray(keep)
+
+
+def clean_atoms_loop(atoms):
+    """Loop reference for the atom list `CompositeMeasure` keeps."""
+    cleaned = []
+    for pos, w in atoms:
+        pos, w = float(pos), float(w)
+        if pos < -1e-12 or pos > 1.0 + 1e-12:
+            raise ValueError(f"atom at {pos} outside [0, 1]")
+        cleaned.append((min(max(pos, 0.0), 1.0), w))
+    cleaned.sort()
+    return tuple(cleaned)
+
+
+def merge_atoms_loop(atoms):
+    """Loop reference for the atom merge of `reduction.transform_measure`."""
+    atoms = sorted(atoms)
+    merged = []
+    for pos, w in atoms:
+        if merged and pos - merged[-1][0] <= 1e-12:
+            merged[-1][1] += w
+        else:
+            merged.append([pos, w])
+    return clean_atoms_loop((p, w) for p, w in merged if w != 0.0)

@@ -1,8 +1,10 @@
 """Tests for pencil assembly, boundary data, and the resolvent sandwich."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fractalsturm import (
@@ -27,14 +29,16 @@ from fractalsturm import (
     positivity_scan,
     resolvent_sandwich,
 )
-from fractalsturm.assembly import _Accumulator, _walk_segments
+from fractalsturm.assembly import _Accumulator, _assemble_from_segments, _walk_segments
+from fractalsturm.selfsim import junction_gaps
 
-from _oracles import RecursiveAccumulator, reference_assemble, reference_from_segments
+from _oracles import RecursiveAccumulator, reference_assemble, reference_from_segments, walk_segments
 
 DIRICHLET = BoundaryCondition(None, None)
 NEUMANN = BoundaryCondition(0.0, 0.0)
 TWO_ATOMS = CompositeMeasure.from_atoms([(0.4, 1.0), (0.6, 1.0)])
 PENCIL_FIELDS = ("nodes", "a_diag", "a_off", "b_diag", "b_off")
+DEAD_ENDS = SelfSimilarParams(a=(0.25,) * 4, dprime=(0.0, 0.5, 0.5, 0.0), betaprime=(0.0, 0.0, 0.5, 1.0))
 
 
 @st.composite
@@ -197,17 +201,6 @@ class TestAssemble:
         assert np.array_equal(acc.diag, ref.diag)
         assert np.array_equal(acc.off, ref.off)
 
-    def test_triplet_text(self):
-        disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), DIRICHLET, depth=2)
-        lines = disc.triplet_text("A").strip().splitlines()
-        # tridiagonal 3x3 with symmetric duplicates: 3 + 2*2 entries
-        assert len(lines) == 7
-        i, j, v = lines[0].split()
-        assert (i, j) == ("0", "0")
-        assert float(v) == pytest.approx(8.0)
-        with pytest.raises(InvalidParametersError):
-            disc.triplet_text("C")
-
 
 class TestPairRoutes:
     def test_generic_and_iterated_routes_agree(self):
@@ -244,6 +237,36 @@ class TestPairRoutes:
         segs = _walk_segments(cantor, 9, lambda level, i: r.params.dprime[i] if level <= 6 else r.params.a[i])
         got = assemble_iterated_pair(r, 6, cantor, NEUMANN, 9)
         want = reference_from_segments(segs, quad, 1.0, NEUMANN)
+        for field in PENCIL_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=monotone_params(),
+        depth=st.integers(0, 7),
+        flat=st.sets(st.integers(0, 3), max_size=2),
+        shrink=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    )
+    # dead end letters: runs of massless segments as long as the depth
+    @example(p=DEAD_ENDS, depth=6, flat=set(), shrink=[0.25] * 4)
+    def test_level_walk_matches_depth_first_walk(self, p, depth, flat, shrink):
+        # a zero shrink under a letter with mass must raise the same error
+        assume(max(abs(g) for g in junction_gaps(p)) <= 1e-12)
+
+        def t_factor(level, i):
+            return 0.0 if i in flat and level <= 2 else shrink[i] / level
+
+        try:
+            want = walk_segments(p, depth, t_factor)
+        except UnsupportedConfigurationError as exc:
+            with pytest.raises(UnsupportedConfigurationError, match=re.escape(str(exc))):
+                _walk_segments(p, depth, t_factor)
+            return
+        got = _walk_segments(p, depth, t_factor)
+        assert got.tolist() == [list(seg) for seg in want]
+        quad = np.array([0.3, 0.2, 0.5])
+        got = _assemble_from_segments(got, quad, 1.3, NEUMANN, 0.7)
+        want = reference_from_segments(want, quad, 1.3, NEUMANN, 0.7)
         for field in PENCIL_FIELDS:
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 

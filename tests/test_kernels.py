@@ -56,25 +56,72 @@ def pencils(draw):
 
 TWO_BY_TWO = (np.array([2.0, 3.0]), np.array([0.0]), np.ones(2), np.array([0.0]))
 
+# (_MIN_RUNS, _RUN_NODES): pure Python, a hand-over after 1, 2, 3 and 7
+# dpttrf runs, pure dpttrf, and the shipped threshold
+NEVER = 10**9
+SWITCHES = [(0, NEVER), (1, NEVER), (2, NEVER), (3, NEVER), (7, NEVER), (NEVER, 0),
+            (kern._MIN_RUNS, kern._RUN_NODES)]
+
+
+def switched(switch):
+    return mock.patch.multiple(kern, _MIN_RUNS=switch[0], _RUN_NODES=switch[1])
+
+
+def rows(*values):
+    return tuple(np.array(v, dtype=float) for v in values)
+
 
 @settings(max_examples=300, deadline=None)
-@given(pencil=pencils(), chunk=st.sampled_from([1, 2, 3, 7, 4096]))
-@example(pencil=(*TWO_BY_TWO, 2.0), chunk=1)
-@example(pencil=(np.array([5.0]), np.zeros(0), np.array([2.0]), np.zeros(0), 2.5), chunk=4096)
-def test_sweep_matches_reference_loop(pencil, chunk):
+@given(pencil=pencils(), switch=st.sampled_from(SWITCHES))
+@example(pencil=(*TWO_BY_TWO, 2.0), switch=(NEVER, 0))
+@example(pencil=(np.array([5.0]), np.zeros(0), np.array([2.0]), np.zeros(0), 2.5), switch=(NEVER, 0))
+# n = 2
+@example(pencil=(*rows([1.0, 1.0], [2.0], [0.0, 0.0], [0.0]), 0.0), switch=(NEVER, 0))
+# the pivot that stops dpttrf is the last node
+@example(pencil=(*rows([2.0, 2.0, 0.5], [1.0, 1.0], [0.0] * 3, [0.0] * 2), 0.0), switch=(NEVER, 0))
+# exact zero pivots at node 0 and in the middle of a run
+@example(pencil=(*rows([0.0, 1.0, 1.0], [1.0, 1.0], [0.0] * 3, [0.0] * 2), 0.0), switch=(NEVER, 0))
+@example(pencil=(*rows([2.0, 2.0, 1.0, 3.0], [2.0, 1.0, 1.0], [0.0] * 4, [0.0] * 3), 0.0), switch=(NEVER, 0))
+# every pivot negative, and runs of both signs
+@example(pencil=(*rows([-2.0] * 5, [1.0] * 4, [0.0] * 5, [0.0] * 4), 0.0), switch=(NEVER, 0))
+@example(pencil=(*rows([3.0, -1.0, -2.0, -3.0, 4.0, 1.0, -5.0], [1.0] * 6, [0.0] * 7, [0.0] * 6), 0.0),
+         switch=(NEVER, 0))
+# a negative pivot below the clamp inside a negated run: -1 + (1 - 2^-53)^2
+@example(pencil=(*rows([-1.0, -1.0, -1e15, 1e17], [1.0 - 2.0**-53, 1.0, 0.0], [0.0] * 4, [0.0] * 3), 0.0),
+         switch=(NEVER, 0))
+# a positive pivot below the clamp inside a run: 1 - (1 - 2^-53)^2 leaves
+# 2^-52, below the clamp 5e-15 at scale 1e17; carried on unclamped it
+# would turn the next pivot negative
+@example(pencil=(*rows([1.0, 1.0, 1e15, 1e17], [1.0 - 2.0**-53, 1.0, 0.0], [0.0] * 4, [0.0] * 3), 0.0),
+         switch=(NEVER, 0))
+def test_sweep_matches_reference_loop(pencil, switch):
     *arrays, lam = pencil
-    with mock.patch.object(kern, "_CHUNK", chunk):
+    with switched(switch):
         got = kern._sweep(*arrays, lam, 1e-12)
     assert got == clamped_sweep(*arrays, lam, 1e-12)
 
 
 def test_sweep_matches_reference_across_chunk_boundaries():
+    # 4096 nodes is the block of the Python loop
     rng = np.random.default_rng(5)
-    for n in (kern._CHUNK - 1, kern._CHUNK, kern._CHUNK + 1, 2 * kern._CHUNK + 1):
+    for n in (4095, 4096, 4097, 8193):
         a_diag, a_off, b_diag, b_off = random_pencil(rng, n)
         for lam in (-3.0, 0.7, 40.0):
-            got = kern._sweep(a_diag, a_off, b_diag, b_off, lam, 1e-12)
-            assert got == clamped_sweep(a_diag, a_off, b_diag, b_off, lam, 1e-12)
+            want = clamped_sweep(a_diag, a_off, b_diag, b_off, lam, 1e-12)
+            for switch in ((kern._MIN_RUNS, kern._RUN_NODES), (0, NEVER)):
+                with switched(switch):
+                    assert kern._sweep(a_diag, a_off, b_diag, b_off, lam, 1e-12) == want
+
+
+def test_dpttrf_writes_into_views():
+    # the kernel relies on dpttrf overwriting its tail views in place; a
+    # silent copy would leave the pivots unfactored
+    d = np.array([9.0, 2.0, 3.0, 4.0])
+    e = np.array([7.0, 1.0, 1.0])
+    kern.dpttrf(d[1:], e[1:], overwrite_d=1, overwrite_e=1)
+    assert d[0] == 9.0 and e[0] == 7.0
+    assert d[2] == 3.0 - (1.0 / 2.0) * 1.0
+    assert e[1] == 0.5
 
 
 def test_scalar_batch_and_counting_paths_agree_at_breakdown():

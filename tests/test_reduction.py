@@ -1,7 +1,11 @@
 """Tests for transporting measures through a monotone primitive R."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalsturm import (
     CompositeMeasure,
@@ -15,6 +19,12 @@ from fractalsturm import (
     pushforward_params,
     transform_measure,
 )
+from fractalsturm import assembly
+from fractalsturm.assembly import BoundaryCondition, _dedupe
+from fractalsturm.reduction import _density_through
+from fractalsturm.selfsim import evaluate
+
+from _oracles import clean_atoms_loop, dedupe_loop, merge_atoms_loop
 
 R_CANTOR = MonotonePrimitive.cantor()
 
@@ -108,3 +118,72 @@ class TestTransformMeasure:
         f = CompositeMeasure.from_atoms([(1 / 9, 2.0)]).scaled(-0.5)
         g = transform_measure(f, R_CANTOR)
         assert g.atoms == ((0.25, -1.0),)
+
+
+def general_problem(rng):
+    """p and q of the benchmark's general route: step density, atoms and a
+    compatible self-similar part in p, positive atoms in q."""
+    breaks = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 15)), [1.0]))
+    density = StepFunction(breaks, rng.uniform(0.2, 2.0, 16))
+    atoms = tuple(zip(rng.uniform(0.01, 0.99, 24), rng.uniform(0.01, 0.5, 24)))
+    w = float(rng.uniform(0.2, 0.8))
+    part = SelfSimilarParams(a=(1 / 3, 1 / 3, 1 / 3), dprime=(w, 0.0, 1.0 - w), betaprime=(0.0, w, w))
+    p = CompositeMeasure(atoms=atoms, density=density, selfsim=(part, float(rng.uniform(0.5, 2.0))))
+    q = CompositeMeasure.from_atoms(zip(rng.uniform(0.01, 0.99, 6), rng.uniform(0.5, 5.0, 6)))
+    return p, q
+
+
+@st.composite
+def clustered(draw, tol):
+    """Sorted-or-not positions in [0, 1] with ties and chains of steps near tol."""
+    base = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    xs = []
+    for x in base:
+        step = draw(st.sampled_from([0.0, tol / 3, tol / 2, 0.9 * tol, tol, 1.1 * tol, 3 * tol]))
+        length = draw(st.integers(1, 6))
+        xs += [min(x + k * step, 1.0) for k in range(length)]
+    return draw(st.permutations(xs))
+
+
+class TestMergeRules:
+    """The vectorised merge rules reproduce their one-item-at-a-time loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=clustered(1e-13))
+    def test_dedupe_matches_loop(self, xs):
+        xs = np.array([0.0, 1.0] + xs)
+        assert np.array_equal(_dedupe(xs), dedupe_loop(xs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=clustered(1e-12), data=st.data())
+    def test_atom_cleaning_and_merge_match_loops(self, xs, data):
+        ws = data.draw(st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, 0.25, 1e-300]),
+                                min_size=len(xs), max_size=len(xs)))
+        atoms = list(zip(xs, ws))
+        assert CompositeMeasure(atoms=atoms).atoms == clean_atoms_loop(atoms)
+        merged = transform_measure(CompositeMeasure(atoms=atoms), MonotonePrimitive.identity(2))
+        want = merge_atoms_loop((evaluate(identity_params(2), x, 60)[0], w) for x, w in clean_atoms_loop(atoms))
+        assert merged.atoms == want
+
+    def test_atom_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="atom at 1.5 outside"):
+            CompositeMeasure(atoms=[(0.5, 1.0), (1.5, 1.0), (-1.0, 1.0)])
+        with pytest.raises(ValueError):
+            CompositeMeasure(atoms=[(0.5, 1.0, 2.0), (0.25, 1.0, 2.0)])
+        with pytest.raises(ValueError):
+            CompositeMeasure(atoms=[(None, 1.0)])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_general_route_matches_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        r = MonotonePrimitive.cantor()
+        for p, q in (general_problem(rng) for _ in range(3)):
+            pos, w, _ = _density_through(r, p.density, 14)
+            moved = [(evaluate(r.params, x, 60)[0], v) for x, v in p.atoms]
+            p_t = transform_measure(p, r, depth=14)
+            assert p_t.atoms == merge_atoms_loop(moved + list(zip(pos.tolist(), w.tolist())))
+            q_t = transform_measure(q, r, depth=14)
+            seen = []
+            with mock.patch.object(assembly, "_dedupe", side_effect=lambda xs: seen.append(xs) or _dedupe(xs)):
+                disc = assembly.assemble(1.0, q_t, p_t, BoundaryCondition.neumann(), 14)
+            assert np.array_equal(disc.nodes, dedupe_loop(seen[0]))

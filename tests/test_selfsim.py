@@ -17,7 +17,6 @@ from fractalsturm import (
     SelfSimilarParams,
     cantor_ladder,
     evaluate,
-    evaluate_many,
     fixed_point_boundaries,
     identity_params,
     iterate,
@@ -55,14 +54,6 @@ def test_evaluate_outside_domain_raises():
         evaluate(CANTOR, -0.1)
     with pytest.raises(DomainError):
         evaluate(CANTOR, 1.1)
-
-
-def test_evaluate_many_matches_scalar():
-    xs = np.linspace(0.0, 1.0, 37)
-    vals = evaluate_many(CANTOR, xs)
-    for x, v in zip(xs, vals):
-        val, err = evaluate(CANTOR, x)
-        assert abs(val - v) <= err + 1e-15
 
 
 def test_one_sided_limits_at_jump():
@@ -108,10 +99,8 @@ def test_junction_gaps_continuous_and_jumpy():
 
 
 def test_jump_atoms_geometric_masses():
-    atoms = jump_atoms(JUMP, 3, include_endpoints=False)
+    atoms = jump_atoms(JUMP, 3)
     assert [(p, w) for p, w in atoms] == [(0.125, 0.125), (0.25, 0.25), (0.5, 0.5)]
-    # consistent corners mean endpoint inclusion adds nothing
-    assert jump_atoms(JUMP, 3, include_endpoints=True) == atoms
     assert jump_atoms(CANTOR, 6) == []
 
 
@@ -128,7 +117,7 @@ def test_jump_measure_moments():
     assert mu[0] == pytest.approx(1.0, abs=1e-14)
     assert mu[1] == pytest.approx(1 / 3, abs=1e-13)
     assert mu[2] == pytest.approx(1 / 7, abs=1e-13)
-    brute = sum(w * p for p, w in jump_atoms(JUMP, 40, include_endpoints=False))
+    brute = sum(w * p for p, w in jump_atoms(JUMP, 40))
     assert mu[1] == pytest.approx(brute, abs=1e-12)
 
 
