@@ -19,7 +19,6 @@ from .assembly import (
     resolvent_sandwich,
 )
 from .errors import (
-    ApproximationFailureError,
     DegenerateMomentsError,
     DomainError,
     EigenvalueNotFoundError,
@@ -32,17 +31,14 @@ from .errors import (
     ResolventPoleError,
     UnsupportedConfigurationError,
 )
-from .measures import CompositeMeasure, StepFunction, common_atoms, step_approximation
-from .reduction import generalized_inverse, pushforward_params, transform_measure
+from .measures import CompositeMeasure, StepFunction
+from .reduction import pushforward_params, transform_measure
 from .selfsim import (
     MonotonePrimitive,
-    PiecewiseLinear,
     SelfSimilarParams,
     cantor_ladder,
     evaluate,
-    fixed_point_boundaries,
     identity_params,
-    iterate,
     jump_atoms,
     junction_gaps,
     moments,

@@ -567,17 +567,17 @@ def _tri_apply(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def positivity_scan(disc: PencilDiscretization, xi_grid, margin: float = 1e-13) -> float | None:
+def positivity_scan(disc: PencilDiscretization, xi_grid) -> float | None:
     """First shift xi with A - xi B positive definite, else None.
 
     Positive definiteness is read off the LDL^T pivots: all positive
-    with relative magnitude above `margin`.
+    with relative magnitude above 1e-13.
     """
     for xi in xi_grid:
         neg, min_rel = min_pivot_ratio(
             disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, float(xi)
         )
-        if neg == 0 and min_rel > margin:
+        if neg == 0 and min_rel > 1e-13:
             return float(xi)
     return None
 

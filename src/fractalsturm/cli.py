@@ -312,8 +312,10 @@ def cmd_counterexample(args) -> int:
 def _add_common(sub: argparse.ArgumentParser, depth_default: int = 8) -> None:
     sub.add_argument("--depth", type=int, default=depth_default, help="refinement depth")
     sub.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
+
+
+def _add_json(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    sub.add_argument("--tol", type=float, default=1e-10, help="eigenvalue relative tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("problem", help="problem JSON file")
     s.add_argument("x", nargs="+", type=float, help="evaluation points in [0, 1]")
     _add_common(s, depth_default=48)
+    _add_json(s)
     s.set_defaults(func=cmd_eval)
 
     s = subs.add_parser("transform", help="reduce to a Lebesgue-base problem")
@@ -340,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-eigs", type=int, default=None, help="first n eigenvalues per side")
     s.add_argument("--lambda-max", type=float, default=None, help="all eigenvalues up to this")
     s.add_argument("--k-iter", type=int, default=None, help="iterate order for the pair route")
+    s.add_argument("--tol", type=float, default=1e-10, help="eigenvalue relative tolerance")
     _add_common(s)
+    _add_json(s)
     s.set_defaults(func=cmd_spectrum)
 
     s = subs.add_parser("asymptotics", help="counting-function asymptotics report")
@@ -361,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="spectral parameter (repeatable; default 510 85 0)",
     )
     _add_common(s, depth_default=9)
+    _add_json(s)
     s.set_defaults(func=cmd_counterexample)
     return parser
 

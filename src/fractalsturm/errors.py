@@ -51,12 +51,6 @@ class UnsupportedConfigurationError(FractalSturmError):
     exit_code = 3
 
 
-class ApproximationFailureError(FractalSturmError):
-    """Adaptive partition failed to satisfy its predicates."""
-
-    exit_code = 4
-
-
 class ResolventPoleError(FractalSturmError):
     """Linear solve at a spectral parameter hit a (near) pole."""
 

@@ -1,6 +1,5 @@
 """Signed measures on [0, 1] built from atoms, step densities and
-self-similar parts, plus the adaptive step approximation used to reduce
-a general coefficient to a piecewise constant one.
+self-similar parts.
 """
 
 from __future__ import annotations
@@ -10,15 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApproximationFailureError, InvalidParametersError
-from .selfsim import (
-    MonotonePrimitive,
-    SelfSimilarParams,
-    evaluate,
-    jump_atoms,
-    junction_gaps,
-    support_cells,
-)
+from .errors import InvalidParametersError
+from .selfsim import SelfSimilarParams, evaluate
 
 _TOL = 1e-12
 
@@ -126,9 +118,6 @@ class StepFunction:
             out[chunk] = np.sum(self.values * np.diff(cuts, axis=1), axis=1)
         return np.where(flip, -out, out)
 
-    def abs_integral(self) -> float:
-        return float(np.sum(np.abs(self.values) * np.diff(self.breaks)))
-
     def to_json(self) -> dict:
         return {"breaks": self.breaks.tolist(), "values": self.values.tolist()}
 
@@ -193,33 +182,6 @@ class CompositeMeasure:
             m += scale * (params.p1 - params.p0)
         return float(m)
 
-    def total_variation(self, depth: int = 12) -> float:
-        """Upper bound on |mu|([0,1]), exact for monotone parts.
-
-        The self-similar part is bounded cellwise at the given depth by
-        |weight| * osc(P); for a nondecreasing P this telescopes to the
-        exact value.
-        """
-        tv = sum(abs(w) for _, w in self.atoms)
-        if self.density is not None:
-            tv += self.density.abs_integral()
-        if self.selfsim is not None:
-            params, scale = self.selfsim
-            gaps = junction_gaps(params)
-            if min(params.dprime) >= 0.0 and all(g >= 0.0 for g in gaps):
-                # nonnegative measure
-                tv += abs(scale) * (params.p1 - params.p0)
-            elif any(g != 0.0 for g in gaps):
-                # signed jumps: purely atomic when the |d'| sum is
-                # contracting, of unbounded variation otherwise
-                s = sum(abs(d) for d in params.dprime)
-                per_level = sum(abs(g) for g in gaps)
-                tv += abs(scale) * per_level / (1.0 - s) if s < 1.0 else np.inf
-            else:
-                osc = params.osc_bound()
-                tv += abs(scale) * float(np.sum(np.abs(support_cells(params, depth)[:, 2]))) * osc
-        return float(tv)
-
     def cdf(self, x: float, depth: int = 48) -> float:
         """mu([0, x]), atoms at x included; error bounded by the
         self-similar evaluation bound at the given depth."""
@@ -272,118 +234,3 @@ class CompositeMeasure:
             scale = float(sub.pop("scale", 1.0))
             selfsim = (SelfSimilarParams.from_json(sub), scale)
         return cls(atoms=atoms, density=density, selfsim=selfsim)
-
-
-def common_atoms(mu: CompositeMeasure, nu: CompositeMeasure, tol: float = 1e-12) -> list[float]:
-    """Positions carrying an explicit atom of both measures."""
-    out = []
-    positions = sorted(p for p, _ in nu.atoms)
-    for p, _ in mu.atoms:
-        idx = np.searchsorted(positions, p)
-        for j in (idx - 1, idx):
-            if 0 <= j < len(positions) and abs(positions[j] - p) <= tol:
-                out.append(p)
-                break
-    return out
-
-
-def integrate_against(mu: CompositeMeasure, g, depth: int = 10) -> float:
-    """Approximate int g dmu, used by tests as an independent check.
-
-    Atoms are exact; the density part uses the midpoint rule on a
-    refinement of its own breaks; the self-similar part uses cell
-    midpoints at the given depth, with error at most
-    sum |weight| * osc(g over the cell).
-    """
-    total = sum(w * g(p) for p, w in mu.atoms)
-    if mu.density is not None:
-        for lo, hi, v in zip(mu.density.breaks[:-1], mu.density.breaks[1:], mu.density.values):
-            if v == 0.0:
-                continue
-            k = max(8, int(np.ceil((hi - lo) * 512)))
-            xs = np.linspace(lo, hi, 2 * k + 1)[1::2]
-            total += v * (hi - lo) / k * sum(g(x) for x in xs)
-    if mu.selfsim is not None:
-        params, scale = mu.selfsim
-        mass = params.p1 - params.p0
-        for pos, jump in jump_atoms(params, depth):
-            total += scale * jump * g(pos)
-        for left, width, weight, _ in support_cells(params, depth).tolist():
-            total += scale * weight * mass * g(left + 0.5 * width)
-    return float(total)
-
-
-def step_approximation(
-    f: CompositeMeasure, r: MonotonePrimitive, eps: float, max_levels: int = 60
-) -> StepFunction:
-    """Piecewise constant surrogate of a nonnegative measure f.
-
-    The partition 0 = z_0 < ... < z_K = 1 is refined greedily at cell
-    midpoints until every cell satisfies f(cell) < eps^3 or
-    R(z_{k+1}) - R(z_k) < eps^2.  Cells of the second kind keep the cell
-    average f(cell) / (z_{k+1} - z_k); the remaining (R-heavy) cells are
-    dropped, i.e. the surrogate vanishes there.  Split points are nudged
-    off atoms of f so that cell masses are unambiguous.
-    """
-    if not 0.0 < eps < 1.0:
-        raise InvalidParametersError("eps must lie in (0, 1)")
-    if any(w < 0 for _, w in f.atoms) or (
-        f.density is not None and np.any(f.density.values < 0.0)
-    ):
-        raise ApproximationFailureError("step approximation needs a nonnegative measure")
-    if f.selfsim is not None:
-        params, scale = f.selfsim
-        if scale < 0.0 or any(d < 0.0 for d in params.dprime):
-            raise ApproximationFailureError("step approximation needs a nonnegative measure")
-
-    atom_positions = np.array([p for p, _ in f.atoms])
-
-    def off_atoms(x: float, width: float) -> float:
-        step = 1e-3 * width
-        for j in range(1, 50):
-            if atom_positions.size == 0 or np.min(np.abs(atom_positions - x)) > 1e-13:
-                return x
-            x += step / j
-        raise ApproximationFailureError("could not place a split point off the atoms")
-
-    def cell_mass(a: float, b: float) -> float:
-        base = f.cdf(a, 60) if a > 0.0 else 0.0
-        return f.cdf(b, 60) - base
-
-    def r_increment(a: float, b: float) -> float:
-        return r(b, 60) - r(a, 60)
-
-    cells = [(0.0, 1.0)]
-    for _ in range(max_levels):
-        refined = []
-        dirty = False
-        for a, b in cells:
-            if cell_mass(a, b) < eps**3 or r_increment(a, b) < eps**2:
-                refined.append((a, b))
-            else:
-                mid = off_atoms(0.5 * (a + b), b - a)
-                if not a < mid < b:
-                    raise ApproximationFailureError("split point escaped its cell")
-                refined.append((a, mid))
-                refined.append((mid, b))
-                dirty = True
-        cells = refined
-        if not dirty:
-            break
-    else:
-        raise ApproximationFailureError(f"partition not admissible after {max_levels} levels")
-
-    # keep cells where R moves little, drop the complementary ones:
-    # their total mass is < eps^3 each and there are at most eps^-2 of
-    # them, so the surrogate converges as eps -> 0
-    breaks = np.array([a for a, _ in cells] + [1.0])
-    values = np.empty(len(cells))
-    for k, (a, b) in enumerate(cells):
-        mass = cell_mass(a, b)
-        if r_increment(a, b) < eps**2:
-            values[k] = mass / (b - a)
-        elif mass < eps**3:
-            values[k] = 0.0
-        else:  # pragma: no cover - excluded by the refinement loop
-            raise ApproximationFailureError("inadmissible cell survived refinement")
-    return StepFunction(breaks, values)

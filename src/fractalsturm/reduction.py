@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParametersError, ParameterMismatchError, UnsupportedConfigurationError
+from .errors import ParameterMismatchError, UnsupportedConfigurationError
 from .measures import CompositeMeasure, StepFunction, _cluster_starts, _run_sums
 from .selfsim import MonotonePrimitive, SelfSimilarParams, evaluate, support_cells
 
@@ -48,25 +48,6 @@ def pushforward_params(r: MonotonePrimitive, p: SelfSimilarParams) -> SelfSimila
         p0=p.p0,
         p1=p.p1,
     )
-
-
-def generalized_inverse(r: MonotonePrimitive, t: float, depth: int = 48, iters: int = 80) -> float:
-    """Left-continuous inverse inf {x : R(x) >= t} by bisection."""
-    t = float(t)
-    if t <= 0.0:
-        return 0.0
-    if t > 1.0 + _TOL:
-        raise InvalidParametersError("target outside the range of R")
-    if t >= 1.0:
-        t = 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if r(mid, depth) >= t:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _density_through(r: MonotonePrimitive, density: StepFunction, depth: int):

@@ -11,9 +11,9 @@ such a P exists and is unique in L2.  The classical Cantor ladder is the
 case a = (1/3, 1/3, 1/3), d' = (1/2, 0, 1/2).
 
 This module evaluates such functions with certified error bounds,
-iterates the substitution operator on piecewise linear seeds, enumerates
-cell words, and computes power moments of the induced Stieltjes measure
-dP, all of which feed the quadrature rules of the assembly stage.
+enumerates cell words and junction atoms, and computes power moments of
+the induced Stieltjes measure dP, all of which feed the quadrature rules
+of the assembly stage.
 """
 
 from __future__ import annotations
@@ -93,20 +93,6 @@ class SelfSimilarParams:
         m = self.sup_bound()
         return 2.0 * m if math.isfinite(m) else math.inf
 
-    def is_continuous(self, tol: float = 1e-9) -> bool:
-        """Whether copies match at cell junctions and at 0, 1."""
-        if abs(self.betaprime[0] + self.dprime[0] * self.p0 - self.p0) > tol:
-            return False
-        last = self.betaprime[-1] + self.dprime[-1] * self.p1
-        if abs(last - self.p1) > tol:
-            return False
-        for i in range(self.n - 1):
-            left = self.betaprime[i] + self.dprime[i] * self.p1
-            right = self.betaprime[i + 1] + self.dprime[i + 1] * self.p0
-            if abs(left - right) > tol:
-                return False
-        return True
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -157,20 +143,6 @@ def identity_params(n: int = 2) -> SelfSimilarParams:
         p0=0.0,
         p1=1.0,
     )
-
-
-def fixed_point_boundaries(a, dprime, betaprime) -> tuple[float, float]:
-    """Boundary values forced by self-consistency at 0 and 1.
-
-    P(0) = beta'_1 + d'_1 P(0) and P(1) = beta'_n + d'_n P(1), solvable
-    when d'_1 != 1 and d'_n != 1.
-    """
-    d0, dn = float(dprime[0]), float(dprime[-1])
-    if abs(1.0 - d0) < _TOL or abs(1.0 - dn) < _TOL:
-        raise InvalidParametersError("corner scaling equal to 1, boundary values free")
-    p0 = float(betaprime[0]) / (1.0 - d0)
-    p1 = float(betaprime[-1]) / (1.0 - dn)
-    return p0, p1
 
 
 @dataclass(frozen=True)
@@ -227,33 +199,6 @@ class MonotonePrimitive:
     @classmethod
     def from_json(cls, obj: dict) -> "MonotonePrimitive":
         return cls(SelfSimilarParams.from_json(obj))
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous piecewise linear function on [0, 1]."""
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or bp.shape != vals.shape or bp.size < 2:
-            raise InvalidParametersError("breakpoints/values must be equal-length 1d")
-        if abs(bp[0]) > _TOL or abs(bp[-1] - 1.0) > _TOL:
-            raise InvalidParametersError("breakpoints must span [0, 1]")
-        if np.any(np.diff(bp) < -_TOL):
-            raise InvalidParametersError("breakpoints must be nondecreasing")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-
-    def __call__(self, x):
-        return np.interp(x, self.breakpoints, self.values)
-
-    @classmethod
-    def identity(cls) -> "PiecewiseLinear":
-        return cls(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
 
 def validate_contraction(r: MonotonePrimitive, p: SelfSimilarParams) -> bool:
@@ -320,38 +265,6 @@ def evaluate(
         drift /= params.a[i]
     mid = 0.5 * (params.p0 + params.p1)
     return offset + scale * mid, abs(scale) * params.osc_bound()
-
-
-def iterate(params: SelfSimilarParams, k: int, seed: PiecewiseLinear | None = None) -> PiecewiseLinear:
-    """Apply the substitution operator k times to a piecewise linear seed.
-
-    The seed must satisfy seed(0) = p0, seed(1) = p1 and the parameters
-    must be continuity-consistent, otherwise the result would jump and
-    leave the piecewise linear class.
-    """
-    if k < 0:
-        raise InvalidParametersError("iteration count must be >= 0")
-    if seed is None:
-        lo, hi = params.p0, params.p1
-        seed = PiecewiseLinear(np.array([0.0, 1.0]), np.array([lo, hi]))
-    if not params.is_continuous():
-        raise InvalidParametersError("substitution of a continuous seed needs matching junctions")
-    if abs(seed.values[0] - params.p0) > 1e-9 or abs(seed.values[-1] - params.p1) > 1e-9:
-        raise InvalidParametersError("seed must match boundary values p0, p1")
-    bp = seed.breakpoints
-    vals = seed.values
-    alpha = params.alpha
-    for _ in range(k):
-        new_bp = [np.array([0.0])]
-        new_vals = [np.array([params.p0])]
-        for i in range(params.n):
-            cell_bp = alpha[i] + params.a[i] * bp
-            cell_vals = params.betaprime[i] + params.dprime[i] * vals
-            new_bp.append(cell_bp[1:])
-            new_vals.append(cell_vals[1:])
-        bp = np.concatenate(new_bp)
-        vals = np.concatenate(new_vals)
-    return PiecewiseLinear(bp, vals)
 
 
 def moments(params: SelfSimilarParams, order: int) -> np.ndarray:

@@ -35,6 +35,8 @@ from .errors import (
 from .selfsim import MonotonePrimitive, SelfSimilarParams, jump_atoms
 
 _NUDGE_REL = 1e-9
+# eigenvalue() gives up once its bracket grows past this bound
+_MAX_LAMBDA = 1e30
 
 
 @dataclass(frozen=True)
@@ -53,11 +55,9 @@ class CountingResult:
     near_zero: int = 0
 
 
-def inertia(disc: PencilDiscretization, lam: float, near_tol: float = 1e-12) -> tuple[int, int]:
+def inertia(disc: PencilDiscretization, lam: float) -> tuple[int, int]:
     """(negative, near-zero) pivot counts of A - lam B."""
-    return negative_pivot_count(
-        disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, lam, near_tol
-    )
+    return negative_pivot_count(disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, lam)
 
 
 def zero_tolerance(disc: PencilDiscretization) -> float:
@@ -157,9 +157,7 @@ class SpectralContext:
         """
         return self.counting_function([lam])[0]
 
-    def eigenvalue(
-        self, n: int, side: int = 1, rtol: float = 1e-10, max_lambda: float = 1e30
-    ) -> float:
+    def eigenvalue(self, n: int, side: int = 1, rtol: float = 1e-10) -> float:
         """n-th eigenvalue (n >= 1) on the given side of 0 by count bisection."""
         if n < 1:
             raise InvalidParametersError("eigenvalue index starts at 1")
@@ -176,9 +174,9 @@ class SpectralContext:
         while counted(hi) < n:
             lo = hi
             hi *= 8.0
-            if hi > max_lambda:
+            if hi > _MAX_LAMBDA:
                 raise EigenvalueNotFoundError(
-                    f"no eigenvalue #{n} on side {side:+d} below {max_lambda}"
+                    f"no eigenvalue #{n} on side {side:+d} below {_MAX_LAMBDA}"
                 )
         while hi - lo > rtol * hi + 1e-14:
             mid = 0.5 * (lo + hi)
@@ -310,10 +308,9 @@ def eigenvalue(
     side: int = 1,
     reference_shift: float | None = None,
     rtol: float = 1e-10,
-    max_lambda: float = 1e30,
 ) -> float:
     """n-th eigenvalue (n >= 1) on the given side of 0 by count bisection."""
-    return SpectralContext(disc, reference_shift).eigenvalue(n, side, rtol, max_lambda)
+    return SpectralContext(disc, reference_shift).eigenvalue(n, side, rtol)
 
 
 def eigenvalues(

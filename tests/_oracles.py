@@ -2,7 +2,8 @@
 
 The dense solutions go through generic LAPACK paths (dense symmetric
 eigensolvers) so that the banded inertia code is checked against an
-independent formulation.  The cell walks, the general accumulator, the
+independent formulation, and `integrate_against` checks exact moments
+against brute-force quadrature.  The cell walks, the general accumulator, the
 pair-route stamping and the merge rules of the mesh and atom lists are
 the one-call-per-item loops that the vectorised library code must
 reproduce.
@@ -10,6 +11,7 @@ reproduce.
 
 import numpy as np
 
+from fractalsturm.selfsim import jump_atoms, support_cells
 from fractalsturm.spectral import resolve_shift, zero_tolerance
 
 
@@ -43,6 +45,32 @@ def dense_count(disc, lam, reference_shift=None):
         return int(np.sum((mus > -zt) & (mus < hi))), 0
     lo = lam - 1e-9 * abs(lam) - zt
     return 0, int(np.sum((mus > lo) & (mus < -zt)))
+
+
+def integrate_against(mu, g, depth=10):
+    """Approximate int g dmu for a CompositeMeasure mu.
+
+    Atoms are exact; the density part uses the midpoint rule on a
+    refinement of its own breaks; the self-similar part uses cell
+    midpoints at the given depth, with error at most
+    sum |weight| * osc(g over the cell).
+    """
+    total = sum(w * g(p) for p, w in mu.atoms)
+    if mu.density is not None:
+        for lo, hi, v in zip(mu.density.breaks[:-1], mu.density.breaks[1:], mu.density.values):
+            if v == 0.0:
+                continue
+            k = max(8, int(np.ceil((hi - lo) * 512)))
+            xs = np.linspace(lo, hi, 2 * k + 1)[1::2]
+            total += v * (hi - lo) / k * sum(g(x) for x in xs)
+    if mu.selfsim is not None:
+        params, scale = mu.selfsim
+        mass = params.p1 - params.p0
+        for pos, jump in jump_atoms(params, depth):
+            total += scale * jump * g(pos)
+        for left, width, weight, _ in support_cells(params, depth).tolist():
+            total += scale * weight * mass * g(left + 0.5 * width)
+    return float(total)
 
 
 _CLAMP = 5e-32

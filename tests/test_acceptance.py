@@ -31,10 +31,9 @@ from fractalsturm import (
     splitting_inequality,
     transform_measure,
 )
-from fractalsturm.measures import integrate_against
 from fractalsturm.spectral import asymptotics_report
 
-from _oracles import dense_count
+from _oracles import dense_count, integrate_against
 
 DIRICHLET = BoundaryCondition(None, None)
 NEUMANN = BoundaryCondition(0.0, 0.0)

@@ -1,6 +1,4 @@
-"""Tests for step functions, composite measures, and measure approximation."""
-
-import math
+"""Tests for step functions and composite measures."""
 
 import numpy as np
 import pytest
@@ -8,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalsturm import (
-    ApproximationFailureError,
     CompositeMeasure,
     InvalidParametersError,
-    MonotonePrimitive,
     SelfSimilarParams,
     StepFunction,
     cantor_ladder,
-    evaluate,
+    jump_atoms,
     support_cells,
 )
-from fractalsturm.measures import common_atoms, integrate_against, step_approximation
+
+from _oracles import integrate_against
 
 CANTOR = cantor_ladder()
 JUMP = SelfSimilarParams(a=(0.5, 0.5), dprime=(0.5, 0.0), betaprime=(0.0, 1.0))
@@ -37,7 +34,6 @@ class TestStepFunction:
         assert f(0.5) == -1.0
         assert f.integral() == pytest.approx(0.25 * 2.0 - 0.75)
         assert f.integral(0.25, 0.5) == pytest.approx(-0.25)
-        assert f.abs_integral() == pytest.approx(0.25 * 2.0 + 0.75)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.001, 0.999), max_size=40, unique=True), st.data())
@@ -84,21 +80,18 @@ class TestCompositeMeasure:
         mu = CompositeMeasure.lebesgue(1.0)
         assert mu.total_mass() == pytest.approx(1.0)
         assert mu.cdf(0.37) == pytest.approx(0.37)
-        assert mu.total_variation() == pytest.approx(1.0)
 
     def test_atoms_cdf_includes_position(self):
         mu = CompositeMeasure.from_atoms([(0.3, 2.0), (0.7, -1.0)])
         assert mu.cdf(0.3) == pytest.approx(2.0)
         assert mu.cdf(0.3 - 1e-9) == pytest.approx(0.0)
         assert mu.total_mass() == pytest.approx(1.0)
-        assert mu.total_variation() == pytest.approx(3.0)
 
     def test_cantor_cdf_is_the_ladder(self):
         mu = CompositeMeasure.from_selfsim(CANTOR)
         assert mu.cdf(1 / 9) == pytest.approx(0.25)
         assert mu.cdf(1.0) == pytest.approx(1.0)
         assert mu.total_mass() == pytest.approx(1.0)
-        assert mu.total_variation() == pytest.approx(1.0)
 
     def test_jump_cdf_right_continuous_at_atom(self):
         mu = CompositeMeasure.from_selfsim(JUMP)
@@ -109,24 +102,28 @@ class TestCompositeMeasure:
         # purely atomic: atoms at 2^-k alternate sign, |masses| sum to 3
         mu = CompositeMeasure.from_selfsim(SIGNED_JUMP)
         assert mu.total_mass() == pytest.approx(1.0)
-        assert mu.total_variation() == pytest.approx(3.0)
+        masses = [w for _, w in jump_atoms(SIGNED_JUMP, 60)]
+        assert sum(masses) == pytest.approx(1.0)
+        assert sum(map(abs, masses)) == pytest.approx(3.0)
 
     def test_unit_contraction_sum_with_jumps_has_infinite_variation(self):
+        # sum |d'| = 1, so every level adds junction atoms of total |mass| 2/3
         p = SelfSimilarParams(a=(0.5, 0.5), dprime=(0.5, -0.5), betaprime=(0.0, 1.0), p1=2 / 3)
-        assert math.isinf(CompositeMeasure.from_selfsim(p).total_variation())
+        for depth in (4, 8, 12):
+            assert sum(abs(w) for _, w in jump_atoms(p, depth)) == pytest.approx(2 / 3 * depth)
 
     def test_signed_continuous_has_unbounded_variation(self):
         # continuity with nonzero mass forces sum d' = 1, so mixed signs
         # give sum |d'| > 1 and the level-m variation grows geometrically
         p = SelfSimilarParams(a=(0.5, 0.5), dprime=(1.25, -0.25), betaprime=(0.0, 1.25))
         mu = CompositeMeasure.from_selfsim(p)
-        assert math.isinf(mu.total_variation())
+        level_variation = [float(np.sum(np.abs(support_cells(p, m)[:, 2]))) for m in (2, 4, 8)]
+        assert level_variation == pytest.approx([1.5**2, 1.5**4, 1.5**8])
         assert mu.total_mass() == pytest.approx(1.0)
 
     def test_scaled(self):
         mu = CompositeMeasure.from_selfsim(CANTOR).scaled(-2.0)
         assert mu.total_mass() == pytest.approx(-2.0)
-        assert mu.total_variation() == pytest.approx(2.0)
         assert mu.cdf(1 / 3) == pytest.approx(-1.0)
 
     def test_mixed_parts_add(self):
@@ -162,13 +159,6 @@ class TestCompositeMeasure:
                 assert again.cdf(x) == pytest.approx(mu.cdf(x), abs=1e-12)
 
 
-def test_common_atoms():
-    mu = CompositeMeasure.from_atoms([(0.3, 2.0), (0.7, -1.0)])
-    nu = CompositeMeasure.from_atoms([(0.7, 5.0), (0.1, 1.0)])
-    assert common_atoms(mu, nu) == [0.7]
-    assert common_atoms(mu, CompositeMeasure.lebesgue()) == []
-
-
 class TestIntegrateAgainst:
     def test_atoms_exact(self):
         mu = CompositeMeasure.from_atoms([(0.25, 2.0), (0.75, -0.5)])
@@ -185,36 +175,3 @@ class TestIntegrateAgainst:
     def test_jump_measure_includes_junction_atoms(self):
         mu = CompositeMeasure.from_selfsim(JUMP)
         assert integrate_against(mu, lambda x: x, depth=14) == pytest.approx(1 / 3, abs=1e-7)
-
-
-class TestStepApproximation:
-    def observable_error(self, f, r, g, approx):
-        """|int g(R) df - int g(R(x)) approx(x) dx| for g on the image axis."""
-        lhs = integrate_against(f, lambda x: g(evaluate(r.params, x)[0]), depth=12)
-        breaks = approx.breaks
-        rhs = 0.0
-        for i in range(len(approx.values)):
-            m = 0.5 * (breaks[i] + breaks[i + 1])
-            rhs += g(evaluate(r.params, m)[0]) * approx.values[i] * (breaks[i + 1] - breaks[i])
-        return abs(lhs - rhs)
-
-    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
-    def test_observable_convergence_and_mass_defect(self, eps):
-        r = MonotonePrimitive.cantor()
-        f = CompositeMeasure(
-            atoms=((0.5, 0.3),),
-            density=StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0])),
-        )
-        approx = step_approximation(f, r, eps)
-        mass = f.total_mass()
-        defect = abs(approx.integral() - mass)
-        assert defect <= eps + 1e-12
-        for freq in (1.0, 2.0):
-            err = self.observable_error(f, r, lambda t: math.cos(freq * t), approx)
-            assert err <= 0.5 * eps * abs(mass) + 1e-9
-
-    def test_rejects_negative_part(self):
-        r = MonotonePrimitive.cantor()
-        f = CompositeMeasure.from_atoms([(0.5, -0.3)])
-        with pytest.raises((ApproximationFailureError, InvalidParametersError)):
-            step_approximation(f, r, 0.1)

@@ -14,7 +14,6 @@ from fractalsturm import (
     StepFunction,
     UnsupportedConfigurationError,
     cantor_ladder,
-    generalized_inverse,
     identity_params,
     pushforward_params,
     transform_measure,
@@ -45,23 +44,6 @@ class TestPushforwardParams:
         out = pushforward_params(r, p)
         assert out.a == pytest.approx((0.25, 0.75))
         assert out.dprime == pytest.approx((0.5, 0.5))
-
-
-class TestGeneralizedInverse:
-    def test_cantor_inverse_values(self):
-        assert generalized_inverse(R_CANTOR, 0.0) == pytest.approx(0.0)
-        assert generalized_inverse(R_CANTOR, 1.0) == pytest.approx(1.0)
-        # inf{x : R(x) >= t}: the plateau at level 1/2 starts at x = 1/3
-        assert generalized_inverse(R_CANTOR, 0.5) == pytest.approx(1 / 3, abs=1e-12)
-        assert generalized_inverse(R_CANTOR, 0.25) == pytest.approx(1 / 9, abs=1e-12)
-
-    def test_round_trip_on_image_points(self):
-        from fractalsturm import evaluate
-
-        for t in (0.1, 0.3, 0.62, 0.9):
-            x = generalized_inverse(R_CANTOR, t)
-            val, err = evaluate(R_CANTOR.params, x)
-            assert val >= t - err - 1e-10
 
 
 class TestTransformMeasure:

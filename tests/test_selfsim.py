@@ -1,4 +1,4 @@
-"""Tests for self-similar primitives: evaluation, moments, iteration, atoms."""
+"""Tests for self-similar primitives: evaluation, moments, cells, atoms."""
 
 import math
 
@@ -13,13 +13,10 @@ from fractalsturm import (
     InvalidParametersError,
     MonotonePrimitive,
     ParameterMismatchError,
-    PiecewiseLinear,
     SelfSimilarParams,
     cantor_ladder,
     evaluate,
-    fixed_point_boundaries,
     identity_params,
-    iterate,
     jump_atoms,
     junction_gaps,
     moments,
@@ -88,11 +85,6 @@ def test_widths_must_partition():
         SelfSimilarParams(a=(0.5, 0.4), dprime=(0.5, 0.5), betaprime=(0.0, 0.5))
 
 
-def test_fixed_point_boundaries():
-    assert fixed_point_boundaries((1 / 3,) * 3, (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)) == (0.0, 1.0)
-    assert fixed_point_boundaries((0.5, 0.5), (0.5, 0.0), (0.0, 1.0)) == (0.0, 1.0)
-
-
 def test_junction_gaps_continuous_and_jumpy():
     assert junction_gaps(CANTOR) == (0.0, 0.0)
     assert junction_gaps(JUMP) == (0.5,)
@@ -145,31 +137,6 @@ def test_validate_contraction():
     assert validate_contraction(MonotonePrimitive.cantor(), CANTOR)
     with pytest.raises(ParameterMismatchError):
         validate_contraction(MonotonePrimitive.identity(2), CANTOR)
-
-
-def test_iterate_cantor_one_step():
-    pl = iterate(CANTOR, 1)
-    np.testing.assert_allclose(pl.breakpoints, [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-15)
-    np.testing.assert_allclose(pl.values, [0.0, 0.5, 0.5, 1.0], atol=1e-15)
-
-
-def test_iterate_converges_to_evaluate():
-    pl = iterate(CANTOR, 10)
-    for x in (1 / 9, 0.25, 0.5, 0.8):
-        val, err = evaluate(CANTOR, x)
-        # uniform convergence rate dmax^k
-        assert abs(pl(x) - val) <= 0.5**10 + err
-
-
-def test_iterate_rejects_jumpy_params():
-    with pytest.raises(InvalidParametersError):
-        iterate(JUMP, 2)
-
-
-def test_iterate_seed_must_match_boundaries():
-    bad = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.2, 1.0]))
-    with pytest.raises(InvalidParametersError):
-        iterate(CANTOR, 1, seed=bad)
 
 
 def test_support_cells_array_shape():

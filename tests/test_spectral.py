@@ -247,8 +247,10 @@ class TestSplittingInequality:
         assert chk.rhs_terms[0] == inner.lhs
         assert chk.rhs == sum(chk.rhs_terms)
 
-    def test_iterated_base_violates_splitting(self):
-        chk = splitting_inequality(MonotonePrimitive.cantor(), cantor_ladder(), 6, 510.0, depth=9)
+    @pytest.mark.parametrize("depth", [6, 9, 12, 14])
+    def test_iterated_base_violates_splitting(self, depth):
+        # the counts must not be an artefact of one mesh
+        chk = splitting_inequality(MonotonePrimitive.cantor(), cantor_ladder(), 6, 510.0, depth=depth)
         assert chk.lhs == 8
         assert chk.rhs_terms == (3, 1, 3)
         assert not chk.holds
