@@ -65,10 +65,6 @@ class BoundaryCondition:
     def neumann(cls) -> "BoundaryCondition":
         return cls(0.0, 0.0)
 
-    @classmethod
-    def robin(cls, v0: float, v1: float) -> "BoundaryCondition":
-        return cls(float(v0), float(v1))
-
 
 def boundary_data(u_matrix) -> BoundaryCondition:
     """Boundary condition encoded by a unitary 2x2 matrix U.

@@ -210,20 +210,15 @@ def _spectrum_sides(problem: Problem) -> list[int]:
 def cmd_spectrum(args) -> int:
     problem = load_problem(args.problem)
     ctx = SpectralContext(_build_discretization(problem, args.depth, args.k_iter))
+    if args.n_eigs is None and args.lambda_max is None:
+        raise InputError("spectrum needs --n-eigs or --lambda-max")
     rows: list[tuple[int, int, float]] = []
-    if args.n_eigs is not None:
-        for side in _spectrum_sides(problem):
+    for side in _spectrum_sides(problem):
+        if args.n_eigs is not None:
             eigs = ctx.eigenvalues(args.n_eigs, side, rtol=args.tol)
-            rows += [(side, n + 1, lam) for n, lam in enumerate(eigs)]
-    else:
-        lam_max = args.lambda_max
-        if lam_max is None:
-            raise InputError("spectrum needs --n-eigs or --lambda-max")
-        for side in _spectrum_sides(problem):
-            res = ctx.count(side * abs(lam_max))
-            total = res.n_plus if side > 0 else res.n_minus
-            eigs = ctx.eigenvalues(total, side, rtol=args.tol)
-            rows += [(side, n + 1, lam) for n, lam in enumerate(eigs)]
+        else:
+            eigs = ctx.eigenvalues_below(args.lambda_max, side, rtol=args.tol)
+        rows += [(side, n + 1, lam) for n, lam in enumerate(eigs)]
     if args.json:
         text = json.dumps(
             [{"side": s, "index": n, "lambda": lam} for s, n, lam in rows], indent=2

@@ -4,10 +4,12 @@ Counting is inertia based: with a reference shift xi where A - xi B is
 positive definite, the number of pencil eigenvalues between xi and lam
 equals the number of negative LDL^T pivots of A - lam B, so each query
 costs one tridiagonal sweep and no eigenvalue is ever missed or doubled.
-On top of that sit bisection for individual eigenvalues, power-law
-counting reports (dimension, log-period, case classification), the
-geometric-progression regime, and the splitting-inequality check
-N(lam) <= sum_i N(d_i d'_i lam) together with its refutation data.
+On top of that sit eigenvalues by multisection on the same counts, with
+each isolated eigenvalue polished by Rayleigh-quotient inverse iteration
+and certified by two counts, power-law counting reports (dimension,
+log-period, case classification), the geometric-progression regime, and
+the splitting-inequality check N(lam) <= sum_i N(d_i d'_i lam) together
+with its refutation data.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from ._kernels import min_pivot_ratio, negative_pivot_count, negative_pivot_counts
 from .assembly import (
     BoundaryCondition,
     PencilDiscretization,
+    _tri_apply,
     assemble_iterated_pair,
     default_shift_grid,
     positivity_scan,
@@ -37,6 +41,11 @@ from .selfsim import MonotonePrimitive, SelfSimilarParams, jump_atoms
 _NUDGE_REL = 1e-9
 # eigenvalue() gives up once its bracket grows past this bound
 _MAX_LAMBDA = 1e30
+# Rayleigh-quotient inverse iteration stops after this many solves
+_POLISH_SOLVES = 8
+# a failed certificate widens its window around the polished value by
+# this factor per round until the window brackets the eigenvalue
+_WIDEN = 100.0
 
 
 @dataclass(frozen=True)
@@ -68,11 +77,43 @@ def zero_tolerance(disc: PencilDiscretization) -> float:
     eigenvalues inside the band count as 0.  Heuristic, overridable in
     count()/SpectralContext.
     """
+    return 1e-12 * _norm_ratio(disc)
+
+
+def _norm_ratio(disc: PencilDiscretization) -> float:
+    """|A| / |B| in the largest-entry norm."""
     norm_a = max(np.max(np.abs(disc.a_diag), initial=0.0), np.max(np.abs(disc.a_off), initial=0.0))
     norm_b = max(np.max(np.abs(disc.b_diag), initial=0.0), np.max(np.abs(disc.b_off), initial=0.0))
     if norm_b == 0.0:
         raise InvalidParametersError("zero weight matrix")
-    return 1e-12 * norm_a / norm_b
+    return float(norm_a / norm_b)
+
+
+def _banded(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """A symmetric tridiagonal matrix in the (1, 1) banded storage of solve_banded."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = ab[2, :-1] = off
+    ab[1] = diag
+    return ab
+
+
+def _split(points, ks):
+    """Cut an interval at points [(t, count at t), ...] given in increasing t.
+
+    Returns the pieces (l, count at l, h, count at h, indices) that hold
+    an index: each index k of ks (ascending) goes to the first piece whose
+    upper count reaches k, as one bisection step per index would place it.
+    """
+    pieces = []
+    i = 1
+    for k in ks:
+        while i < len(points) - 1 and points[i][1] < k:
+            i += 1
+        if pieces and pieces[-1][2] == points[i][0]:
+            pieces[-1][4].append(k)
+        else:
+            pieces.append((*points[i - 1], *points[i], [k]))
+    return pieces
 
 
 def resolve_shift(disc: PencilDiscretization, reference_shift: float | None = None) -> float:
@@ -100,6 +141,8 @@ class SpectralContext:
     (-zt, lam + zt) and N-(lam) those in (lam - zt, -zt), both ends of
     lam widened by a relative nudge, so every interval ends at the band
     edge -zt: its inertia is swept here once and shared by all queries.
+    Eigenvalue searches count the same intervals with neither widening,
+    so the band decides only which eigenvalues are 0.
     """
 
     def __init__(
@@ -119,25 +162,28 @@ class SpectralContext:
             return lam + _NUDGE_REL * abs(lam) + self.zt
         return lam - _NUDGE_REL * abs(lam) - self.zt
 
-    def _result(self, lam: float, end: float, neg_end: int, near_end: int) -> CountingResult:
-        edge = -self.zt
-        neg_edge, near_edge = self._edge
-        if lam >= 0.0:
+    def _from_edge(self, end: float, neg_end: int) -> int:
+        """Eigenvalues between the band edge -zt and end, from the negatives at end."""
+        edge, neg_edge = -self.zt, self._edge[0]
+        if end >= edge:
             lo, hi, neg_lo, neg_hi = edge, end, neg_edge, neg_end
         else:
             lo, hi, neg_lo, neg_hi = end, edge, neg_end, neg_edge
         # negatives at x count the eigenvalues between xi and x
         if hi <= lo:
-            n = 0
-        elif hi <= self.xi:
-            n = neg_lo - neg_hi
-        elif lo >= self.xi:
-            n = neg_hi - neg_lo
-        else:
-            n = neg_lo + neg_hi
+            return 0
+        if hi <= self.xi:
+            return neg_lo - neg_hi
+        if lo >= self.xi:
+            return neg_hi - neg_lo
+        return neg_lo + neg_hi
+
+    def _result(self, lam: float, end: float, neg_end: int, near_end: int) -> CountingResult:
+        n = self._from_edge(end, neg_end)
+        near = self._edge[1] + near_end
         if lam >= 0.0:
-            return CountingResult(lam, n, 0, self.xi, near_edge + near_end)
-        return CountingResult(lam, 0, n, self.xi, near_edge + near_end)
+            return CountingResult(lam, n, 0, self.xi, near)
+        return CountingResult(lam, 0, n, self.xi, near)
 
     def counting_function(self, lams) -> list[CountingResult]:
         """Counts over a grid, one sweep per distinct interval end."""
@@ -158,39 +204,148 @@ class SpectralContext:
         return self.counting_function([lam])[0]
 
     def eigenvalue(self, n: int, side: int = 1, rtol: float = 1e-10) -> float:
-        """n-th eigenvalue (n >= 1) on the given side of 0 by count bisection."""
-        if n < 1:
-            raise InvalidParametersError("eigenvalue index starts at 1")
+        """n-th eigenvalue (n >= 1) on the given side of 0, within rtol."""
+        return self._eigenvalues([n], side, rtol)[0]
+
+    def eigenvalues(self, how_many: int, side: int = 1, rtol: float = 1e-10) -> list[float]:
+        """The first how_many eigenvalues on the given side of 0, within rtol."""
+        return self._eigenvalues(range(1, how_many + 1), side, rtol)
+
+    def eigenvalues_below(self, lam_max: float, side: int = 1, rtol: float = 1e-10) -> list[float]:
+        """Every eigenvalue that count(side * |lam_max|) counts, in order.
+
+        The sweep of that count also brackets them all, so no bracket
+        search runs.
+        """
+        return self._eigenvalues(None, side, rtol, start=self._endpoint(abs(lam_max)))
+
+    def _eigenvalues(self, indices, side: int, rtol: float, start: float = 1.0) -> list[float]:
+        """Eigenvalues of the given indices (every index counted at start if None).
+
+        Works in t = side * lam on the raw count c(t): the eigenvalues
+        strictly between the band edge -zt and side * t, with no widening.
+        An index k with c(zt) >= k lies in the zero band and is 0.  The
+        rest share one bracket, probed x8 upward from start until it holds
+        the largest index, and every probe cuts it.  Then each round sweeps,
+        in one batched call, the midpoints of every interval that still
+        holds a wanted index and is wider than rtol * h + 1e-14; a narrower
+        interval, or one with no float left inside, reports its midpoint.
+        An interval (l, h) that holds exactly one eigenvalue, a wanted one,
+        is polished once by Rayleigh-quotient inverse iteration to s,
+        unless rtol * l is below the rounding floor eps * |A| / |B|, where
+        no certificate can hold.  s is reported only if it lies in (l, h)
+        and the counts at s (1 -+ rtol), swept in the round's call, put the
+        index between them.  Otherwise the window around s widens x100 per
+        round until it brackets the index, and bisection goes on inside it.
+        """
         if side not in (1, -1):
             raise InvalidParametersError("side must be +1 or -1")
+        wanted = None if indices is None else sorted(set(indices))
+        if wanted is not None:
+            if not wanted:
+                return []
+            if wanted[0] < 1:
+                raise InvalidParametersError("eigenvalue index starts at 1")
+        d = self.disc
 
-        def counted(x: float) -> int:
-            res = self.count(side * x)
-            return res.n_plus if side == 1 else res.n_minus
+        def counts(ts) -> dict[float, int]:
+            ts = list(dict.fromkeys(ts))
+            if not ts:
+                return {}
+            negs, _ = negative_pivot_counts(
+                d.a_diag, d.a_off, d.b_diag, d.b_off, [side * t for t in ts]
+            )
+            return {t: self._from_edge(side * t, neg) for t, neg in zip(ts, negs.tolist())}
 
-        if counted(0.0) >= n:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        while counted(hi) < n:
-            lo = hi
+        lo = self.zt
+        # nothing lies between -zt and the band edge: no sweep on side -1
+        first = counts([lo, start]) if side > 0 else {lo: 0, **counts([start])}
+        if wanted is None:
+            wanted = list(range(1, first[start] + 1))
+        found = dict.fromkeys([k for k in wanted if k <= first[lo]], 0.0)
+        rest = [k for k in wanted if k > first[lo]]
+        points = [(lo, first[lo])]
+        hi, c_hi = start, first[start]
+        while rest and (hi <= lo or c_hi < rest[-1]):
+            if hi > lo:
+                points.append((hi, c_hi))
             hi *= 8.0
             if hi > _MAX_LAMBDA:
                 raise EigenvalueNotFoundError(
-                    f"no eigenvalue #{n} on side {side:+d} below {_MAX_LAMBDA}"
+                    f"no eigenvalue #{rest[-1]} on side {side:+d} below {_MAX_LAMBDA}"
                 )
-        while hi - lo > rtol * hi + 1e-14:
-            mid = 0.5 * (lo + hi)
-            if counted(mid) >= n:
-                hi = mid
-            else:
-                lo = mid
-        val = 0.5 * (lo + hi)
-        if val <= 2.0 * self.zt:
-            val = 0.0
-        return side * val
+            c_hi = counts([hi])[hi]
+        points.append((hi, c_hi))
 
-    def eigenvalues(self, how_many: int, side: int = 1, rtol: float = 1e-10) -> list[float]:
-        return [self.eigenvalue(k, side, rtol=rtol) for k in range(1, how_many + 1)]
+        # intervals (l, c(l), h, c(h), indices, probe); a probe (s, step)
+        # cuts at s + step for an index whose certificate at s failed
+        active = [(*piece, None) for piece in _split(points, rest)]
+        floor = np.finfo(float).eps * _norm_ratio(d)
+        x0 = None
+        polished = set()
+        while active:
+            plans = []
+            for l, c_l, h, c_h, ks, probe in active:
+                mid = 0.5 * (l + h)
+                # done when narrow enough, or when no float lies between l and h
+                if h - l <= rtol * h + 1e-14 or not l < mid < h:
+                    found.update(dict.fromkeys(ks, mid))
+                    continue
+                s = None
+                if len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished and rtol * l >= floor:
+                    polished.add(ks[0])
+                    if x0 is None:
+                        x0 = np.random.default_rng(0).standard_normal((d.n_free, 1))
+                    s = self._polish(*sorted((side * l, side * h)), rtol, x0)
+                    s = None if s is None else side * s
+                if s is not None:
+                    cut = [t for t in (s * (1.0 - rtol), s * (1.0 + rtol)) if l < t < h]
+                elif probe is not None and l < probe[0] + probe[1] < h:
+                    cut = [probe[0] + probe[1]]
+                else:
+                    cut = [mid]
+                plans.append((l, c_l, h, c_h, ks, probe, s, cut))
+            swept = counts([t for plan in plans for t in plan[-1]])
+            active = []
+            for l, c_l, h, c_h, ks, probe, s, cut in plans:
+                pts = [(l, c_l)] + [(t, swept[t]) for t in cut] + [(h, c_h)]
+                for a, c_a, b, c_b, sub in _split(pts, ks):
+                    if s is not None:
+                        if s * (1.0 - rtol) <= a and b <= s * (1.0 + rtol):
+                            found[sub[0]] = s
+                            continue
+                        step = _WIDEN * rtol * s
+                        probe = (s, step if a >= s else -step)
+                    elif probe is not None and cut[0] == probe[0] + probe[1]:
+                        if (a >= cut[0]) if probe[1] > 0 else (b <= cut[0]):
+                            # the window does not reach the eigenvalue yet
+                            probe = (probe[0], _WIDEN * probe[1])
+                    active.append((a, c_a, b, c_b, sub, probe))
+        return [side * found[k] for k in (wanted if indices is None else indices)]
+
+    def _polish(self, lo: float, hi: float, rtol: float, x0: np.ndarray) -> float | None:
+        """Rayleigh-quotient inverse iteration for the one eigenvalue in (lo, hi).
+
+        Starts from x0 with the shift at the midpoint.  Returns the
+        quotient once it moves by at most rtol / 100 relative, or after
+        _POLISH_SOLVES solves; None when a quotient leaves (lo, hi).
+        """
+        d = self.disc
+        band_a, band_b = _banded(d.a_diag, d.a_off), _banded(d.b_diag, d.b_off)
+        x, shift, rho = x0, 0.5 * (lo + hi), None
+        for _ in range(_POLISH_SOLVES):
+            try:
+                y = solve_banded((1, 1), band_a - shift * band_b, _tri_apply(band_b, x))
+            except np.linalg.LinAlgError:
+                return shift  # A - shift B is singular: shift is an eigenvalue
+            x = y / np.linalg.norm(y)
+            new = float((x * _tri_apply(band_a, x)).sum() / (x * _tri_apply(band_b, x)).sum())
+            if not lo < new < hi:
+                return None
+            if rho is not None and abs(new - rho) <= 0.01 * rtol * abs(new):
+                return new
+            shift = rho = new
+        return rho
 
     def asymptotics_report(self, d, dprime, lambdas) -> AsymptoticsReport:
         """Sample N±(lam)/lam^D on a (positive) lambda grid.
@@ -309,7 +464,7 @@ def eigenvalue(
     reference_shift: float | None = None,
     rtol: float = 1e-10,
 ) -> float:
-    """n-th eigenvalue (n >= 1) on the given side of 0 by count bisection."""
+    """n-th eigenvalue: SpectralContext.eigenvalue on a fresh context."""
     return SpectralContext(disc, reference_shift).eigenvalue(n, side, rtol)
 
 

@@ -180,6 +180,16 @@ class TestSpectrum:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) - 1 == 3
 
+    def test_lambda_max_rows_match_n_eigs(self, problems, capsys):
+        assert main(["spectrum", problems["cantor"], "--lambda-max", "2000", "--json"]) == 0
+        below = json.loads(capsys.readouterr().out)
+        assert main(["spectrum", problems["cantor"], "--n-eigs", str(len(below)), "--json"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert len(below) > 3
+        assert [(r["side"], r["index"]) for r in below] == [(r["side"], r["index"]) for r in first]
+        for b, f in zip(below, first):
+            assert b["lambda"] == pytest.approx(f["lambda"], rel=2e-10)
+
     def test_requires_a_range_option(self, problems, capsys):
         assert main(["spectrum", problems["lebesgue"]]) == 2
 

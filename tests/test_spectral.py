@@ -1,4 +1,4 @@
-"""Tests for counting, bisection eigenvalues, and asymptotics diagnostics."""
+"""Tests for counting, multisection eigenvalues, and asymptotics diagnostics."""
 
 import io
 import math
@@ -35,7 +35,7 @@ from fractalsturm import (
 from fractalsturm import _kernels
 from fractalsturm.spectral import resolve_shift, zero_tolerance
 
-from _oracles import dense_count, pencil_eigenvalues
+from _oracles import arpack_eigenvalues, dense_count, pencil_eigenvalues
 
 DIRICHLET = BoundaryCondition(None, None)
 NEUMANN = BoundaryCondition(0.0, 0.0)
@@ -124,11 +124,8 @@ class TestEigenvalues:
         dense = pencil_eigenvalues(disc)
         pos = sorted(m for m in dense if m > 0)
         got = eigenvalues(disc, 5)
-        # count() treats a zero_tolerance window as part of lambda and
-        # nudges intervals by 1e-9 relative, so bisection inherits both
-        zt = zero_tolerance(disc)
         for g, d in zip(got, pos):
-            assert abs(g - d) <= zt + 3e-9 * abs(d)
+            assert abs(g - d) <= 1e-10 * abs(d)
 
     def test_count_consistency(self):
         disc = assemble(1.0, 0.0, CompositeMeasure.from_selfsim(cantor_ladder()), NEUMANN, depth=6)
@@ -150,7 +147,50 @@ class TestEigenvalues:
         assert em < 0
         dense = pencil_eigenvalues(disc)
         neg = sorted((m for m in dense if m < 0), key=abs)
-        assert abs(em - neg[0]) <= zero_tolerance(disc) + 3e-9 * abs(neg[0])
+        assert abs(em - neg[0]) <= 1e-10 * abs(neg[0])
+
+    def test_counterexample_matches_arpack(self):
+        r = MonotonePrimitive.cantor()
+        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        got = eigenvalues(disc, 20)
+        for g, m in zip(got, arpack_eigenvalues(disc, 22)):
+            assert abs(g - m) <= 1e-9 * max(abs(m), 1.0)
+
+    @pytest.mark.parametrize("depth, rel", [(9, 1e-6), (13, 1e-6), (15, 1e-5)])
+    def test_cantor_string_matches_arpack(self, depth, rel):
+        # no longer low by the zero band, which is 2.5 wide at depth 15
+        disc = assemble_iterated_pair(MonotonePrimitive.cantor(), 0, cantor_ladder(), NEUMANN, depth)
+        got = eigenvalues(disc, 7)
+        assert got[0] == 0.0
+        assert got[1] > 7.0
+        for g, m in zip(got[1:], arpack_eigenvalues(disc, 8)[1:]):
+            assert abs(g - m) <= rel * m
+
+    def test_values_are_certified_by_counts(self):
+        # raw counts of (-zt, x) put index k between e_k (1 -+ rtol)
+        r = MonotonePrimitive.cantor()
+        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        ctx = SpectralContext(disc)
+        rtol = 1e-10
+
+        def raw(x):
+            return ctx._from_edge(x, inertia(disc, x)[0])
+
+        for k, e in enumerate(ctx.eigenvalues(20, rtol=rtol), start=1):
+            if e != 0.0:
+                assert raw(e * (1 - rtol)) < k <= raw(e * (1 + rtol))
+
+    def test_no_polish_below_rounding_floor(self, monkeypatch):
+        # rtol * lam under eps * |A| / |B|: no count could certify a polish
+        disc = assemble(1.0, 0.0, CompositeMeasure.from_selfsim(cantor_ladder()), DIRICHLET, depth=6)
+        pos = sorted(m for m in pencil_eigenvalues(disc) if m > 0)
+
+        def refuse(*args):
+            raise AssertionError("polished below the rounding floor")
+
+        monkeypatch.setattr(SpectralContext, "_polish", refuse)
+        for g, d in zip(eigenvalues(disc, 5, rtol=1e-17), pos):
+            assert abs(g - d) <= 1e-12 * d
 
     def test_missing_eigenvalue_raises(self):
         disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), DIRICHLET, depth=3)
@@ -338,22 +378,23 @@ class TestSweepCounts:
         monkeypatch.setattr(_kernels, "_sweep", recording)
         return lams
 
-    def test_eigenvalues_sweep_once_per_bisection_step(self, swept, monkeypatch):
-        disc = assemble(1.0, 0.0, CompositeMeasure.from_selfsim(cantor_ladder()), NEUMANN, depth=9)
+    def test_eigenvalues_share_batched_sweeps(self, swept, monkeypatch):
+        r = MonotonePrimitive.cantor()
+        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
         xi = resolve_shift(disc)
-        queries = []
-        count_one = SpectralContext.count
+        batches = []
+        many = _kernels.sturm_pivots_many
 
-        def counting(ctx, lam):
-            queries.append(lam)
-            return count_one(ctx, lam)
+        def recording(a_diag, a_off, b_diag, b_off, lams, *rest):
+            batches.append(lams.tolist())
+            return many(a_diag, a_off, b_diag, b_off, lams, *rest)
 
-        monkeypatch.setattr(SpectralContext, "count", counting)
+        monkeypatch.setattr(_kernels, "sturm_pivots_many", recording)
         swept.clear()
-        eigenvalues(disc, 6, reference_shift=xi)
-        # one sweep validates xi and one takes the band edge, for all six
-        assert len(swept) == len(queries) + 2
-        assert len(queries) > 6 * 20
+        eigenvalues(disc, 20, reference_shift=xi)
+        # one bisection per index took 770 sweeps here
+        assert len(swept) <= 140
+        assert all(len(set(lams)) == len(lams) for lams in batches)
 
     def test_asymptotics_report_sweeps_each_endpoint_once(self, swept):
         cl = cantor_ladder()
@@ -366,3 +407,26 @@ class TestSweepCounts:
         assert len(swept) == len(set(swept))
         # xi, the band edge, the grid, and the grid points shifted by one period
         assert len(lams) + 2 < len(swept) < 2 * len(lams) + 2
+
+    def test_failed_certificate_falls_back_to_bisection(self, swept, monkeypatch):
+        r = MonotonePrimitive.cantor()
+        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        exact = eigenvalues(disc, 12)
+        polish = SpectralContext._polish
+        polished = []
+
+        def off_by_1e7(ctx, lo, hi, rtol, x0):
+            s = polish(ctx, lo, hi, rtol, x0)
+            polished.append(s)
+            return None if s is None else s * (1 + 1e-7)
+
+        monkeypatch.setattr(SpectralContext, "_polish", off_by_1e7)
+        swept.clear()
+        got = eigenvalues(disc, 12)
+        # one polish per index at most, and none of them certified
+        assert 0 < len(polished) <= 11
+        # the x100 windows around the failed values cut bisection short:
+        # 241 sweeps against 374 with plain bisection, 97 when certified
+        assert len(swept) <= 260
+        for g, e in zip(got, exact):
+            assert abs(g - e) <= 2e-10 * abs(e)
