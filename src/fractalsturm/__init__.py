@@ -3,8 +3,12 @@ are self-similar (Cantor-type) measures.
 
 Everything is built from immutable dataclasses and pure functions, so
 concurrent read access is safe.  Eigenvalue counts come from one inertia
-sweep of the tridiagonal pencil per spectral parameter; a SpectralContext
-resolves a pencil's reference shift and zero band once for many queries.
+sweep of the tridiagonal pencil per spectral parameter, and the pencil
+remembers each sweep in a bounded memo of its own.  Threads that share a
+pencil share that memo: at worst two of them sweep the same parameter
+and store the same answer, and no result depends on what the memo holds.
+A SpectralContext resolves a pencil's reference shift and zero band for
+many queries.
 """
 
 from .assembly import (

@@ -4,6 +4,10 @@ Counting is inertia based: with a reference shift xi where A - xi B is
 positive definite, the number of pencil eigenvalues between xi and lam
 equals the number of negative LDL^T pivots of A - lam B, so each query
 costs one tridiagonal sweep and no eigenvalue is ever missed or doubled.
+That inertia depends only on the pencil and lam, so the pencil remembers
+it: a lam that any count, shift check or eigenvalue search has already
+swept on a pencil costs no sweep again, however many SpectralContexts
+are built on it.
 On top of that sit eigenvalues by multisection on the same counts, with
 each isolated eigenvalue polished by Rayleigh-quotient inverse iteration
 and certified by two counts, power-law counting reports (dimension,
@@ -21,7 +25,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from ._kernels import min_pivot_ratio, negative_pivot_count, negative_pivot_counts
 from .assembly import (
     BoundaryCondition,
     PencilDiscretization,
@@ -66,7 +69,7 @@ class CountingResult:
 
 def inertia(disc: PencilDiscretization, lam: float) -> tuple[int, int]:
     """(negative, near-zero) pivot counts of A - lam B."""
-    return negative_pivot_count(disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, lam)
+    return disc._sweeps([lam])[0]
 
 
 def zero_tolerance(disc: PencilDiscretization) -> float:
@@ -77,16 +80,7 @@ def zero_tolerance(disc: PencilDiscretization) -> float:
     eigenvalues inside the band count as 0.  Heuristic, overridable in
     count()/SpectralContext.
     """
-    return 1e-12 * _norm_ratio(disc)
-
-
-def _norm_ratio(disc: PencilDiscretization) -> float:
-    """|A| / |B| in the largest-entry norm."""
-    norm_a = max(np.max(np.abs(disc.a_diag), initial=0.0), np.max(np.abs(disc.a_off), initial=0.0))
-    norm_b = max(np.max(np.abs(disc.b_diag), initial=0.0), np.max(np.abs(disc.b_off), initial=0.0))
-    if norm_b == 0.0:
-        raise InvalidParametersError("zero weight matrix")
-    return float(norm_a / norm_b)
+    return 1e-12 * disc._norm_ratio
 
 
 def _banded(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -119,9 +113,7 @@ def _split(points, ks):
 def resolve_shift(disc: PencilDiscretization, reference_shift: float | None = None) -> float:
     """Validate or find a shift xi with A - xi B positive definite."""
     if reference_shift is not None:
-        neg, min_rel = min_pivot_ratio(
-            disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, float(reference_shift)
-        )
+        ((neg, min_rel),) = disc._sweeps([reference_shift], ratio=True)
         if neg > 0 or min_rel <= 1e-15:
             raise IndefinitePencilError(
                 f"A - xi B not positive definite at xi = {reference_shift}"
@@ -136,13 +128,15 @@ def resolve_shift(disc: PencilDiscretization, reference_shift: float | None = No
 class SpectralContext:
     """Counting and eigenvalue queries on one pencil.
 
-    The reference shift xi and the zero band (-zt, zt) are resolved once,
-    on construction.  N+(lam) counts the eigenvalues in the open interval
-    (-zt, lam + zt) and N-(lam) those in (lam - zt, -zt), both ends of
-    lam widened by a relative nudge, so every interval ends at the band
-    edge -zt: its inertia is swept here once and shared by all queries.
-    Eigenvalue searches count the same intervals with neither widening,
-    so the band decides only which eigenvalues are 0.
+    The reference shift xi and the zero band (-zt, zt) are resolved on
+    construction.  N+(lam) counts the eigenvalues in (-zt, lam] and
+    N-(lam) those in [lam, -zt), lam widened by a relative nudge; an end
+    inside the band moves to its edge, so N+ counts the whole band from
+    lam = 0 on and N- none of it.  Every interval ends at the band edge
+    -zt.  Eigenvalue searches count the same intervals without the nudge,
+    so the band decides only which eigenvalues are 0, and count() agrees
+    with eigenvalue(s).  The sweeps at xi, at -zt and at every end are
+    remembered by the pencil and shared by all contexts on it.
     """
 
     def __init__(
@@ -157,10 +151,14 @@ class SpectralContext:
         self._edge = inertia(disc, -self.zt)
 
     def _endpoint(self, lam: float) -> float:
-        """The end of the interval counted at lam other than -zt."""
+        """The end of the interval counted at lam other than -zt.
+
+        lam widened by the relative nudge, and never inside the zero band:
+        N+ counts the whole band from lam = 0 on, N- none of it.
+        """
         if lam >= 0.0:
-            return lam + _NUDGE_REL * abs(lam) + self.zt
-        return lam - _NUDGE_REL * abs(lam) - self.zt
+            return max(lam + _NUDGE_REL * lam, self.zt)
+        return min(lam + _NUDGE_REL * lam, -self.zt)
 
     def _from_edge(self, end: float, neg_end: int) -> int:
         """Eigenvalues between the band edge -zt and end, from the negatives at end."""
@@ -186,14 +184,11 @@ class SpectralContext:
         return CountingResult(lam, 0, n, self.xi, near)
 
     def counting_function(self, lams) -> list[CountingResult]:
-        """Counts over a grid, one sweep per distinct interval end."""
+        """Counts over a grid, one sweep per interval end the pencil has not seen."""
         lams = [float(x) for x in lams]
         ends = [self._endpoint(lam) for lam in lams]
-        distinct = list(dict.fromkeys(ends))
-        d = self.disc
-        negs, nears = negative_pivot_counts(d.a_diag, d.a_off, d.b_diag, d.b_off, distinct)
-        swept = dict(zip(distinct, zip(negs.tolist(), nears.tolist())))
-        return [self._result(lam, end, *swept[end]) for lam, end in zip(lams, ends)]
+        swept = self.disc._sweeps(ends)
+        return [self._result(lam, end, *inert) for lam, end, inert in zip(lams, ends, swept)]
 
     def count(self, lam: float) -> CountingResult:
         """Counting function at lam by Sylvester inertia.
@@ -214,8 +209,8 @@ class SpectralContext:
     def eigenvalues_below(self, lam_max: float, side: int = 1, rtol: float = 1e-10) -> list[float]:
         """Every eigenvalue that count(side * |lam_max|) counts, in order.
 
-        The sweep of that count also brackets them all, so no bracket
-        search runs.
+        The count at that end also brackets them all, so no bracket search
+        runs; the pencil shares its sweep with count() at the same bound.
         """
         return self._eigenvalues(None, side, rtol, start=self._endpoint(abs(lam_max)))
 
@@ -249,13 +244,8 @@ class SpectralContext:
         d = self.disc
 
         def counts(ts) -> dict[float, int]:
-            ts = list(dict.fromkeys(ts))
-            if not ts:
-                return {}
-            negs, _ = negative_pivot_counts(
-                d.a_diag, d.a_off, d.b_diag, d.b_off, [side * t for t in ts]
-            )
-            return {t: self._from_edge(side * t, neg) for t, neg in zip(ts, negs.tolist())}
+            swept = d._sweeps([side * t for t in ts])
+            return {t: self._from_edge(side * t, neg) for t, (neg, _) in zip(ts, swept)}
 
         lo = self.zt
         # nothing lies between -zt and the band edge: no sweep on side -1
@@ -280,7 +270,7 @@ class SpectralContext:
         # intervals (l, c(l), h, c(h), indices, probe); a probe (s, step)
         # cuts at s + step for an index whose certificate at s failed
         active = [(*piece, None) for piece in _split(points, rest)]
-        floor = np.finfo(float).eps * _norm_ratio(d)
+        floor = np.finfo(float).eps * d._norm_ratio
         x0 = None
         polished = set()
         while active:

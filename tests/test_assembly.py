@@ -12,6 +12,7 @@ from fractalsturm import (
     CompositeMeasure,
     InvalidParametersError,
     MonotonePrimitive,
+    PencilDiscretization,
     ResolventPoleError,
     SelfSimilarParams,
     StepFunction,
@@ -160,7 +161,28 @@ class TestAssemble:
 
     def test_scaled_preserves_counts(self):
         disc = assemble(1.0, 0.0, TWO_ATOMS, DIRICHLET, depth=8)
-        assert count(disc, 100.0).n_plus == count(disc.scaled(3.0), 100.0).n_plus
+        arrays = (3.0 * disc.a_diag, 3.0 * disc.a_off, 3.0 * disc.b_diag, 3.0 * disc.b_off)
+        scaled = PencilDiscretization(disc.nodes, *arrays, disc.free_start, disc.constrained)
+        assert count(disc, 100.0).n_plus == count(scaled, 100.0).n_plus
+
+    def test_pencil_is_read_only(self):
+        a_diag = np.array([2.0, 2.0])
+        off = np.array([-1.0, 7.0])
+        view = off[:1]
+        view.flags.writeable = False
+        disc = PencilDiscretization(np.array([0.0, 0.5, 1.0]), a_diag, view, np.ones(2), np.zeros(1), 0, ())
+        # writable inputs, and read-only views of writable memory, are copied
+        a_diag[0] = 5.0
+        off[0] = 5.0
+        assert disc.a_diag[0] == 2.0 and disc.a_off[0] == -1.0
+        assembled = assemble(1.0, 0.0, TWO_ATOMS, DIRICHLET, depth=4)
+        for d in (disc, assembled):
+            for arr in (d.nodes, d.a_diag, d.a_off, d.b_diag, d.b_off):
+                assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            with pytest.raises(ValueError):
+                d.a_diag[0] = 1.0
+            with pytest.raises(ValueError):
+                d.b_off += 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -2,18 +2,24 @@
 
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalsturm import (
     BoundaryCondition,
     CompositeMeasure,
     EigenvalueNotFoundError,
+    FractalSturmError,
     GeometricRegimeError,
     IndefinitePencilError,
     InvalidParametersError,
     MonotonePrimitive,
+    PencilDiscretization,
     SelfSimilarParams,
     SpectralContext,
     asymptotics_report,
@@ -28,11 +34,12 @@ from fractalsturm import (
     inertia,
     ladder_counts,
     period_and_case,
+    positivity_scan,
     spectral_dimension,
     splitting_inequality,
     write_counting_csv,
 )
-from fractalsturm import _kernels
+from fractalsturm import _kernels, assembly
 from fractalsturm.spectral import resolve_shift, zero_tolerance
 
 from _oracles import arpack_eigenvalues, dense_count, pencil_eigenvalues
@@ -97,6 +104,18 @@ class TestCounting:
         assert count(disc, 10.0, zero_tol=0.0).near_zero >= 1
         assert count(disc, 10.0).near_zero == 0
         assert counting_function(disc, [10.0], zero_tol=0.0)[0].near_zero >= 1
+
+    @pytest.mark.parametrize("depth", [9, 15])
+    def test_counts_agree_with_eigenvalues(self, depth):
+        # the zero band is 2.51 wide at depth 15; counts end at lam, not lam + zt
+        disc = assemble_iterated_pair(MonotonePrimitive.cantor(), 0, cantor_ladder(), NEUMANN, depth)
+        assert count(disc, 5.0).n_plus == 1
+        assert count(disc, 0.0).n_plus == 1
+        e = eigenvalues(disc, 7)
+        for k in range(2, 8):
+            below = count(disc, e[k - 1] * (1 - 1e-8)).n_plus
+            above = count(disc, e[k - 1] * (1 + 1e-8)).n_plus
+            assert below < k <= above
 
     def test_indefinite_potential_has_no_shift(self):
         two = CompositeMeasure.from_atoms([(0.4, 1.0), (0.6, 1.0)])
@@ -359,7 +378,8 @@ class TestShiftResolution:
     def test_zero_tolerance_scales_with_pencil(self):
         disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), DIRICHLET, depth=5)
         zt1 = zero_tolerance(disc)
-        zt2 = zero_tolerance(disc.scaled(1000.0))
+        arrays = (1000.0 * disc.a_diag, 1000.0 * disc.a_off, 1000.0 * disc.b_diag, 1000.0 * disc.b_off)
+        zt2 = zero_tolerance(PencilDiscretization(disc.nodes, *arrays, disc.free_start, disc.constrained))
         assert zt1 > 0
         assert zt2 == pytest.approx(zt1, rel=1e-9)
 
@@ -405,7 +425,8 @@ class TestSweepCounts:
         rep = asymptotics_report(disc, cl.a, cl.dprime, lams, xi)
         assert rep.periodicity_defect is not None
         assert len(swept) == len(set(swept))
-        # xi, the band edge, the grid, and the grid points shifted by one period
+        # the band edge, the grid, and the grid points shifted by one
+        # period; xi was swept by resolve_shift and is not swept again
         assert len(lams) + 2 < len(swept) < 2 * len(lams) + 2
 
     def test_failed_certificate_falls_back_to_bisection(self, swept, monkeypatch):
@@ -430,3 +451,134 @@ class TestSweepCounts:
         assert len(swept) <= 260
         for g, e in zip(got, exact):
             assert abs(g - e) <= 2e-10 * abs(e)
+
+
+def cantor_pencil():
+    return assemble_iterated_pair(MonotonePrimitive.cantor(), 2, cantor_ladder(), NEUMANN, depth=6)
+
+
+def signed_pencil():
+    satoms = [(0.2, 1.0), (0.45, -0.4), (0.7, 0.8)]
+    return assemble(1.0, 0.0, CompositeMeasure.from_atoms(satoms), DIRICHLET, depth=5)
+
+
+def _ask(disc, query):
+    """A query's answer, or the type of the library error it raised."""
+    kind, args = query
+    try:
+        if kind == "eigenvalues_below":
+            lam_max, side = args
+            return SpectralContext(disc).eigenvalues_below(lam_max, side)
+        return QUERIES[kind](disc, *args)
+    except FractalSturmError as exc:
+        return type(exc)
+
+
+QUERIES = {
+    "count": count,
+    "counting_function": counting_function,
+    "eigenvalue": eigenvalue,
+    "eigenvalues": eigenvalues,
+    "resolve_shift": resolve_shift,
+    "positivity_scan": positivity_scan,
+}
+
+lams = st.sampled_from([0.0, 5.0, 85.0, 510.0, -30.0, 1e3]) | st.floats(-1e4, 1e4)
+shifts = st.none() | st.sampled_from([-1.0, 0.0, 1e3])
+sides = st.sampled_from([1, -1])
+queries = st.one_of(
+    st.tuples(st.just("count"), st.tuples(lams, shifts)),
+    st.tuples(st.just("counting_function"), st.tuples(st.lists(lams, max_size=6), shifts)),
+    st.tuples(st.just("eigenvalue"), st.tuples(st.integers(1, 4), sides)),
+    st.tuples(st.just("eigenvalues"), st.tuples(st.integers(1, 4), sides)),
+    st.tuples(st.just("eigenvalues_below"), st.tuples(st.floats(0.0, 3e3), sides)),
+    st.tuples(st.just("resolve_shift"), st.tuples(shifts)),
+    st.tuples(st.just("positivity_scan"), st.tuples(st.lists(lams, min_size=1, max_size=4))),
+)
+
+
+class TestPencilMemo:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """Spectral parameters swept by the two kernel entry points, in call order."""
+        seen = []
+        one, many = _kernels.sturm_pivots, _kernels.sturm_pivots_many
+
+        def one_spy(*args):
+            seen.append(args[4])
+            return one(*args)
+
+        def many_spy(*args):
+            seen.extend(args[4].tolist())
+            return many(*args)
+
+        monkeypatch.setattr(_kernels, "sturm_pivots", one_spy)
+        monkeypatch.setattr(_kernels, "sturm_pivots_many", many_spy)
+        return seen
+
+    def test_repeated_grid_costs_no_sweep(self, sweeps):
+        cl = cantor_ladder()
+        disc = assemble_iterated_pair(MonotonePrimitive.cantor(), 0, cl, NEUMANN, depth=9)
+        xi = resolve_shift(disc)
+        grid = np.geomspace(1e2, 1e5, 13)
+        asymptotics_report(disc, cl.a, cl.dprime, grid, xi)
+        first = counting_function(disc, grid, xi)
+        sweeps.clear()
+        assert counting_function(disc, grid, xi) == first
+        assert sweeps == []
+
+    def test_counts_share_shift_check_and_band_edge(self, sweeps):
+        disc = cantor_pencil()
+        xi = resolve_shift(disc)
+        sweeps.clear()
+        for lam in (10.0, 100.0, 1000.0):
+            count(disc, lam, xi)
+        # three interval ends and the band edge -zt, once
+        assert len(sweeps) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([cantor_pencil, signed_pencil]), st.lists(queries, min_size=1, max_size=8))
+    def test_answers_do_not_depend_on_earlier_queries(self, build, sequence):
+        disc = build()
+        for query in sequence:
+            assert _ask(disc, query) == _ask(build(), query)
+
+    def test_full_memo_is_cleared(self, monkeypatch):
+        grid = np.linspace(1.0, 3e3, 40)
+        fresh = cantor_pencil()
+        want = (counting_function(fresh, grid), eigenvalues(fresh, 6))
+        assert len(fresh._counts) > 8
+        monkeypatch.setattr(assembly, "_MEMO_SIZE", 8)
+        disc = cantor_pencil()
+        for _ in range(2):
+            assert (counting_function(disc, grid), eigenvalues(disc, 6)) == want
+            assert 0 < len(disc._counts) <= 8
+            assert 0 < len(disc._ratios) <= 8
+
+    def test_threads_sharing_a_pencil_get_the_same_answers(self, monkeypatch):
+        # a memo of 8 is cleared over and over while four threads use it
+        grid = np.linspace(1.0, 3e3, 40)
+        want = counting_function(cantor_pencil(), grid)
+        monkeypatch.setattr(assembly, "_MEMO_SIZE", 8)
+        disc = cantor_pencil()
+        got = []
+
+        def work():
+            for _ in range(20):
+                got.append(counting_function(disc, grid))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 80 and all(g == want for g in got)
+        # each thread checks the size before it stores, so at most one
+        # entry per thread slips past the limit
+        assert len(disc._counts) <= 8 + len(threads)
