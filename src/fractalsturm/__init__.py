@@ -7,8 +7,8 @@ sweep of the tridiagonal pencil per spectral parameter, and the pencil
 remembers each sweep in a bounded memo of its own.  Threads that share a
 pencil share that memo: at worst two of them sweep the same parameter
 and store the same answer, and no result depends on what the memo holds.
-A SpectralContext resolves a pencil's reference shift and zero band for
-many queries.
+The spectral queries are plain functions of the pencil; each resolves
+the reference shift and the zero band from the pencil's memo.
 """
 
 from .assembly import (
@@ -54,15 +54,14 @@ from .spectral import (
     AsymptoticsReport,
     CountingResult,
     GeometricReport,
-    SpectralContext,
     SplittingCheck,
     asymptotics_report,
     count,
     counting_function,
     eigenvalue,
     eigenvalues,
+    eigenvalues_below,
     geometric_asymptotics,
-    inertia,
     ladder_counts,
     period_and_case,
     spectral_dimension,

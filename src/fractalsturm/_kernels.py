@@ -187,15 +187,8 @@ def _as_arrays(a_diag, a_off, b_diag, b_off):
     )
 
 
-def negative_pivot_count(a_diag, a_off, b_diag, b_off, lam, near_tol=1e-12):
-    """(negatives, near-zeros) of A - lam B, with breakdown recovery."""
-    ad, ao, bd, bo = _as_arrays(a_diag, a_off, b_diag, b_off)
-    neg, near, _, _ = sturm_pivots(ad, ao, bd, bo, float(lam), near_tol)
-    return neg, near
-
-
 def negative_pivot_counts(a_diag, a_off, b_diag, b_off, lams, near_tol=1e-12):
-    """negative_pivot_count over a grid of spectral parameters."""
+    """(negatives, near-zeros) of A - lam B at each lam of a grid, with breakdown recovery."""
     ad, ao, bd, bo = _as_arrays(a_diag, a_off, b_diag, b_off)
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     negs = np.empty(lams.shape[0], dtype=np.int64)

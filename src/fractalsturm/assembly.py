@@ -176,15 +176,6 @@ class PencilDiscretization:
                 return cand
         raise InvalidParametersError(f"no mesh node at {x}")
 
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_free
-        a = np.diag(self.a_diag).astype(float)
-        b = np.diag(self.b_diag).astype(float)
-        idx = np.arange(n - 1)
-        a[idx, idx + 1] = a[idx + 1, idx] = self.a_off
-        b[idx, idx + 1] = b[idx + 1, idx] = self.b_off
-        return a, b
-
 
 def _frozen(arr) -> np.ndarray:
     """arr as a read-only C-contiguous float64 array that no array can write to.

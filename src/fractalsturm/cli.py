@@ -36,7 +36,17 @@ from .errors import FractalSturmError, InputError, UnsupportedConfigurationError
 from .measures import CompositeMeasure
 from .reduction import transform_measure
 from .selfsim import MonotonePrimitive, SelfSimilarParams, evaluate, validate_contraction
-from .spectral import SpectralContext, ladder_counts, splitting_inequality, write_counting_csv
+from .spectral import (
+    asymptotics_report,
+    counting_function,
+    eigenvalues,
+    eigenvalues_below,
+    geometric_asymptotics,
+    ladder_counts,
+    resolve_shift,
+    splitting_inequality,
+    write_counting_csv,
+)
 
 _PARAM_KEYS = {"a", "dprime", "betaprime"}
 
@@ -209,15 +219,16 @@ def _spectrum_sides(problem: Problem) -> list[int]:
 
 def cmd_spectrum(args) -> int:
     problem = load_problem(args.problem)
-    ctx = SpectralContext(_build_discretization(problem, args.depth, args.k_iter))
+    disc = _build_discretization(problem, args.depth, args.k_iter)
+    xi = resolve_shift(disc)
     if args.n_eigs is None and args.lambda_max is None:
         raise InputError("spectrum needs --n-eigs or --lambda-max")
     rows: list[tuple[int, int, float]] = []
     for side in _spectrum_sides(problem):
         if args.n_eigs is not None:
-            eigs = ctx.eigenvalues(args.n_eigs, side, rtol=args.tol)
+            eigs = eigenvalues(disc, args.n_eigs, side, xi, rtol=args.tol)
         else:
-            eigs = ctx.eigenvalues_below(args.lambda_max, side, rtol=args.tol)
+            eigs = eigenvalues_below(disc, args.lambda_max, side, xi, rtol=args.tol)
         rows += [(side, n + 1, lam) for n, lam in enumerate(eigs)]
     if args.json:
         text = json.dumps(
@@ -244,19 +255,20 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_asymptotics(args) -> int:
     problem = load_problem(args.problem)
     d, dprime = _pair_weights(problem)
-    ctx = SpectralContext(_build_discretization(problem, args.depth, args.k_iter))
+    disc = _build_discretization(problem, args.depth, args.k_iter)
+    xi = resolve_shift(disc)
     products = [di * dpi for di, dpi in zip(d, dprime)]
     nonzero = [p for p in products if p != 0.0]
     if len(nonzero) == 1:
         z_plus, z_minus = ladder_counts(problem.p_params)
-        report = ctx.geometric_asymptotics(nonzero[0], args.k_max, z_plus, z_minus).to_json()
+        report = geometric_asymptotics(disc, nonzero[0], args.k_max, z_plus, z_minus, xi).to_json()
         csv_text = None
     else:
         grid = _parse_grid(args.grid)
-        rep = ctx.asymptotics_report(d, dprime, grid)
+        rep = asymptotics_report(disc, d, dprime, grid, xi)
         report = rep.to_json()
         buf = io.StringIO()
-        write_counting_csv(buf, ctx.counting_function(grid), rep.dimension)
+        write_counting_csv(buf, counting_function(disc, grid, xi), rep.dimension)
         csv_text = buf.getvalue()
     if csv_text is not None and args.out is not None:
         _emit(csv_text, args.out)

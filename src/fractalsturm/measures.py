@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParametersError
-from .selfsim import SelfSimilarParams, evaluate
+from .selfsim import SelfSimilarParams
 
 _TOL = 1e-12
 
@@ -181,30 +181,6 @@ class CompositeMeasure:
             params, scale = self.selfsim
             m += scale * (params.p1 - params.p0)
         return float(m)
-
-    def cdf(self, x: float, depth: int = 48) -> float:
-        """mu([0, x]), atoms at x included; error bounded by the
-        self-similar evaluation bound at the given depth."""
-        x = float(x)
-        total = sum(w for pos, w in self.atoms if pos <= x + _TOL)
-        if self.density is not None:
-            total += self.density.integral(0.0, x)
-        if self.selfsim is not None:
-            # right limit of P, so a junction atom at x itself counts
-            params, scale = self.selfsim
-            total += scale * (evaluate(params, x, depth, side="right")[0] - params.p0)
-        return float(total)
-
-    def scaled(self, c: float) -> "CompositeMeasure":
-        dens = None
-        if self.density is not None:
-            dens = StepFunction(self.density.breaks, c * self.density.values)
-        ss = None
-        if self.selfsim is not None:
-            ss = (self.selfsim[0], c * self.selfsim[1])
-        return CompositeMeasure(
-            atoms=tuple((p, c * w) for p, w in self.atoms), density=dens, selfsim=ss
-        )
 
     def to_json(self):
         if not self.atoms and self.selfsim is None and self.density is not None:

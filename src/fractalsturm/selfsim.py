@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -171,12 +170,6 @@ class MonotonePrimitive:
             beta += p.dprime[i]
         if abs(p.p0) > _TOL or abs(p.p1 - 1.0) > _TOL:
             raise InvalidParametersError("primitive must run from 0 to 1")
-
-    @classmethod
-    def from_weights(cls, a: Sequence[float], d: Sequence[float]) -> "MonotonePrimitive":
-        d = _as_float_tuple(d)
-        beta = tuple(float(s) for s in np.concatenate(([0.0], np.cumsum(d[:-1]))))
-        return cls(SelfSimilarParams(a=a, dprime=d, betaprime=beta, p0=0.0, p1=1.0))
 
     @classmethod
     def cantor(cls) -> "MonotonePrimitive":

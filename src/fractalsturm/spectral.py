@@ -5,9 +5,9 @@ positive definite, the number of pencil eigenvalues between xi and lam
 equals the number of negative LDL^T pivots of A - lam B, so each query
 costs one tridiagonal sweep and no eigenvalue is ever missed or doubled.
 That inertia depends only on the pencil and lam, so the pencil remembers
-it: a lam that any count, shift check or eigenvalue search has already
-swept on a pencil costs no sweep again, however many SpectralContexts
-are built on it.
+it: each query resolves its shift and the zero band's edge from that
+memo, and a lam that any count, shift check or eigenvalue search has
+already swept on a pencil costs no sweep again.
 On top of that sit eigenvalues by multisection on the same counts, with
 each isolated eigenvalue polished by Rayleigh-quotient inverse iteration
 and certified by two counts, power-law counting reports (dimension,
@@ -67,18 +67,13 @@ class CountingResult:
     near_zero: int = 0
 
 
-def inertia(disc: PencilDiscretization, lam: float) -> tuple[int, int]:
-    """(negative, near-zero) pivot counts of A - lam B."""
-    return disc._sweeps([lam])[0]
-
-
 def zero_tolerance(disc: PencilDiscretization) -> float:
     """Width of the band around 0 identified with the zero eigenvalue.
 
     Floating-point assembly perturbs an exact zero eigenvalue (e.g. the
     Neumann constant mode) by roughly eps * |A| / |B| in pencil units;
-    eigenvalues inside the band count as 0.  Heuristic, overridable in
-    count()/SpectralContext.
+    eigenvalues inside the band count as 0.  Heuristic; every count and
+    eigenvalue search on the pencil uses it.
     """
     return 1e-12 * disc._norm_ratio
 
@@ -125,326 +120,66 @@ def resolve_shift(disc: PencilDiscretization, reference_shift: float | None = No
     return xi
 
 
-class SpectralContext:
-    """Counting and eigenvalue queries on one pencil.
+def _endpoint(lam: float, zt: float) -> float:
+    """The end of the interval counted at lam other than the band edge -zt.
 
-    The reference shift xi and the zero band (-zt, zt) are resolved on
-    construction.  N+(lam) counts the eigenvalues in (-zt, lam] and
-    N-(lam) those in [lam, -zt), lam widened by a relative nudge; an end
-    inside the band moves to its edge, so N+ counts the whole band from
-    lam = 0 on and N- none of it.  Every interval ends at the band edge
-    -zt.  Eigenvalue searches count the same intervals without the nudge,
-    so the band decides only which eigenvalues are 0, and count() agrees
-    with eigenvalue(s).  The sweeps at xi, at -zt and at every end are
-    remembered by the pencil and shared by all contexts on it.
+    lam widened by the relative nudge, and never inside the zero band:
+    N+ counts the whole band from lam = 0 on, N- none of it.
     """
-
-    def __init__(
-        self,
-        disc: PencilDiscretization,
-        reference_shift: float | None = None,
-        zero_tol: float | None = None,
-    ):
-        self.disc = disc
-        self.xi = resolve_shift(disc, reference_shift)
-        self.zt = zero_tolerance(disc) if zero_tol is None else float(zero_tol)
-        self._edge = inertia(disc, -self.zt)
-
-    def _endpoint(self, lam: float) -> float:
-        """The end of the interval counted at lam other than -zt.
-
-        lam widened by the relative nudge, and never inside the zero band:
-        N+ counts the whole band from lam = 0 on, N- none of it.
-        """
-        if lam >= 0.0:
-            return max(lam + _NUDGE_REL * lam, self.zt)
-        return min(lam + _NUDGE_REL * lam, -self.zt)
-
-    def _from_edge(self, end: float, neg_end: int) -> int:
-        """Eigenvalues between the band edge -zt and end, from the negatives at end."""
-        edge, neg_edge = -self.zt, self._edge[0]
-        if end >= edge:
-            lo, hi, neg_lo, neg_hi = edge, end, neg_edge, neg_end
-        else:
-            lo, hi, neg_lo, neg_hi = end, edge, neg_end, neg_edge
-        # negatives at x count the eigenvalues between xi and x
-        if hi <= lo:
-            return 0
-        if hi <= self.xi:
-            return neg_lo - neg_hi
-        if lo >= self.xi:
-            return neg_hi - neg_lo
-        return neg_lo + neg_hi
-
-    def _result(self, lam: float, end: float, neg_end: int, near_end: int) -> CountingResult:
-        n = self._from_edge(end, neg_end)
-        near = self._edge[1] + near_end
-        if lam >= 0.0:
-            return CountingResult(lam, n, 0, self.xi, near)
-        return CountingResult(lam, 0, n, self.xi, near)
-
-    def counting_function(self, lams) -> list[CountingResult]:
-        """Counts over a grid, one sweep per interval end the pencil has not seen."""
-        lams = [float(x) for x in lams]
-        ends = [self._endpoint(lam) for lam in lams]
-        swept = self.disc._sweeps(ends)
-        return [self._result(lam, end, *inert) for lam, end, inert in zip(lams, ends, swept)]
-
-    def count(self, lam: float) -> CountingResult:
-        """Counting function at lam by Sylvester inertia.
-
-        N+ includes an eigenvalue at 0 and one exactly at lam (resolved by
-        a relative nudge); N- covers [lam, 0) for negative lam.
-        """
-        return self.counting_function([lam])[0]
-
-    def eigenvalue(self, n: int, side: int = 1, rtol: float = 1e-10) -> float:
-        """n-th eigenvalue (n >= 1) on the given side of 0, within rtol."""
-        return self._eigenvalues([n], side, rtol)[0]
-
-    def eigenvalues(self, how_many: int, side: int = 1, rtol: float = 1e-10) -> list[float]:
-        """The first how_many eigenvalues on the given side of 0, within rtol."""
-        return self._eigenvalues(range(1, how_many + 1), side, rtol)
-
-    def eigenvalues_below(self, lam_max: float, side: int = 1, rtol: float = 1e-10) -> list[float]:
-        """Every eigenvalue that count(side * |lam_max|) counts, in order.
-
-        The count at that end also brackets them all, so no bracket search
-        runs; the pencil shares its sweep with count() at the same bound.
-        """
-        return self._eigenvalues(None, side, rtol, start=self._endpoint(abs(lam_max)))
-
-    def _eigenvalues(self, indices, side: int, rtol: float, start: float = 1.0) -> list[float]:
-        """Eigenvalues of the given indices (every index counted at start if None).
-
-        Works in t = side * lam on the raw count c(t): the eigenvalues
-        strictly between the band edge -zt and side * t, with no widening.
-        An index k with c(zt) >= k lies in the zero band and is 0.  The
-        rest share one bracket, probed x8 upward from start until it holds
-        the largest index, and every probe cuts it.  Then each round sweeps,
-        in one batched call, the midpoints of every interval that still
-        holds a wanted index and is wider than rtol * h + 1e-14; a narrower
-        interval, or one with no float left inside, reports its midpoint.
-        An interval (l, h) that holds exactly one eigenvalue, a wanted one,
-        is polished once by Rayleigh-quotient inverse iteration to s,
-        unless rtol * l is below the rounding floor eps * |A| / |B|, where
-        no certificate can hold.  s is reported only if it lies in (l, h)
-        and the counts at s (1 -+ rtol), swept in the round's call, put the
-        index between them.  Otherwise the window around s widens x100 per
-        round until it brackets the index, and bisection goes on inside it.
-        """
-        if side not in (1, -1):
-            raise InvalidParametersError("side must be +1 or -1")
-        wanted = None if indices is None else sorted(set(indices))
-        if wanted is not None:
-            if not wanted:
-                return []
-            if wanted[0] < 1:
-                raise InvalidParametersError("eigenvalue index starts at 1")
-        d = self.disc
-
-        def counts(ts) -> dict[float, int]:
-            swept = d._sweeps([side * t for t in ts])
-            return {t: self._from_edge(side * t, neg) for t, (neg, _) in zip(ts, swept)}
-
-        lo = self.zt
-        # nothing lies between -zt and the band edge: no sweep on side -1
-        first = counts([lo, start]) if side > 0 else {lo: 0, **counts([start])}
-        if wanted is None:
-            wanted = list(range(1, first[start] + 1))
-        found = dict.fromkeys([k for k in wanted if k <= first[lo]], 0.0)
-        rest = [k for k in wanted if k > first[lo]]
-        points = [(lo, first[lo])]
-        hi, c_hi = start, first[start]
-        while rest and (hi <= lo or c_hi < rest[-1]):
-            if hi > lo:
-                points.append((hi, c_hi))
-            hi *= 8.0
-            if hi > _MAX_LAMBDA:
-                raise EigenvalueNotFoundError(
-                    f"no eigenvalue #{rest[-1]} on side {side:+d} below {_MAX_LAMBDA}"
-                )
-            c_hi = counts([hi])[hi]
-        points.append((hi, c_hi))
-
-        # intervals (l, c(l), h, c(h), indices, probe); a probe (s, step)
-        # cuts at s + step for an index whose certificate at s failed
-        active = [(*piece, None) for piece in _split(points, rest)]
-        floor = np.finfo(float).eps * d._norm_ratio
-        x0 = None
-        polished = set()
-        while active:
-            plans = []
-            for l, c_l, h, c_h, ks, probe in active:
-                mid = 0.5 * (l + h)
-                # done when narrow enough, or when no float lies between l and h
-                if h - l <= rtol * h + 1e-14 or not l < mid < h:
-                    found.update(dict.fromkeys(ks, mid))
-                    continue
-                s = None
-                if len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished and rtol * l >= floor:
-                    polished.add(ks[0])
-                    if x0 is None:
-                        x0 = np.random.default_rng(0).standard_normal((d.n_free, 1))
-                    s = self._polish(*sorted((side * l, side * h)), rtol, x0)
-                    s = None if s is None else side * s
-                if s is not None:
-                    cut = [t for t in (s * (1.0 - rtol), s * (1.0 + rtol)) if l < t < h]
-                elif probe is not None and l < probe[0] + probe[1] < h:
-                    cut = [probe[0] + probe[1]]
-                else:
-                    cut = [mid]
-                plans.append((l, c_l, h, c_h, ks, probe, s, cut))
-            swept = counts([t for plan in plans for t in plan[-1]])
-            active = []
-            for l, c_l, h, c_h, ks, probe, s, cut in plans:
-                pts = [(l, c_l)] + [(t, swept[t]) for t in cut] + [(h, c_h)]
-                for a, c_a, b, c_b, sub in _split(pts, ks):
-                    if s is not None:
-                        if s * (1.0 - rtol) <= a and b <= s * (1.0 + rtol):
-                            found[sub[0]] = s
-                            continue
-                        step = _WIDEN * rtol * s
-                        probe = (s, step if a >= s else -step)
-                    elif probe is not None and cut[0] == probe[0] + probe[1]:
-                        if (a >= cut[0]) if probe[1] > 0 else (b <= cut[0]):
-                            # the window does not reach the eigenvalue yet
-                            probe = (probe[0], _WIDEN * probe[1])
-                    active.append((a, c_a, b, c_b, sub, probe))
-        return [side * found[k] for k in (wanted if indices is None else indices)]
-
-    def _polish(self, lo: float, hi: float, rtol: float, x0: np.ndarray) -> float | None:
-        """Rayleigh-quotient inverse iteration for the one eigenvalue in (lo, hi).
-
-        Starts from x0 with the shift at the midpoint.  Returns the
-        quotient once it moves by at most rtol / 100 relative, or after
-        _POLISH_SOLVES solves; None when a quotient leaves (lo, hi).
-        """
-        d = self.disc
-        band_a, band_b = _banded(d.a_diag, d.a_off), _banded(d.b_diag, d.b_off)
-        x, shift, rho = x0, 0.5 * (lo + hi), None
-        for _ in range(_POLISH_SOLVES):
-            try:
-                y = solve_banded((1, 1), band_a - shift * band_b, _tri_apply(band_b, x))
-            except np.linalg.LinAlgError:
-                return shift  # A - shift B is singular: shift is an eigenvalue
-            x = y / np.linalg.norm(y)
-            new = float((x * _tri_apply(band_a, x)).sum() / (x * _tri_apply(band_b, x)).sum())
-            if not lo < new < hi:
-                return None
-            if rho is not None and abs(new - rho) <= 0.01 * rtol * abs(new):
-                return new
-            shift = rho = new
-        return rho
-
-    def asymptotics_report(self, d, dprime, lambdas) -> AsymptoticsReport:
-        """Sample N±(lam)/lam^D on a (positive) lambda grid.
-
-        The band (min, max) of the positive-side ratio is taken over the
-        top decade of the grid.  When the lengths are commensurable the
-        report also measures the log-periodicity defect: the largest
-        change of the profile under one period shift (two periods in the
-        antiperiodic case, where one shift maps N+ to N- instead).
-        """
-        dim = spectral_dimension(d, dprime)
-        nu, tag = period_and_case(d, dprime)
-        lambdas = np.asarray(sorted(float(x) for x in lambdas))
-        if np.any(lambdas <= 0.0):
-            raise InvalidParametersError("lambda grid must be positive")
-        n_plus = np.array([r.n_plus for r in self.counting_function(lambdas)], dtype=float)
-        if any(dp < 0.0 for dp in dprime):
-            res_minus = self.counting_function(-lambdas)
-            n_minus = np.array([r.n_minus for r in res_minus], dtype=float)
-        else:
-            n_minus = np.zeros_like(n_plus)
-        ratio_plus = n_plus / lambdas**dim
-        ratio_minus = n_minus / lambdas**dim
-
-        top = lambdas >= lambdas[-1] / 10.0
-        band = (float(ratio_plus[top].min()), float(ratio_plus[top].max()))
-
-        defect = None
-        if nu is not None:
-            shift = math.exp(nu) if tag != "antiperiodic" else math.exp(2.0 * nu)
-            here = (lambdas >= lambdas[-1] / 100.0) & (
-                lambdas * shift <= lambdas[-1] * (1.0 + 1e-12)
-            )
-            base = lambdas[here]
-            if base.size:
-                there = self.counting_function(base * shift)
-                rho_here = n_plus[here] / base**dim
-                rho_there = np.array([r.n_plus for r in there]) / (base * shift) ** dim
-                defect = float(np.max(np.abs(rho_here - rho_there)))
-        return AsymptoticsReport(
-            dimension=dim,
-            period=nu,
-            case_tag=tag,
-            lambdas=lambdas,
-            n_plus=n_plus.astype(int),
-            n_minus=n_minus.astype(int),
-            ratio_plus=ratio_plus,
-            ratio_minus=ratio_minus,
-            ratio_band=band,
-            periodicity_defect=defect,
-        )
-
-    def geometric_asymptotics(
-        self, product: float, k_max: int, z_plus: int, z_minus: int = 0
-    ) -> GeometricReport:
-        """Successive-ratio diagnostics for the geometric regime.
-
-        With one nonzero scaling product d_m d'_m, eigenvalues split into
-        Z-periodic ladders.  A positive product keeps each side Z+- (resp.
-        Z-)-periodic with ratio (d_m d'_m)^{-1}.  A negative product maps
-        each side onto the other and back, so a side repeats only after
-        two substitutions: every Z+-th positive (Z--th negative)
-        eigenvalue grows by (d_m d'_m)^{-2}, and the two sides interleave
-        with one factor |d_m d'_m|^{-1}.
-        """
-        if product == 0.0 or abs(product) >= 1.0:
-            raise InvalidParametersError("scaling product must satisfy 0 < |product| < 1")
-        if k_max < 1:
-            raise InvalidParametersError("k_max must be >= 1")
-        if product > 0.0:
-            target = 1.0 / product
-            interleave = None
-        else:
-            target = 1.0 / product**2
-            interleave = 1.0 / abs(product)
-
-        ladders = []
-        for side, period in ((1, z_plus), (-1, z_minus)):
-            if period <= 0:
-                continue
-            needed = period * (k_max + 1)
-            eigs = self.eigenvalues(needed, side)
-            for offset in range(1, period + 1):
-                rungs = [eigs[idx] for idx in range(offset - 1, needed, period)]
-                ratios = tuple(
-                    rungs[j + 1] / rungs[j] for j in range(len(rungs) - 1) if rungs[j] != 0.0
-                )
-                ladders.append(GeometricLadder(side, offset, tuple(rungs), ratios))
-        return GeometricReport(product, target, interleave, tuple(ladders))
+    if lam >= 0.0:
+        return max(lam + _NUDGE_REL * lam, zt)
+    return min(lam + _NUDGE_REL * lam, -zt)
 
 
-def count(
-    disc: PencilDiscretization,
-    lam: float,
-    reference_shift: float | None = None,
-    zero_tol: float | None = None,
-) -> CountingResult:
-    """Counting function at lam: SpectralContext.count on a fresh context."""
-    return SpectralContext(disc, reference_shift, zero_tol).count(lam)
+def _from_edge(disc: PencilDiscretization, xi: float, ends) -> list[tuple[int, int]]:
+    """(eigenvalues between the band edge -zt and end, near-zero pivots) per end.
+
+    Sweeps -zt and every end in one call.  The negatives at x count the
+    eigenvalues between xi and x; taken + above xi and - below it, the
+    negatives at two points differ by the eigenvalues between them.  The
+    near-zero pivots are those at -zt and at the end together.
+    """
+    edge = -zero_tolerance(disc)
+    (neg_edge, near_edge), *swept = disc._sweeps([edge, *ends])
+    signed_edge = neg_edge if edge >= xi else -neg_edge
+    out = []
+    for end, (neg, near) in zip(ends, swept):
+        n = (neg if end >= xi else -neg) - signed_edge
+        out.append((n if end >= edge else -n, near_edge + near))
+    return out
 
 
 def counting_function(
-    disc: PencilDiscretization,
-    lams,
-    reference_shift: float | None = None,
-    zero_tol: float | None = None,
+    disc: PencilDiscretization, lams, reference_shift: float | None = None
 ) -> list[CountingResult]:
-    """Counts over a grid: SpectralContext.counting_function on a fresh context."""
-    return SpectralContext(disc, reference_shift, zero_tol).counting_function(lams)
+    """Counts over a grid, one sweep per interval end the pencil has not seen.
+
+    N+(lam) counts the eigenvalues in (-zt, lam] and N-(lam) those in
+    [lam, -zt), lam widened by a relative nudge; an end inside the zero
+    band moves to its edge, so N+ counts the whole band from lam = 0 on
+    and N- none of it.  Eigenvalue searches count the same intervals
+    without the nudge, so the band decides only which eigenvalues are 0,
+    and the counts agree with eigenvalue(s).
+    """
+    xi = resolve_shift(disc, reference_shift)
+    zt = zero_tolerance(disc)
+    lams = [float(x) for x in lams]
+    counted = _from_edge(disc, xi, [_endpoint(lam, zt) for lam in lams])
+    return [
+        CountingResult(lam, n, 0, xi, near) if lam >= 0.0 else CountingResult(lam, 0, n, xi, near)
+        for lam, (n, near) in zip(lams, counted)
+    ]
+
+
+def count(
+    disc: PencilDiscretization, lam: float, reference_shift: float | None = None
+) -> CountingResult:
+    """Counting function at lam by Sylvester inertia.
+
+    N+ includes an eigenvalue at 0 and one exactly at lam (resolved by
+    a relative nudge); N- covers [lam, 0) for negative lam.
+    """
+    return counting_function(disc, [lam], reference_shift)[0]
 
 
 def eigenvalue(
@@ -454,8 +189,8 @@ def eigenvalue(
     reference_shift: float | None = None,
     rtol: float = 1e-10,
 ) -> float:
-    """n-th eigenvalue: SpectralContext.eigenvalue on a fresh context."""
-    return SpectralContext(disc, reference_shift).eigenvalue(n, side, rtol)
+    """n-th eigenvalue (n >= 1) on the given side of 0, within rtol."""
+    return _eigenvalues(disc, resolve_shift(disc, reference_shift), [n], side, rtol)[0]
 
 
 def eigenvalues(
@@ -465,7 +200,153 @@ def eigenvalues(
     reference_shift: float | None = None,
     rtol: float = 1e-10,
 ) -> list[float]:
-    return SpectralContext(disc, reference_shift).eigenvalues(how_many, side, rtol)
+    """The first how_many eigenvalues on the given side of 0, within rtol."""
+    xi = resolve_shift(disc, reference_shift)
+    return _eigenvalues(disc, xi, range(1, how_many + 1), side, rtol)
+
+
+def eigenvalues_below(
+    disc: PencilDiscretization,
+    lam_max: float,
+    side: int = 1,
+    reference_shift: float | None = None,
+    rtol: float = 1e-10,
+) -> list[float]:
+    """Every eigenvalue that count(side * |lam_max|) counts, in order.
+
+    The count at that end also brackets them all, so no bracket search
+    runs; the pencil shares its sweep with count() at the same bound.
+    """
+    xi = resolve_shift(disc, reference_shift)
+    start = _endpoint(abs(lam_max), zero_tolerance(disc))
+    return _eigenvalues(disc, xi, None, side, rtol, start=start)
+
+
+def _eigenvalues(
+    disc: PencilDiscretization, xi: float, indices, side: int, rtol: float, start: float = 1.0
+) -> list[float]:
+    """Eigenvalues of the given indices (every index counted at start if None).
+
+    Works in t = side * lam on the raw count c(t): the eigenvalues
+    strictly between the band edge -zt and side * t, with no widening.
+    An index k with c(zt) >= k lies in the zero band and is 0.  The
+    rest share one bracket, probed x8 upward from start until it holds
+    the largest index, and every probe cuts it.  Then each round sweeps,
+    in one batched call, the midpoints of every interval that still
+    holds a wanted index and is wider than rtol * h + 1e-14; a narrower
+    interval, or one with no float left inside, reports its midpoint.
+    An interval (l, h) that holds exactly one eigenvalue, a wanted one,
+    is polished once by Rayleigh-quotient inverse iteration to s,
+    unless rtol * l is below the rounding floor eps * |A| / |B|, where
+    no certificate can hold.  s is reported only if it lies in (l, h)
+    and the counts at s (1 -+ rtol), swept in the round's call, put the
+    index between them.  Otherwise the window around s widens x100 per
+    round until it brackets the index, and bisection goes on inside it.
+    """
+    if side not in (1, -1):
+        raise InvalidParametersError("side must be +1 or -1")
+    wanted = None if indices is None else sorted(set(indices))
+    if wanted is not None:
+        if not wanted:
+            return []
+        if wanted[0] < 1:
+            raise InvalidParametersError("eigenvalue index starts at 1")
+
+    def counts(ts) -> dict[float, int]:
+        counted = _from_edge(disc, xi, [side * t for t in ts])
+        return {t: n for t, (n, _) in zip(ts, counted)}
+
+    lo = zero_tolerance(disc)
+    # nothing lies between -zt and the band edge: no sweep at zt on side -1
+    first = counts([lo, start]) if side > 0 else {lo: 0, **counts([start])}
+    if wanted is None:
+        wanted = list(range(1, first[start] + 1))
+    found = dict.fromkeys([k for k in wanted if k <= first[lo]], 0.0)
+    rest = [k for k in wanted if k > first[lo]]
+    points = [(lo, first[lo])]
+    hi, c_hi = start, first[start]
+    while rest and (hi <= lo or c_hi < rest[-1]):
+        if hi > lo:
+            points.append((hi, c_hi))
+        hi *= 8.0
+        if hi > _MAX_LAMBDA:
+            raise EigenvalueNotFoundError(
+                f"no eigenvalue #{rest[-1]} on side {side:+d} below {_MAX_LAMBDA}"
+            )
+        c_hi = counts([hi])[hi]
+    points.append((hi, c_hi))
+
+    # intervals (l, c(l), h, c(h), indices, probe); a probe (s, step)
+    # cuts at s + step for an index whose certificate at s failed
+    active = [(*piece, None) for piece in _split(points, rest)]
+    floor = np.finfo(float).eps * disc._norm_ratio
+    x0 = None
+    polished = set()
+    while active:
+        plans = []
+        for l, c_l, h, c_h, ks, probe in active:
+            mid = 0.5 * (l + h)
+            # done when narrow enough, or when no float lies between l and h
+            if h - l <= rtol * h + 1e-14 or not l < mid < h:
+                found.update(dict.fromkeys(ks, mid))
+                continue
+            s = None
+            if len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished and rtol * l >= floor:
+                polished.add(ks[0])
+                if x0 is None:
+                    x0 = np.random.default_rng(0).standard_normal((disc.n_free, 1))
+                s = _polish(disc, *sorted((side * l, side * h)), rtol, x0)
+                s = None if s is None else side * s
+            if s is not None:
+                cut = [t for t in (s * (1.0 - rtol), s * (1.0 + rtol)) if l < t < h]
+            elif probe is not None and l < probe[0] + probe[1] < h:
+                cut = [probe[0] + probe[1]]
+            else:
+                cut = [mid]
+            plans.append((l, c_l, h, c_h, ks, probe, s, cut))
+        swept = counts([t for plan in plans for t in plan[-1]])
+        active = []
+        for l, c_l, h, c_h, ks, probe, s, cut in plans:
+            pts = [(l, c_l)] + [(t, swept[t]) for t in cut] + [(h, c_h)]
+            for a, c_a, b, c_b, sub in _split(pts, ks):
+                if s is not None:
+                    if s * (1.0 - rtol) <= a and b <= s * (1.0 + rtol):
+                        found[sub[0]] = s
+                        continue
+                    step = _WIDEN * rtol * s
+                    probe = (s, step if a >= s else -step)
+                elif probe is not None and cut[0] == probe[0] + probe[1]:
+                    if (a >= cut[0]) if probe[1] > 0 else (b <= cut[0]):
+                        # the window does not reach the eigenvalue yet
+                        probe = (probe[0], _WIDEN * probe[1])
+                active.append((a, c_a, b, c_b, sub, probe))
+    return [side * found[k] for k in (wanted if indices is None else indices)]
+
+
+def _polish(
+    disc: PencilDiscretization, lo: float, hi: float, rtol: float, x0: np.ndarray
+) -> float | None:
+    """Rayleigh-quotient inverse iteration for the one eigenvalue in (lo, hi).
+
+    Starts from x0 with the shift at the midpoint.  Returns the
+    quotient once it moves by at most rtol / 100 relative, or after
+    _POLISH_SOLVES solves; None when a quotient leaves (lo, hi).
+    """
+    band_a, band_b = _banded(disc.a_diag, disc.a_off), _banded(disc.b_diag, disc.b_off)
+    x, shift, rho = x0, 0.5 * (lo + hi), None
+    for _ in range(_POLISH_SOLVES):
+        try:
+            y = solve_banded((1, 1), band_a - shift * band_b, _tri_apply(band_b, x))
+        except np.linalg.LinAlgError:
+            return shift  # A - shift B is singular: shift is an eigenvalue
+        x = y / np.linalg.norm(y)
+        new = float((x * _tri_apply(band_a, x)).sum() / (x * _tri_apply(band_b, x)).sum())
+        if not lo < new < hi:
+            return None
+        if rho is not None and abs(new - rho) <= 0.01 * rtol * abs(new):
+            return new
+        shift = rho = new
+    return rho
 
 
 def spectral_dimension(d, dprime) -> float:
@@ -590,8 +471,56 @@ def asymptotics_report(
     lambdas,
     reference_shift: float | None = None,
 ) -> AsymptoticsReport:
-    """Power-law report: SpectralContext.asymptotics_report on a fresh context."""
-    return SpectralContext(disc, reference_shift).asymptotics_report(d, dprime, lambdas)
+    """Sample N±(lam)/lam^D on a (positive) lambda grid.
+
+    The band (min, max) of the positive-side ratio is taken over the
+    top decade of the grid.  When the lengths are commensurable the
+    report also measures the log-periodicity defect: the largest
+    change of the profile under one period shift (two periods in the
+    antiperiodic case, where one shift maps N+ to N- instead).
+    """
+    xi = resolve_shift(disc, reference_shift)
+    dim = spectral_dimension(d, dprime)
+    nu, tag = period_and_case(d, dprime)
+    lambdas = np.asarray(sorted(float(x) for x in lambdas))
+    if np.any(lambdas <= 0.0):
+        raise InvalidParametersError("lambda grid must be positive")
+    n_plus = np.array([r.n_plus for r in counting_function(disc, lambdas, xi)], dtype=float)
+    if any(dp < 0.0 for dp in dprime):
+        res_minus = counting_function(disc, -lambdas, xi)
+        n_minus = np.array([r.n_minus for r in res_minus], dtype=float)
+    else:
+        n_minus = np.zeros_like(n_plus)
+    ratio_plus = n_plus / lambdas**dim
+    ratio_minus = n_minus / lambdas**dim
+
+    top = lambdas >= lambdas[-1] / 10.0
+    band = (float(ratio_plus[top].min()), float(ratio_plus[top].max()))
+
+    defect = None
+    if nu is not None:
+        shift = math.exp(nu) if tag != "antiperiodic" else math.exp(2.0 * nu)
+        here = (lambdas >= lambdas[-1] / 100.0) & (
+            lambdas * shift <= lambdas[-1] * (1.0 + 1e-12)
+        )
+        base = lambdas[here]
+        if base.size:
+            there = counting_function(disc, base * shift, xi)
+            rho_here = n_plus[here] / base**dim
+            rho_there = np.array([r.n_plus for r in there]) / (base * shift) ** dim
+            defect = float(np.max(np.abs(rho_here - rho_there)))
+    return AsymptoticsReport(
+        dimension=dim,
+        period=nu,
+        case_tag=tag,
+        lambdas=lambdas,
+        n_plus=n_plus.astype(int),
+        n_minus=n_minus.astype(int),
+        ratio_plus=ratio_plus,
+        ratio_minus=ratio_minus,
+        ratio_band=band,
+        periodicity_defect=defect,
+    )
 
 
 def ladder_counts(params: SelfSimilarParams) -> tuple[int, int]:
@@ -649,10 +578,41 @@ def geometric_asymptotics(
     z_minus: int = 0,
     reference_shift: float | None = None,
 ) -> GeometricReport:
-    """Ladder report: SpectralContext.geometric_asymptotics on a fresh context."""
-    return SpectralContext(disc, reference_shift).geometric_asymptotics(
-        product, k_max, z_plus, z_minus
-    )
+    """Successive-ratio diagnostics for the geometric regime.
+
+    With one nonzero scaling product d_m d'_m, eigenvalues split into
+    Z-periodic ladders.  A positive product keeps each side Z+- (resp.
+    Z-)-periodic with ratio (d_m d'_m)^{-1}.  A negative product maps
+    each side onto the other and back, so a side repeats only after
+    two substitutions: every Z+-th positive (Z--th negative)
+    eigenvalue grows by (d_m d'_m)^{-2}, and the two sides interleave
+    with one factor |d_m d'_m|^{-1}.
+    """
+    xi = resolve_shift(disc, reference_shift)
+    if product == 0.0 or abs(product) >= 1.0:
+        raise InvalidParametersError("scaling product must satisfy 0 < |product| < 1")
+    if k_max < 1:
+        raise InvalidParametersError("k_max must be >= 1")
+    if product > 0.0:
+        target = 1.0 / product
+        interleave = None
+    else:
+        target = 1.0 / product**2
+        interleave = 1.0 / abs(product)
+
+    ladders = []
+    for side, period in ((1, z_plus), (-1, z_minus)):
+        if period <= 0:
+            continue
+        needed = period * (k_max + 1)
+        eigs = eigenvalues(disc, needed, side, xi)
+        for offset in range(1, period + 1):
+            rungs = [eigs[idx] for idx in range(offset - 1, needed, period)]
+            ratios = tuple(
+                rungs[j + 1] / rungs[j] for j in range(len(rungs) - 1) if rungs[j] != 0.0
+            )
+            ladders.append(GeometricLadder(side, offset, tuple(rungs), ratios))
+    return GeometricReport(product, target, interleave, tuple(ladders))
 
 
 @dataclass(frozen=True)
@@ -703,8 +663,7 @@ def splitting_inequality(
     else:
         d = [a if dp != 0.0 else 0.0 for a, dp in zip(rp.a, rp.dprime)]
     args = [lam] + [d[i] * p.dprime[i] * lam for i in range(p.n)]
-    ctx = SpectralContext(disc, reference_shift)
-    lhs, *terms = (r.n_plus for r in ctx.counting_function(args))
+    lhs, *terms = (r.n_plus for r in counting_function(disc, args, reference_shift))
     return SplittingCheck(float(lam), lhs, tuple(terms), lhs <= sum(terms))
 
 

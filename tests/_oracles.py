@@ -4,18 +4,30 @@ The dense solutions go through generic LAPACK paths (dense symmetric
 eigensolvers), and the large pencils through shift-invert ARPACK, so
 that the banded inertia code is checked against an independent
 formulation, and `integrate_against` checks exact moments
-against brute-force quadrature.  The cell walks, the general accumulator, the
-pair-route stamping and the merge rules of the mesh and atom lists are
-the one-call-per-item loops that the vectorised library code must
-reproduce.
+against brute-force quadrature.  `cdf` reads a measure's distribution
+function off its parts, for comparing measures.  The cell walks, the
+general accumulator, the pair-route stamping and the merge rules of the
+mesh and atom lists are the one-call-per-item loops that the vectorised
+library code must reproduce.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from fractalsturm.selfsim import jump_atoms, support_cells
+from fractalsturm.selfsim import evaluate, jump_atoms, support_cells
 from fractalsturm.spectral import resolve_shift, zero_tolerance
+
+
+def dense(disc):
+    """The pencil's (A, B) as dense matrices."""
+    n = disc.n_free
+    a = np.diag(disc.a_diag).astype(float)
+    b = np.diag(disc.b_diag).astype(float)
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = a[idx + 1, idx] = disc.a_off
+    b[idx, idx + 1] = b[idx + 1, idx] = disc.b_off
+    return a, b
 
 
 def pencil_eigenvalues(disc, reference_shift=None):
@@ -25,7 +37,7 @@ def pencil_eigenvalues(disc, reference_shift=None):
     xi + 1/theta over nonzero eigenvalues theta of C^{-1/2} B C^{-1/2}.
     """
     xi = resolve_shift(disc, reference_shift)
-    a, b = disc.dense()
+    a, b = dense(disc)
     c = a - xi * b
     w, v = np.linalg.eigh(c)
     if w.min() <= 0.0:
@@ -60,6 +72,20 @@ def dense_count(disc, lam, reference_shift=None):
         return int(np.sum((mus > -zt) & (mus < hi))), 0
     lo = lam - 1e-9 * abs(lam) - zt
     return 0, int(np.sum((mus > lo) & (mus < -zt)))
+
+
+def cdf(mu, x, depth=48):
+    """mu([0, x]) of a CompositeMeasure, atoms at x included; error bounded
+    by the self-similar evaluation bound at the given depth."""
+    x = float(x)
+    total = sum(w for pos, w in mu.atoms if pos <= x + 1e-12)
+    if mu.density is not None:
+        total += mu.density.integral(0.0, x)
+    if mu.selfsim is not None:
+        # right limit of P, so a junction atom at x itself counts
+        params, scale = mu.selfsim
+        total += scale * (evaluate(params, x, depth, side="right")[0] - params.p0)
+    return float(total)
 
 
 def integrate_against(mu, g, depth=10):

@@ -22,6 +22,12 @@ def random_pencil(rng, n):
     return a_diag, a_off, b_diag, b_off
 
 
+def pivot_counts(a_diag, a_off, b_diag, b_off, lam):
+    """(negatives, near-zeros) of A - lam B from a one-lambda batch."""
+    negs, nears = kern.negative_pivot_counts(a_diag, a_off, b_diag, b_off, [lam])
+    return int(negs[0]), int(nears[0])
+
+
 def dense_negative_count(a_diag, a_off, b_diag, b_off, lam):
     n = len(a_diag)
     m = np.diag(a_diag - lam * b_diag)
@@ -128,7 +134,7 @@ def test_scalar_batch_and_counting_paths_agree_at_breakdown():
     # lambda = 2 zeroes the first pivot of A - lambda B exactly
     a_diag, a_off, b_diag, b_off = TWO_BY_TWO
     disc = PencilDiscretization(np.array([0.0, 1.0]), a_diag, a_off, b_diag, b_off, 0, ())
-    scalar, _ = kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, 2.0)
+    scalar, _ = kern.min_pivot_ratio(a_diag, a_off, b_diag, b_off, 2.0)
     negs, _ = kern.negative_pivot_counts(a_diag, a_off, b_diag, b_off, [2.0])
     assert scalar == negs[0] == 1
     assert count(disc, 2.0).n_plus == counting_function(disc, [2.0])[0].n_plus == 1
@@ -140,7 +146,7 @@ def test_negative_count_matches_dense_inertia():
         n = rng.integers(2, 40)
         a_diag, a_off, b_diag, b_off = random_pencil(rng, n)
         lam = rng.normal(scale=10.0)
-        neg, _ = kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, lam)
+        neg, _ = pivot_counts(a_diag, a_off, b_diag, b_off, lam)
         assert neg == dense_negative_count(a_diag, a_off, b_diag, b_off, lam)
 
 
@@ -150,7 +156,7 @@ def test_batch_matches_scalar_loop():
     lams = np.sort(rng.normal(scale=8.0, size=17))
     negs, nears = kern.negative_pivot_counts(a_diag, a_off, b_diag, b_off, lams)
     for i, lam in enumerate(lams):
-        neg, near = kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, lam)
+        neg, near = pivot_counts(a_diag, a_off, b_diag, b_off, lam)
         assert negs[i] == neg
         assert nears[i] == near
 
@@ -165,10 +171,10 @@ def test_breakdown_at_exact_eigenvalue_resolved_by_micro_shift():
     assert breakdown == 1
     assert min_piv == 0.0
     # The retry shifts upward, so the eigenvalue at lambda counts as below it.
-    neg, near = kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, 2.0)
+    neg, near = pivot_counts(a_diag, a_off, b_diag, b_off, 2.0)
     assert neg == 1
     assert near >= 1
-    neg, _ = kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, 2.0 - 1e-9)
+    neg, _ = pivot_counts(a_diag, a_off, b_diag, b_off, 2.0 - 1e-9)
     assert neg == 0
 
 
@@ -202,7 +208,7 @@ def test_coupled_off_diagonal_counts():
     b_diag = np.ones(2)
     b_off = np.array([0.0])
     for lam, expected in ((0.5, 0), (2.0, 1), (4.0, 2)):
-        neg, _ = kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, lam)
+        neg, _ = pivot_counts(a_diag, a_off, b_diag, b_off, lam)
         assert neg == expected
 
 
@@ -211,5 +217,5 @@ def test_single_node_pencil():
     a_off = np.zeros(0)
     b_diag = np.array([2.0])
     b_off = np.zeros(0)
-    assert kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, 2.0)[0] == 0
-    assert kern.negative_pivot_count(a_diag, a_off, b_diag, b_off, 3.0)[0] == 1
+    assert pivot_counts(a_diag, a_off, b_diag, b_off, 2.0)[0] == 0
+    assert pivot_counts(a_diag, a_off, b_diag, b_off, 3.0)[0] == 1

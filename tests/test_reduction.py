@@ -23,7 +23,7 @@ from fractalsturm.assembly import BoundaryCondition, _dedupe
 from fractalsturm.reduction import _density_through
 from fractalsturm.selfsim import evaluate
 
-from _oracles import clean_atoms_loop, dedupe_loop, merge_atoms_loop
+from _oracles import cdf, clean_atoms_loop, dedupe_loop, merge_atoms_loop
 
 R_CANTOR = MonotonePrimitive.cantor()
 
@@ -39,7 +39,9 @@ class TestPushforwardParams:
             pushforward_params(R_CANTOR, p)
 
     def test_survivor_widths_are_renormalized_r_weights(self):
-        r = MonotonePrimitive.from_weights([0.5, 0.5], [0.25, 0.75])
+        r = MonotonePrimitive(
+            SelfSimilarParams(a=(0.5, 0.5), dprime=(0.25, 0.75), betaprime=(0.0, 0.25))
+        )
         p = SelfSimilarParams(a=(0.5, 0.5), dprime=(0.5, 0.5), betaprime=(0.0, 0.5))
         out = pushforward_params(r, p)
         assert out.a == pytest.approx((0.25, 0.75))
@@ -94,10 +96,10 @@ class TestTransformMeasure:
         g = transform_measure(f, MonotonePrimitive.identity(2), depth=8)
         assert g.total_mass() == pytest.approx(f.total_mass(), abs=1e-12)
         for x in (0.1, 0.3, 0.45, 0.59, 0.8, 1.0):
-            assert g.cdf(x) == pytest.approx(f.cdf(x), abs=1e-9)
+            assert cdf(g, x) == pytest.approx(cdf(f, x), abs=1e-9)
 
     def test_scaled_input_scales_output(self):
-        f = CompositeMeasure.from_atoms([(1 / 9, 2.0)]).scaled(-0.5)
+        f = CompositeMeasure.from_atoms([(1 / 9, -1.0)])
         g = transform_measure(f, R_CANTOR)
         assert g.atoms == ((0.25, -1.0),)
 

@@ -173,16 +173,15 @@ def test_level_expansion_matches_depth_first_walk(params, depth):
 
 
 def test_monotone_primitive_validation():
-    with pytest.raises(InvalidParametersError):
-        MonotonePrimitive.from_weights([0.5, 0.5], [1.0, 0.0])
-    with pytest.raises(InvalidParametersError):
-        MonotonePrimitive.from_weights([0.5, 0.5], [0.6, 0.5])
-    with pytest.raises(InvalidParametersError):
-        MonotonePrimitive.from_weights([0.5, 0.5], [0.5, -0.5])
+    for d in ((1.0, 0.0), (0.6, 0.5), (0.5, -0.5)):
+        with pytest.raises(InvalidParametersError):
+            MonotonePrimitive(SelfSimilarParams(a=(0.5, 0.5), dprime=d, betaprime=(0.0, d[0])))
 
 
 def test_monotone_primitive_json_round_trip():
-    r = MonotonePrimitive.from_weights([0.25, 0.75], [0.3, 0.7])
+    r = MonotonePrimitive(
+        SelfSimilarParams(a=(0.25, 0.75), dprime=(0.3, 0.7), betaprime=(0.0, 0.3))
+    )
     again = MonotonePrimitive.from_json(r.to_json())
     assert again.params == r.params
 
@@ -202,7 +201,7 @@ def test_primitive_evaluation_is_monotone(a_raw, d_raw, data):
         d[-1] = 1.0 - d[:-1].sum()
         if d[-1] < 0 or d.max() >= 1.0:
             return
-    r = MonotonePrimitive.from_weights(a, d)
+    r = MonotonePrimitive(SelfSimilarParams(a=a, dprime=d, betaprime=np.r_[0.0, np.cumsum(d[:-1])]))
     xs = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=8)))
     vals = [evaluate(r.params, x)[0] for x in xs]
     errs = [evaluate(r.params, x)[1] for x in xs]

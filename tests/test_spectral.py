@@ -21,7 +21,6 @@ from fractalsturm import (
     MonotonePrimitive,
     PencilDiscretization,
     SelfSimilarParams,
-    SpectralContext,
     asymptotics_report,
     assemble,
     assemble_iterated_pair,
@@ -30,8 +29,8 @@ from fractalsturm import (
     counting_function,
     eigenvalue,
     eigenvalues,
+    eigenvalues_below,
     geometric_asymptotics,
-    inertia,
     ladder_counts,
     period_and_case,
     positivity_scan,
@@ -39,7 +38,7 @@ from fractalsturm import (
     splitting_inequality,
     write_counting_csv,
 )
-from fractalsturm import _kernels, assembly
+from fractalsturm import _kernels, assembly, spectral
 from fractalsturm.spectral import resolve_shift, zero_tolerance
 
 from _oracles import arpack_eigenvalues, dense_count, pencil_eigenvalues
@@ -99,11 +98,15 @@ class TestCounting:
         assert count(disc, lam).n_plus == math.floor(math.sqrt(lam) / math.pi)
 
     def test_near_zero_pivots_reported(self):
-        # without a zero band the Neumann constant mode sits on the band edge
-        disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), NEUMANN, depth=5)
-        assert count(disc, 10.0, zero_tol=0.0).near_zero >= 1
-        assert count(disc, 10.0).near_zero == 0
-        assert counting_function(disc, [10.0], zero_tol=0.0)[0].near_zero >= 1
+        # A = diag(2, 3), B = I: the end 2 / (1 + 1e-9), nudged, sits on
+        # the eigenvalue 2, so its pivot is near zero
+        disc = PencilDiscretization(
+            np.array([0.0, 1.0]), [2.0, 3.0], [0.0], [1.0, 1.0], [0.0], 0, ()
+        )
+        on_eig = 2.0 / (1.0 + 1e-9)
+        assert count(disc, on_eig).near_zero == 1
+        assert count(disc, 2.5).near_zero == 0
+        assert [r.near_zero for r in counting_function(disc, [on_eig, 2.5])] == [1, 0]
 
     @pytest.mark.parametrize("depth", [9, 15])
     def test_counts_agree_with_eigenvalues(self, depth):
@@ -189,13 +192,13 @@ class TestEigenvalues:
         # raw counts of (-zt, x) put index k between e_k (1 -+ rtol)
         r = MonotonePrimitive.cantor()
         disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
-        ctx = SpectralContext(disc)
+        xi = resolve_shift(disc)
         rtol = 1e-10
 
         def raw(x):
-            return ctx._from_edge(x, inertia(disc, x)[0])
+            return spectral._from_edge(disc, xi, [x])[0][0]
 
-        for k, e in enumerate(ctx.eigenvalues(20, rtol=rtol), start=1):
+        for k, e in enumerate(eigenvalues(disc, 20, reference_shift=xi, rtol=rtol), start=1):
             if e != 0.0:
                 assert raw(e * (1 - rtol)) < k <= raw(e * (1 + rtol))
 
@@ -207,7 +210,7 @@ class TestEigenvalues:
         def refuse(*args):
             raise AssertionError("polished below the rounding floor")
 
-        monkeypatch.setattr(SpectralContext, "_polish", refuse)
+        monkeypatch.setattr(spectral, "_polish", refuse)
         for g, d in zip(eigenvalues(disc, 5, rtol=1e-17), pos):
             assert abs(g - d) <= 1e-12 * d
 
@@ -220,7 +223,9 @@ class TestEigenvalues:
         disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), DIRICHLET, depth=5)
         dense = pencil_eigenvalues(disc)
         lam = 500.0
-        assert inertia(disc, lam)[0] == int(np.sum(dense < lam))
+        # every eigenvalue is positive, so N+(lam) is the number of
+        # negative pivots of A - lam B
+        assert count(disc, lam).n_plus == int(np.sum(dense < lam))
 
 
 class TestSpectralDimension:
@@ -433,15 +438,15 @@ class TestSweepCounts:
         r = MonotonePrimitive.cantor()
         disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
         exact = eigenvalues(disc, 12)
-        polish = SpectralContext._polish
+        polish = spectral._polish
         polished = []
 
-        def off_by_1e7(ctx, lo, hi, rtol, x0):
-            s = polish(ctx, lo, hi, rtol, x0)
+        def off_by_1e7(disc, lo, hi, rtol, x0):
+            s = polish(disc, lo, hi, rtol, x0)
             polished.append(s)
             return None if s is None else s * (1 + 1e-7)
 
-        monkeypatch.setattr(SpectralContext, "_polish", off_by_1e7)
+        monkeypatch.setattr(spectral, "_polish", off_by_1e7)
         swept.clear()
         got = eigenvalues(disc, 12)
         # one polish per index at most, and none of them certified
@@ -466,9 +471,6 @@ def _ask(disc, query):
     """A query's answer, or the type of the library error it raised."""
     kind, args = query
     try:
-        if kind == "eigenvalues_below":
-            lam_max, side = args
-            return SpectralContext(disc).eigenvalues_below(lam_max, side)
         return QUERIES[kind](disc, *args)
     except FractalSturmError as exc:
         return type(exc)
@@ -479,6 +481,7 @@ QUERIES = {
     "counting_function": counting_function,
     "eigenvalue": eigenvalue,
     "eigenvalues": eigenvalues,
+    "eigenvalues_below": eigenvalues_below,
     "resolve_shift": resolve_shift,
     "positivity_scan": positivity_scan,
 }
