@@ -1,5 +1,14 @@
 """Tridiagonal inertia kernel.
 
+The package calls one entry, sturm_pivots_many(a_diag, a_off, b_diag,
+b_off, lams), which returns for each lam of a float64 array the record
+(negatives, near-zeros, breakdowns, smallest |pivot| / scale) of
+A - lam B: counts read the negatives and near-zeros, shift checks the
+negatives and the pivot ratio.  sturm_pivots(..., lam) is the same
+record at one lam.  It is a function object of its own, not a name for
+_inertia, so that a tracer that wraps every binding of both entries
+(perfbench/tracer.py) counts each sweep of a batch once.
+
 Counting eigenvalues of the pencil (A, B) reduces to one LDL^T sweep over
 the tridiagonal matrix A - lam*B per query, and every bisection step and
 every counting-function sample pays for one sweep.  The O(n) parts that
@@ -39,6 +48,8 @@ NUMBA_ENABLED = False
 # recurrence never overflows; a pivot that is exactly zero is reported as
 # a breakdown and the sweep is retried with a relative micro-shift of lam.
 _CLAMP = 5e-32
+# A pivot below _NEAR * scale in magnitude counts as a near-zero.
+_NEAR = 1e-12
 # Hand over to the Python loop once at least _MIN_RUNS dpttrf runs have
 # covered at most _RUN_NODES nodes each on average.
 _MIN_RUNS = 8
@@ -105,11 +116,12 @@ def _loop(d, c, e, i, clamp):
         d[start:stop] = out
 
 
-def _sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
+def _sweep(a_diag, a_off, b_diag, b_off, lam):
     """One clamped LDL^T sweep of A - lam B.
 
     Returns (negatives, near-zeros, breakdowns, smallest |pivot| / scale),
-    where scale is the largest entry of A - lam B in magnitude.
+    where scale is the largest entry of A - lam B in magnitude and a
+    near-zero is a pivot below _NEAR * scale.
     """
     n = a_diag.shape[0]
     m = max(n - 1, 0)
@@ -133,13 +145,13 @@ def _sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
         np.abs(pivots, out=mag)
     return (
         int(np.count_nonzero(pivots < 0.0)),
-        int(np.count_nonzero(mag < near_tol * scale)),
+        int(np.count_nonzero(mag < _NEAR * scale)),
         int(np.count_nonzero(pivots == 0.0)),
         min(float(mag.min()) / scale, 1e308),
     )
 
 
-def _inertia(a_diag, a_off, b_diag, b_off, lam, near_tol):
+def _inertia(a_diag, a_off, b_diag, b_off, lam):
     """_sweep at lam with breakdown recovery.
 
     A pivot landing exactly on zero makes the count ambiguous; lam is
@@ -149,61 +161,24 @@ def _inertia(a_diag, a_off, b_diag, b_off, lam, near_tol):
     from the last sweep; breakdowns and the pivot ratio describe lam
     itself.
     """
-    neg, near, breakdown, min_rel = _sweep(a_diag, a_off, b_diag, b_off, lam, near_tol)
+    neg, near, breakdown, min_rel = _sweep(a_diag, a_off, b_diag, b_off, lam)
     if breakdown:
         norm_a = max(np.max(np.abs(a_diag), initial=0.0), np.max(np.abs(a_off), initial=0.0))
         norm_b = max(np.max(np.abs(b_diag), initial=0.0), np.max(np.abs(b_off), initial=0.0))
         unit = (norm_a + abs(lam) * norm_b) / max(norm_b, 1e-300)
         shift = 1e-14 * max(unit, abs(lam), 1.0)
         for attempt in range(1, 4):
-            neg, near, retry, _ = _sweep(
-                a_diag, a_off, b_diag, b_off, lam + attempt * shift, near_tol
-            )
+            neg, near, retry, _ = _sweep(a_diag, a_off, b_diag, b_off, lam + attempt * shift)
             if not retry:
                 break
     return neg, near, breakdown, min_rel
 
 
-def sturm_pivots(a_diag, a_off, b_diag, b_off, lam, near_tol):
-    """(negatives, near-zeros, breakdowns, min pivot ratio) of A - lam B."""
-    # A function object of its own, apart from the _inertia that
-    # sturm_pivots_many calls: a tracer that wraps every binding of this
-    # one (perfbench/tracer.py) then counts each batch sweep once.
-    return _inertia(a_diag, a_off, b_diag, b_off, lam, near_tol)
+def sturm_pivots(a_diag, a_off, b_diag, b_off, lam):
+    """The _inertia record of A - lam B at one lam."""
+    return _inertia(a_diag, a_off, b_diag, b_off, lam)
 
 
-def sturm_pivots_many(a_diag, a_off, b_diag, b_off, lams, near_tol, negs, nears):
-    """Fill negs[k], nears[k] with the inertia of A - lams[k] B."""
-    for k, lam in enumerate(lams.tolist()):
-        negs[k], nears[k], _, _ = _inertia(a_diag, a_off, b_diag, b_off, lam, near_tol)
-
-
-def _as_arrays(a_diag, a_off, b_diag, b_off):
-    return (
-        np.ascontiguousarray(a_diag, dtype=np.float64),
-        np.ascontiguousarray(a_off, dtype=np.float64),
-        np.ascontiguousarray(b_diag, dtype=np.float64),
-        np.ascontiguousarray(b_off, dtype=np.float64),
-    )
-
-
-def negative_pivot_counts(a_diag, a_off, b_diag, b_off, lams, near_tol=1e-12):
-    """(negatives, near-zeros) of A - lam B at each lam of a grid, with breakdown recovery."""
-    ad, ao, bd, bo = _as_arrays(a_diag, a_off, b_diag, b_off)
-    lams = np.ascontiguousarray(lams, dtype=np.float64)
-    negs = np.empty(lams.shape[0], dtype=np.int64)
-    nears = np.empty(lams.shape[0], dtype=np.int64)
-    sturm_pivots_many(ad, ao, bd, bo, lams, near_tol, negs, nears)
-    return negs, nears
-
-
-def min_pivot_ratio(a_diag, a_off, b_diag, b_off, lam):
-    """(negatives, smallest |pivot| / pencil scale) at lam.
-
-    Used by the positivity scan: a shift is accepted only when every
-    pivot is positive with a safe relative margin.  The ratio is 0.0
-    when lam is an exact breakdown.
-    """
-    ad, ao, bd, bo = _as_arrays(a_diag, a_off, b_diag, b_off)
-    neg, _, _, min_rel = sturm_pivots(ad, ao, bd, bo, float(lam), 0.0)
-    return neg, min_rel
+def sturm_pivots_many(a_diag, a_off, b_diag, b_off, lams):
+    """The _inertia record of A - lam B at each lam of the float64 array lams."""
+    return [_inertia(a_diag, a_off, b_diag, b_off, lam) for lam in lams.tolist()]

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_banded
 
-from ._kernels import min_pivot_ratio, negative_pivot_counts
+from . import _kernels
 from .errors import (
     InvalidParametersError,
     ResolventPoleError,
@@ -45,8 +45,8 @@ from .selfsim import (
 )
 
 _TOL = 1e-12
-# A pencil remembers at most this many swept spectral parameters per
-# kernel; a full memo is cleared and refills from the next sweeps.
+# A pencil remembers at most this many swept spectral parameters; a full
+# memo is cleared and refills from the next sweeps.
 _MEMO_SIZE = 4096
 
 
@@ -116,9 +116,8 @@ class PencilDiscretization:
     b_off: np.ndarray
     free_start: int
     constrained: tuple[int, ...]
-    # lam -> (negatives, near-zeros), and lam -> (negatives, min pivot ratio)
-    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ratios: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # lam -> (negatives, near-zeros, min pivot ratio)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off"):
@@ -137,26 +136,23 @@ class PencilDiscretization:
             raise InvalidParametersError("zero weight matrix")
         return norm_a / norm_b
 
-    def _sweeps(self, lams, ratio: bool = False) -> list[tuple]:
-        """The inertia kernel's answer at each lam; a lam already swept costs nothing.
+    def _sweeps(self, lams) -> list[tuple]:
+        """(negatives, near-zeros, smallest |pivot| / scale) at each lam.
 
-        (negatives, near-zeros) from one negative_pivot_counts call over
-        the lams not yet swept, or with ratio (negatives, smallest |pivot|
-        / scale) from one min_pivot_ratio call per such lam.  Answers are
-        read into a local dict before the memo may be cleared, so a query
-        that races another thread's clear at worst sweeps again.
+        One sturm_pivots_many call sweeps the lams not yet swept; a lam
+        already swept costs nothing.  Answers are read into a local dict
+        before the memo may be cleared, so a query that races another
+        thread's clear at worst sweeps again.
         """
-        memo = self._ratios if ratio else self._counts
+        memo = self._memo
         lams = [float(x) for x in lams]
         got = {lam: memo.get(lam) for lam in lams}
         missing = [lam for lam, value in got.items() if value is None]
         if missing:
-            arrays = (self.a_diag, self.a_off, self.b_diag, self.b_off)
-            if ratio:
-                swept = [min_pivot_ratio(*arrays, lam) for lam in missing]
-            else:
-                negs, nears = negative_pivot_counts(*arrays, missing)
-                swept = zip(negs.tolist(), nears.tolist())
+            records = _kernels.sturm_pivots_many(
+                self.a_diag, self.a_off, self.b_diag, self.b_off, np.array(missing)
+            )
+            swept = [(neg, near, min_rel) for neg, near, _, min_rel in records]
             for lam, value in zip(missing, swept):
                 if len(memo) >= _MEMO_SIZE:
                     memo.clear()
@@ -623,7 +619,7 @@ def positivity_scan(disc: PencilDiscretization, xi_grid) -> float | None:
     with relative magnitude above 1e-13.
     """
     for xi in xi_grid:
-        ((neg, min_rel),) = disc._sweeps([xi], ratio=True)
+        ((neg, _, min_rel),) = disc._sweeps([xi])
         if neg == 0 and min_rel > 1e-13:
             return float(xi)
     return None

@@ -38,6 +38,7 @@ from .reduction import transform_measure
 from .selfsim import MonotonePrimitive, SelfSimilarParams, evaluate, validate_contraction
 from .spectral import (
     asymptotics_report,
+    count,
     counting_function,
     eigenvalues,
     eigenvalues_below,
@@ -207,14 +208,9 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _spectrum_sides(problem: Problem) -> list[int]:
-    if problem.p_params is not None:
-        if any(dp < 0.0 for dp in problem.p_params.dprime):
-            return [1, -1]
-        return [1]
-    if problem.p_measure.total_mass() >= 0.0:
-        return [1]
-    return [1, -1]
+def _spectrum_sides(disc: PencilDiscretization, xi: float) -> list[int]:
+    """Side +1, and side -1 when the pencil has an eigenvalue below the zero band."""
+    return [1, -1] if count(disc, -1e30, xi).n_minus > 0 else [1]
 
 
 def cmd_spectrum(args) -> int:
@@ -224,7 +220,7 @@ def cmd_spectrum(args) -> int:
     if args.n_eigs is None and args.lambda_max is None:
         raise InputError("spectrum needs --n-eigs or --lambda-max")
     rows: list[tuple[int, int, float]] = []
-    for side in _spectrum_sides(problem):
+    for side in _spectrum_sides(disc, xi):
         if args.n_eigs is not None:
             eigs = eigenvalues(disc, args.n_eigs, side, xi, rtol=args.tol)
         else:

@@ -260,33 +260,41 @@ def evaluate(
     return offset + scale * mid, abs(scale) * params.osc_bound()
 
 
-def moments(params: SelfSimilarParams, order: int) -> np.ndarray:
-    """Power moments mu_k = int_0^1 t^k dP(t), k = 0..order.
+def _moments(p: SelfSimilarParams, scales, shifts, order: int) -> np.ndarray:
+    """Moments m_k = int_0^1 f(t)^k dP(t), k = 0..order.
 
-    mu_0 is the total mass p1 - p0; higher moments follow from the
-    substitution identity.  A normalization factor 1 - sum d'_i a_i^k
-    within 1e-12 of zero raises DegenerateMomentsError naming the order.
+    On copy i of P's substitution, f is the affine map x -> scales[i] x
+    + shifts[i]: (a_i, alpha_i) when f is the identity, (d_i, beta'_i)
+    when f is a primitive R with P's cell widths.  m_0 is the total mass
+    p1 - p0; higher moments follow from the substitution identity.  A
+    normalization factor 1 - sum d'_i scales_i^k within 1e-12 of zero
+    raises DegenerateMomentsError naming the order.
     """
-    if order < 0:
-        raise InvalidParametersError("order must be >= 0")
-    mu = np.empty(order + 1)
-    mu[0] = params.p1 - params.p0
-    alpha = params.alpha
+    m = np.empty(order + 1)
+    m[0] = p.p1 - p.p0
     for k in range(1, order + 1):
-        denom = 1.0 - sum(dp * a**k for dp, a in zip(params.dprime, params.a))
+        denom = 1.0 - sum(dp * s**k for dp, s in zip(p.dprime, scales))
         if abs(denom) <= 1e-12:
             raise DegenerateMomentsError(f"moment normalization vanishes at order {k}")
         rhs = 0.0
-        for i in range(params.n):
+        for i in range(p.n):
             inner = 0.0
             for j in range(k):
-                inner += math.comb(k, j) * params.a[i] ** j * alpha[i] ** (k - j) * mu[j]
-            rhs += params.dprime[i] * inner
-        # junction atoms are not images of any copy
-        for i, gap in enumerate(junction_gaps(params)):
-            rhs += gap * alpha[i + 1] ** k
-        mu[k] = rhs / denom
-    return mu
+                inner += math.comb(k, j) * scales[i] ** j * shifts[i] ** (k - j) * m[j]
+            rhs += p.dprime[i] * inner
+        # junction atoms are not images of any copy; f maps the one
+        # between copies i and i + 1 to shifts[i + 1]
+        for i, gap in enumerate(junction_gaps(p)):
+            rhs += gap * shifts[i + 1] ** k
+        m[k] = rhs / denom
+    return m
+
+
+def moments(params: SelfSimilarParams, order: int) -> np.ndarray:
+    """Power moments mu_k = int_0^1 t^k dP(t), k = 0..order."""
+    if order < 0:
+        raise InvalidParametersError("order must be >= 0")
+    return _moments(params, params.a, params.alpha, order)
 
 
 def pair_moments(r: MonotonePrimitive, p: SelfSimilarParams, order: int = 2) -> np.ndarray:
@@ -300,25 +308,7 @@ def pair_moments(r: MonotonePrimitive, p: SelfSimilarParams, order: int = 2) -> 
         raise ParameterMismatchError("cell widths of R and P differ")
     if order < 0:
         raise InvalidParametersError("order must be >= 0")
-    d = r.weights
-    beta = rp.betaprime
-    m = np.empty(order + 1)
-    m[0] = p.p1 - p.p0
-    for k in range(1, order + 1):
-        denom = 1.0 - sum(d[i] ** k * p.dprime[i] for i in range(p.n))
-        if abs(denom) <= 1e-12:
-            raise DegenerateMomentsError(f"mixed moment normalization vanishes at order {k}")
-        rhs = 0.0
-        for i in range(p.n):
-            inner = 0.0
-            for j in range(k):
-                inner += math.comb(k, j) * d[i] ** j * beta[i] ** (k - j) * m[j]
-            rhs += p.dprime[i] * inner
-        # junction atoms of dP sit where R takes its cumulative values
-        for i, gap in enumerate(junction_gaps(p)):
-            rhs += gap * beta[i + 1] ** k
-        m[k] = rhs / denom
-    return m
+    return _moments(p, r.weights, rp.betaprime, order)
 
 
 def _children(params: SelfSimilarParams, left, width, weight, offset):

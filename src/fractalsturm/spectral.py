@@ -108,7 +108,7 @@ def _split(points, ks):
 def resolve_shift(disc: PencilDiscretization, reference_shift: float | None = None) -> float:
     """Validate or find a shift xi with A - xi B positive definite."""
     if reference_shift is not None:
-        ((neg, min_rel),) = disc._sweeps([reference_shift], ratio=True)
+        ((neg, _, min_rel),) = disc._sweeps([reference_shift])
         if neg > 0 or min_rel <= 1e-15:
             raise IndefinitePencilError(
                 f"A - xi B not positive definite at xi = {reference_shift}"
@@ -140,10 +140,10 @@ def _from_edge(disc: PencilDiscretization, xi: float, ends) -> list[tuple[int, i
     near-zero pivots are those at -zt and at the end together.
     """
     edge = -zero_tolerance(disc)
-    (neg_edge, near_edge), *swept = disc._sweeps([edge, *ends])
+    (neg_edge, near_edge, _), *swept = disc._sweeps([edge, *ends])
     signed_edge = neg_edge if edge >= xi else -neg_edge
     out = []
-    for end, (neg, near) in zip(ends, swept):
+    for end, (neg, near, _) in zip(ends, swept):
         n = (neg if end >= xi else -neg) - signed_edge
         out.append((n if end >= edge else -n, near_edge + near))
     return out

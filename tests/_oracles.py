@@ -63,15 +63,18 @@ def arpack_eigenvalues(disc, k):
 
 
 def dense_count(disc, lam, reference_shift=None):
-    """(n_plus, n_minus) at lam with the library's own zero tolerance."""
+    """(n_plus, n_minus) at lam with the library's own zero tolerance.
+
+    N+ counts the eigenvalues in (-zt, max(lam (1 + 1e-9), zt)] and N-
+    those in [min(lam (1 + 1e-9), -zt), -zt), the intervals `count` counts.
+    """
     mus = pencil_eigenvalues(disc, reference_shift)
     zt = zero_tolerance(disc)
     lam = float(lam)
+    end = lam + 1e-9 * lam
     if lam >= 0.0:
-        hi = lam + 1e-9 * abs(lam) + zt
-        return int(np.sum((mus > -zt) & (mus < hi))), 0
-    lo = lam - 1e-9 * abs(lam) - zt
-    return 0, int(np.sum((mus > lo) & (mus < -zt)))
+        return int(np.sum((mus > -zt) & (mus <= max(end, zt)))), 0
+    return 0, int(np.sum((mus >= min(end, -zt)) & (mus < -zt)))
 
 
 def cdf(mu, x, depth=48):

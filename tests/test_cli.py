@@ -207,6 +207,24 @@ class TestSpectrum:
         assert sides == {"1", "-1"}
 
     @pytest.mark.parametrize(
+        "p, negative",
+        [
+            # total mass 1.4 >= 0 with one negative atom
+            ({"atoms": [[0.2, 1.0], [0.45, -0.4], [0.7, 0.8]]}, -16.4807),
+            # a nondecreasing self-similar part next to one negative atom
+            ({"atoms": [[0.45, -0.4]], "selfsim": CANTOR_PARAMS}, -14.695),
+        ],
+    )
+    def test_signed_p_lists_its_negative_side(self, tmp_path, capsys, p, negative):
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps({"p": p, "bc": {"U": "dirichlet"}}))
+        assert main(["spectrum", str(path), "--depth", "5", "--lambda-max", "100"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert rows[0][0] == "1"
+        assert [r[:2] for r in rows if r[0] == "-1"] == [["-1", "1"]]
+        assert float(rows[-1][2]) == pytest.approx(negative, rel=1e-4)
+
+    @pytest.mark.parametrize(
         "command, problem",
         [
             (["spectrum", "--n-eigs", "1"], "composite_pair"),

@@ -1,14 +1,17 @@
 """Tests for the LDL^T inertia kernel."""
 
+import importlib.util
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fractalsturm import BoundaryCondition, MonotonePrimitive, assemble_iterated_pair, cantor_ladder
 from fractalsturm import _kernels as kern
 from fractalsturm.assembly import PencilDiscretization
-from fractalsturm.spectral import count, counting_function
+from fractalsturm.spectral import count, counting_function, eigenvalues
 
 from _oracles import clamped_sweep
 
@@ -24,8 +27,8 @@ def random_pencil(rng, n):
 
 def pivot_counts(a_diag, a_off, b_diag, b_off, lam):
     """(negatives, near-zeros) of A - lam B from a one-lambda batch."""
-    negs, nears = kern.negative_pivot_counts(a_diag, a_off, b_diag, b_off, [lam])
-    return int(negs[0]), int(nears[0])
+    ((neg, near, _, _),) = kern.sturm_pivots_many(a_diag, a_off, b_diag, b_off, np.array([lam]))
+    return neg, near
 
 
 def dense_negative_count(a_diag, a_off, b_diag, b_off, lam):
@@ -103,7 +106,7 @@ def rows(*values):
 def test_sweep_matches_reference_loop(pencil, switch):
     *arrays, lam = pencil
     with switched(switch):
-        got = kern._sweep(*arrays, lam, 1e-12)
+        got = kern._sweep(*arrays, lam)
     assert got == clamped_sweep(*arrays, lam, 1e-12)
 
 
@@ -116,7 +119,7 @@ def test_sweep_matches_reference_across_chunk_boundaries():
             want = clamped_sweep(a_diag, a_off, b_diag, b_off, lam, 1e-12)
             for switch in ((kern._MIN_RUNS, kern._RUN_NODES), (0, NEVER)):
                 with switched(switch):
-                    assert kern._sweep(a_diag, a_off, b_diag, b_off, lam, 1e-12) == want
+                    assert kern._sweep(a_diag, a_off, b_diag, b_off, lam) == want
 
 
 def test_dpttrf_writes_into_views():
@@ -134,9 +137,9 @@ def test_scalar_batch_and_counting_paths_agree_at_breakdown():
     # lambda = 2 zeroes the first pivot of A - lambda B exactly
     a_diag, a_off, b_diag, b_off = TWO_BY_TWO
     disc = PencilDiscretization(np.array([0.0, 1.0]), a_diag, a_off, b_diag, b_off, 0, ())
-    scalar, _ = kern.min_pivot_ratio(a_diag, a_off, b_diag, b_off, 2.0)
-    negs, _ = kern.negative_pivot_counts(a_diag, a_off, b_diag, b_off, [2.0])
-    assert scalar == negs[0] == 1
+    scalar, _, _, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
+    ((batch, _, _, _),) = kern.sturm_pivots_many(a_diag, a_off, b_diag, b_off, np.array([2.0]))
+    assert scalar == batch == 1
     assert count(disc, 2.0).n_plus == counting_function(disc, [2.0])[0].n_plus == 1
 
 
@@ -154,11 +157,12 @@ def test_batch_matches_scalar_loop():
     rng = np.random.default_rng(3)
     a_diag, a_off, b_diag, b_off = random_pencil(rng, 25)
     lams = np.sort(rng.normal(scale=8.0, size=17))
-    negs, nears = kern.negative_pivot_counts(a_diag, a_off, b_diag, b_off, lams)
-    for i, lam in enumerate(lams):
+    records = kern.sturm_pivots_many(a_diag, a_off, b_diag, b_off, lams)
+    assert records == [kern.sturm_pivots(a_diag, a_off, b_diag, b_off, lam) for lam in lams.tolist()]
+    for (neg_i, near_i, _, _), lam in zip(records, lams, strict=True):
         neg, near = pivot_counts(a_diag, a_off, b_diag, b_off, lam)
-        assert negs[i] == neg
-        assert nears[i] == near
+        assert neg_i == neg
+        assert near_i == near
 
 
 def test_breakdown_at_exact_eigenvalue_resolved_by_micro_shift():
@@ -167,7 +171,7 @@ def test_breakdown_at_exact_eigenvalue_resolved_by_micro_shift():
     a_off = np.array([0.0])
     b_diag = np.ones(2)
     b_off = np.array([0.0])
-    neg, near, breakdown, min_piv = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0, 1e-12)
+    neg, near, breakdown, min_piv = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
     assert breakdown == 1
     assert min_piv == 0.0
     # The retry shifts upward, so the eigenvalue at lambda counts as below it.
@@ -183,20 +187,20 @@ def test_near_flag_marks_close_pivots_only():
     a_off = np.array([0.0])
     b_diag = np.ones(2)
     b_off = np.array([0.0])
-    _, near, breakdown, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.5, 1e-12)
+    _, near, breakdown, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.5)
     assert near == 0
     assert breakdown == 0
-    _, near, _, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0 + 1e-14, 1e-12)
+    _, near, _, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0 + 1e-14)
     assert near == 1
 
 
-def test_min_pivot_ratio_vanishes_at_spectrum():
+def test_pivot_ratio_vanishes_at_spectrum():
     a_diag = np.array([2.0, 3.0])
     a_off = np.array([0.0])
     b_diag = np.ones(2)
     b_off = np.array([0.0])
-    _, ratio_eig = kern.min_pivot_ratio(a_diag, a_off, b_diag, b_off, 2.0)
-    _, ratio_gap = kern.min_pivot_ratio(a_diag, a_off, b_diag, b_off, 2.5)
+    _, _, _, ratio_eig = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
+    _, _, _, ratio_gap = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.5)
     assert ratio_eig == 0.0
     assert ratio_gap > 0.1
 
@@ -219,3 +223,28 @@ def test_single_node_pencil():
     b_off = np.zeros(0)
     assert pivot_counts(a_diag, a_off, b_diag, b_off, 2.0)[0] == 0
     assert pivot_counts(a_diag, a_off, b_diag, b_off, 3.0)[0] == 1
+
+
+def test_benchmark_tracer_counts_each_sweep_once():
+    # the benchmark's span tracer wraps both kernel entries and every
+    # binding of them; each lambda the pencil memo holds was swept once
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    )
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        disc = assemble_iterated_pair(
+            MonotonePrimitive.cantor(), 2, cantor_ladder(), BoundaryCondition.neumann(), depth=6
+        )
+        tracer.run = 0
+        counting_function(disc, np.geomspace(10.0, 1e4, 7))
+        eigenvalues(disc, 4)
+        tracer.run = None
+    finally:
+        tracer.uninstall()
+    kernels = tracer.run_metrics(0)
+    assert kernels["kernels.sweeps"] == len(disc._memo) > 0
+    assert kernels["kernels.node_lambda_pairs"] == len(disc._memo) * disc.n_free

@@ -73,6 +73,13 @@ class TestCounting:
                 res = count(disc, float(lam))
                 oracle_plus, oracle_minus = dense_count(disc, float(lam), res.reference_shift)
                 assert (res.n_plus, res.n_minus) == (oracle_plus, oracle_minus), f"lam={lam}"
+        # A = diag(1.5, 1e12), B = I: the zero band is (-1, 1) and 1.5 lies
+        # past lam = 1.2, though not past lam + zt
+        wide = PencilDiscretization(
+            np.array([0.0, 1.0]), [1.5, 1e12], [0.0], [1.0, 1.0], [0.0], 0, ()
+        )
+        res = count(wide, 1.2)
+        assert (res.n_plus, res.n_minus) == dense_count(wide, 1.2) == (0, 0)
 
     def test_batch_equals_scalar(self):
         disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), DIRICHLET, depth=6)
@@ -396,9 +403,9 @@ class TestSweepCounts:
         lams = []
         sweep = _kernels._sweep
 
-        def recording(a_diag, a_off, b_diag, b_off, lam, near_tol):
+        def recording(a_diag, a_off, b_diag, b_off, lam):
             lams.append(lam)
-            return sweep(a_diag, a_off, b_diag, b_off, lam, near_tol)
+            return sweep(a_diag, a_off, b_diag, b_off, lam)
 
         monkeypatch.setattr(_kernels, "_sweep", recording)
         return lams
@@ -410,9 +417,9 @@ class TestSweepCounts:
         batches = []
         many = _kernels.sturm_pivots_many
 
-        def recording(a_diag, a_off, b_diag, b_off, lams, *rest):
+        def recording(a_diag, a_off, b_diag, b_off, lams):
             batches.append(lams.tolist())
-            return many(a_diag, a_off, b_diag, b_off, lams, *rest)
+            return many(a_diag, a_off, b_diag, b_off, lams)
 
         monkeypatch.setattr(_kernels, "sturm_pivots_many", recording)
         swept.clear()
@@ -550,13 +557,12 @@ class TestPencilMemo:
         grid = np.linspace(1.0, 3e3, 40)
         fresh = cantor_pencil()
         want = (counting_function(fresh, grid), eigenvalues(fresh, 6))
-        assert len(fresh._counts) > 8
+        assert len(fresh._memo) > 8
         monkeypatch.setattr(assembly, "_MEMO_SIZE", 8)
         disc = cantor_pencil()
         for _ in range(2):
             assert (counting_function(disc, grid), eigenvalues(disc, 6)) == want
-            assert 0 < len(disc._counts) <= 8
-            assert 0 < len(disc._ratios) <= 8
+            assert 0 < len(disc._memo) <= 8
 
     def test_threads_sharing_a_pencil_get_the_same_answers(self, monkeypatch):
         # a memo of 8 is cleared over and over while four threads use it
@@ -584,4 +590,4 @@ class TestPencilMemo:
         assert len(got) == 80 and all(g == want for g in got)
         # each thread checks the size before it stores, so at most one
         # entry per thread slips past the limit
-        assert len(disc._counts) <= 8 + len(threads)
+        assert len(disc._memo) <= 8 + len(threads)
