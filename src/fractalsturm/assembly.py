@@ -32,7 +32,7 @@ from .errors import (
     ResolventPoleError,
     UnsupportedConfigurationError,
 )
-from .measures import CompositeMeasure, _atom_arrays, _cluster_starts, _run_sums
+from .measures import CompositeMeasure, _cluster_starts, _frozen, _run_sums
 from .selfsim import (
     MonotonePrimitive,
     SelfSimilarParams,
@@ -173,28 +173,6 @@ class PencilDiscretization:
         raise InvalidParametersError(f"no mesh node at {x}")
 
 
-def _frozen(arr) -> np.ndarray:
-    """arr as a read-only C-contiguous float64 array that no array can write to.
-
-    An array that already is one, and whose memory no writable array
-    shares, is kept as it is: the assembly routes freeze their own
-    arrays and hand them over, since a copy of a 65,536-node pencil
-    costs about 1.4 ms (2-vCPU x86 host) and 2.6 MB.  Anything else is
-    copied.
-    """
-    if (
-        isinstance(arr, np.ndarray)
-        and arr.dtype == np.float64
-        and arr.flags.c_contiguous
-        and not arr.flags.writeable
-        and (arr.base is None or isinstance(arr.base, np.ndarray) and not arr.base.flags.writeable)
-    ):
-        return arr
-    arr = np.array(arr, dtype=np.float64, order="C")
-    arr.flags.writeable = False
-    return arr
-
-
 def _dedupe(xs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     xs = np.sort(xs)
     keep = xs[_cluster_starts(xs, tol)]
@@ -219,15 +197,10 @@ def _mesh_nodes(p: CompositeMeasure, q: CompositeMeasure, depth: int) -> np.ndar
                 jump_depth = min(depth, 48)
             else:
                 jump_depth = min(depth, int(np.log(4096.0) / np.log(branching)))
-            jumps = jump_atoms(params, max(1, jump_depth))
-            if len(jumps) > 4096:
-                # cap the mesh size; dropped atoms still get lumped in-cell
-                jumps.sort(key=lambda pw: -abs(pw[1]))
-                jumps = jumps[:4096]
-            if jumps:
-                cand.append(np.array([pos for pos, _ in jumps]))
-        if mu.atoms:
-            cand.append(np.array([pos for pos, _ in mu.atoms]))
+            pos, jump = jump_atoms(params, max(1, jump_depth)).T
+            # cap the mesh size; dropped atoms still get lumped in-cell
+            cand.append(pos[np.argsort(-np.abs(jump), kind="stable")[:4096]])
+        cand.append(mu.atoms[:, 0])
         if mu.density is not None and np.any(mu.density.values):
             has_density = True
             cand.append(mu.density.breaks)
@@ -333,8 +306,7 @@ class _Accumulator:
         np.add.at(self.off, j, w * al * (1 - al))
 
     def add_measure(self, mu: CompositeMeasure, depth: int):
-        if mu.atoms:
-            self.add_atoms(*_atom_arrays(mu.atoms))
+        self.add_atoms(mu.atoms[:, 0], mu.atoms[:, 1])
         if mu.density is not None and np.any(mu.density.values):
             self.add_density(mu.density)
         if mu.selfsim is not None:

@@ -38,7 +38,6 @@ from .reduction import transform_measure
 from .selfsim import MonotonePrimitive, SelfSimilarParams, evaluate, validate_contraction
 from .spectral import (
     asymptotics_report,
-    count,
     counting_function,
     eigenvalues,
     eigenvalues_below,
@@ -133,7 +132,7 @@ def _selfsim_p(problem: Problem, message: str) -> SelfSimilarParams:
     has p_params set too; routes that use p_params alone reject it here.
     """
     m = problem.p_measure
-    if problem.p_params is None or m.atoms or m.density is not None:
+    if problem.p_params is None or len(m.atoms) or m.density is not None:
         raise UnsupportedConfigurationError(message)
     return problem.p_params
 
@@ -208,21 +207,20 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _spectrum_sides(disc: PencilDiscretization, xi: float) -> list[int]:
-    """Side +1, and side -1 when the pencil has an eigenvalue below the zero band."""
-    return [1, -1] if count(disc, -1e30, xi).n_minus > 0 else [1]
-
-
 def cmd_spectrum(args) -> int:
     problem = load_problem(args.problem)
     disc = _build_discretization(problem, args.depth, args.k_iter)
     xi = resolve_shift(disc)
     if args.n_eigs is None and args.lambda_max is None:
         raise InputError("spectrum needs --n-eigs or --lambda-max")
+    # every eigenvalue of each side: a side lists at most what it has
+    plus, minus = counting_function(disc, [1e30, -1e30], xi)
     rows: list[tuple[int, int, float]] = []
-    for side in _spectrum_sides(disc, xi):
+    for side, total in ((1, plus.n_plus), (-1, minus.n_minus)):
+        if total == 0:
+            continue
         if args.n_eigs is not None:
-            eigs = eigenvalues(disc, args.n_eigs, side, xi, rtol=args.tol)
+            eigs = eigenvalues(disc, min(args.n_eigs, total), side, xi, rtol=args.tol)
         else:
             eigs = eigenvalues_below(disc, args.lambda_max, side, xi, rtol=args.tol)
         rows += [(side, n + 1, lam) for n, lam in enumerate(eigs)]

@@ -82,9 +82,8 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
     the given depth.  Step densities map via plateau collapse (exact
     atoms) and per-cell spreading (exact cell masses).
     """
-    atoms: list[tuple[float, float]] = [
-        (evaluate(r.params, pos, 60)[0], w) for pos, w in f.atoms
-    ]
+    pos = [evaluate(r.params, x, 60)[0] for x in f.atoms[:, 0].tolist()]
+    w = f.atoms[:, 1].tolist()
     plateau_pos = plateau_w = np.zeros(0)
     density_out: StepFunction | None = None
     selfsim_out = None
@@ -109,16 +108,15 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
                 cell_mass = scale * weight * mass0
                 if cell_mass == 0.0:
                     continue
-                atoms.append((0.5 * (lo_t + hi_t), cell_mass))
+                pos.append(0.5 * (lo_t + hi_t))
+                w.append(cell_mass)
 
     # atoms within 1e-12 of the first of their cluster merge into it,
     # weights summed in (position, weight) order
-    pos = np.concatenate(([x for x, _ in atoms], plateau_pos))
-    w = np.concatenate(([v for _, v in atoms], plateau_w))
+    pos, w = np.concatenate((pos, plateau_pos)), np.concatenate((w, plateau_w))
     order = np.lexsort((w, pos))
     pos, w = pos[order], w[order]
     starts = _cluster_starts(pos, 1e-12)
     pos, w = pos[starts], _run_sums(w, starts)
-    keep = w != 0.0
-    atom_tuple = tuple(zip(pos[keep].tolist(), w[keep].tolist()))
-    return CompositeMeasure(atoms=atom_tuple, density=density_out, selfsim=selfsim_out)
+    atoms = np.column_stack((pos, w))[w != 0.0]
+    return CompositeMeasure(atoms=atoms, density=density_out, selfsim=selfsim_out)

@@ -368,10 +368,11 @@ def junction_gaps(params: SelfSimilarParams) -> tuple[float, ...]:
     )
 
 
-def jump_atoms(params: SelfSimilarParams, depth: int) -> list[tuple[float, float]]:
+def jump_atoms(params: SelfSimilarParams, depth: int) -> np.ndarray:
     """Exact jumps of P at cell junctions down to the given depth.
 
-    Returns (position, jump) pairs sorted by position.  Junction values
+    Returns a read-only (m, 2) float64 array of (position, jump) rows
+    sorted by position, the atom format of `measures`.  Junction values
     use the true one-sided limits, so each listed jump is exact; only
     junctions deeper than `depth` are omitted.  The junctions of all live
     cells of depth 0..depth-1 are collected level by level; jumps that
@@ -393,7 +394,7 @@ def jump_atoms(params: SelfSimilarParams, depth: int) -> list[tuple[float, float
     pos, jump = pos[keep], jump[keep]
     order = np.argsort(pos, kind="stable")
     pos, jump = pos[order], jump[order]
-    if pos.size == 0:
-        return []
-    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
-    return list(zip(pos[first].tolist(), np.add.reduceat(jump, first).tolist()))
+    first = np.flatnonzero(pos != np.concatenate(([np.nan], pos[:-1])))
+    out = np.stack((pos[first], np.add.reduceat(jump, first)), axis=1)
+    out.flags.writeable = False
+    return out

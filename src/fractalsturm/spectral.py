@@ -530,10 +530,8 @@ def ladder_counts(params: SelfSimilarParams) -> tuple[int, int]:
     back, so its period covers two levels of junction atoms.
     """
     negative = any(a * dp < 0.0 for a, dp in zip(params.a, params.dprime))
-    jumps = jump_atoms(params, depth=2 if negative else 1)
-    z_plus = sum(1 for _, j in jumps if j > 0.0)
-    z_minus = sum(1 for _, j in jumps if j < 0.0)
-    return z_plus, z_minus
+    jumps = jump_atoms(params, depth=2 if negative else 1)[:, 1]
+    return int(np.count_nonzero(jumps > 0.0)), int(np.count_nonzero(jumps < 0.0))
 
 
 @dataclass(frozen=True)

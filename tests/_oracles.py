@@ -189,7 +189,7 @@ def walk_support_cells(params, depth):
 
 
 def visit_jump_atoms(params, depth):
-    """Depth-first reference for `jump_atoms`: sorted (position, jump) pairs."""
+    """Depth-first reference for `jump_atoms`: sorted [position, jump] rows, as `.tolist()` gives them."""
     alpha = params.alpha
     found = {}
 
@@ -210,7 +210,7 @@ def visit_jump_atoms(params, depth):
                 visit(level + 1, left + width * alpha[i], width * params.a[i], w)
 
     visit(1, 0.0, 1.0, 1.0)
-    return sorted(found.items())
+    return [[pos, jump] for pos, jump in sorted(found.items())]
 
 
 def reference_mesh_nodes(p, q, depth):
@@ -236,8 +236,8 @@ def reference_mesh_nodes(p, q, depth):
                 jumps = jumps[:4096]
             if jumps:
                 cand.append(np.array([pos for pos, _ in jumps]))
-        if mu.atoms:
-            cand.append(np.array([pos for pos, _ in mu.atoms]))
+        if len(mu.atoms):
+            cand.append(np.array([pos for pos, _ in mu.atoms.tolist()]))
         if mu.density is not None and np.any(mu.density.values):
             has_density = True
             cand.append(mu.density.breaks)
@@ -413,7 +413,7 @@ def dedupe_loop(xs, tol=1e-13):
 
 
 def clean_atoms_loop(atoms):
-    """Loop reference for the atom list `CompositeMeasure` keeps."""
+    """Loop reference for the atom table `CompositeMeasure` keeps, as `.tolist()` gives it."""
     cleaned = []
     for pos, w in atoms:
         pos, w = float(pos), float(w)
@@ -421,7 +421,7 @@ def clean_atoms_loop(atoms):
             raise ValueError(f"atom at {pos} outside [0, 1]")
         cleaned.append((min(max(pos, 0.0), 1.0), w))
     cleaned.sort()
-    return tuple(cleaned)
+    return [[pos, w] for pos, w in cleaned]
 
 
 def merge_atoms_loop(atoms):

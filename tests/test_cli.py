@@ -224,6 +224,15 @@ class TestSpectrum:
         assert [r[:2] for r in rows if r[0] == "-1"] == [["-1", "1"]]
         assert float(rows[-1][2]) == pytest.approx(negative, rel=1e-4)
 
+    def test_n_eigs_lists_what_each_side_has(self, tmp_path, capsys):
+        # side -1 has one eigenvalue, side +1 has two
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps({"p": {"atoms": [[0.2, 1.0], [0.45, -0.4], [0.7, 0.8]]}, "bc": {"U": "dirichlet"}}))
+        assert main(["spectrum", str(path), "--depth", "5", "--n-eigs", "2"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["1", "1"], ["1", "2"], ["-1", "1"]]
+        assert float(rows[-1][2]) == pytest.approx(-16.4807, rel=1e-4)
+
     @pytest.mark.parametrize(
         "command, problem",
         [

@@ -54,6 +54,18 @@ class TestStepFunction:
         assert np.array_equal(got, [f.integral(float(x), float(y)) for x, y in zip(lo, hi)])
         assert np.array_equal(f.integral(lo[0], hi), [f.integral(float(lo[0]), float(y)) for y in hi])
 
+    def test_keeps_read_only_copies(self):
+        b = np.array([0.0, 0.5, 1.0])
+        v = np.array([1.0, 2.0])
+        f = StepFunction(b, v)
+        b[1] = 2.0
+        v[0] = -7.0
+        assert f.breaks.tolist() == [0.0, 0.5, 1.0]
+        assert f.integral() == 1.5
+        for arr in (f.breaks, f.values):
+            with pytest.raises(ValueError):
+                arr[0] = 3.0
+
     def test_array_integral_keeps_narrow_plateaus(self):
         # 1e-12-wide plateaus next to O(1) mass; a difference of a running
         # antiderivative would keep only about four digits of them
@@ -153,10 +165,51 @@ class TestCompositeMeasure:
             CompositeMeasure(density=StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0]))),
         ):
             again = CompositeMeasure.from_json(mu.to_json())
-            assert again.atoms == mu.atoms
+            assert np.array_equal(again.atoms, mu.atoms)
             xs = np.linspace(0, 1, 11)
             for x in xs:
                 assert cdf(again, x) == pytest.approx(cdf(mu, x), abs=1e-12)
+
+
+class TestAtomFormat:
+    """Atoms are read-only (m, 2) float64 arrays of (position, weight) rows."""
+
+    PAIRS = [(0.7, -1.0), (0.3, 2.0), (0.3, 0.5), (1.0 + 1e-13, 0.25)]
+
+    @staticmethod
+    def assert_table(atoms, m):
+        assert isinstance(atoms, np.ndarray)
+        assert atoms.dtype == np.float64 and atoms.shape == (m, 2)
+        assert atoms.flags.c_contiguous and not atoms.flags.writeable
+        assert np.all(np.diff(atoms[:, 0]) >= 0.0)
+        with pytest.raises(ValueError):
+            atoms[:1] = 0.5
+
+    def test_measure_atoms_and_jump_atoms(self):
+        mu = CompositeMeasure.from_atoms(self.PAIRS)
+        self.assert_table(mu.atoms, 4)
+        assert mu.atoms.tolist() == [[0.3, 0.5], [0.3, 2.0], [0.7, -1.0], [1.0, 0.25]]
+        self.assert_table(CompositeMeasure().atoms, 0)
+        self.assert_table(jump_atoms(JUMP, 5), 5)
+        self.assert_table(jump_atoms(CANTOR, 4), 0)
+
+    def test_pairs_and_array_build_equal_tables(self):
+        from_pairs = CompositeMeasure(atoms=self.PAIRS).atoms
+        array = np.array(self.PAIRS)
+        from_array = CompositeMeasure(atoms=array).atoms
+        assert np.array_equal(from_pairs, from_array)
+        assert np.array_equal(CompositeMeasure.from_atoms(iter(self.PAIRS)).atoms, from_pairs)
+        assert np.array_equal(CompositeMeasure(atoms=from_array).atoms, from_pairs)
+        # the table is the measure's own: writes to the input do not reach it
+        array[:, 1] = 0.0
+        assert np.array_equal(from_array, from_pairs)
+
+    @pytest.mark.parametrize(
+        "atoms", [np.zeros((2, 3)), [(0.5, 1.0), (0.25,)], None], ids=["m-by-3", "ragged", "none"]
+    )
+    def test_misshapen_atoms_rejected(self, atoms):
+        with pytest.raises(InvalidParametersError):
+            CompositeMeasure(atoms=atoms)
 
 
 class TestIntegrateAgainst:
