@@ -1,19 +1,36 @@
-"""Tridiagonal inertia kernel.
+"""Inertia kernels: a tridiagonal sweep and a level recursion.
 
-The package calls one entry, sturm_pivots_many(a_diag, a_off, b_diag,
-b_off, lams), which returns for each lam of a float64 array the record
-(negatives, near-zeros, breakdowns, smallest |pivot| / scale) of
-A - lam B: counts read the negatives and near-zeros, shift checks the
-negatives and the pivot ratio.  sturm_pivots(..., lam) is the same
-record at one lam.  It is a function object of its own, not a name for
-_inertia, so that a tracer that wraps every binding of both entries
+The package calls two entries, and only PencilDiscretization._sweeps
+chooses between them.  Both take a float64 array of lams and return for
+each lam the record (negatives, near-zeros, breakdowns, smallest
+|pivot| / scale) of A - lam B: counts read the negatives and near-zeros,
+shift checks the negatives and the pivot ratio.
+
+sturm_pivots_many(a_diag, a_off, b_diag, b_off, lams) sweeps the stored
+tridiagonal pencil.  sturm_pivots(..., lam) is the same record at one
+lam.  It is a function object of its own, not a name for _inertia, so
+that a tracer that wraps every binding of both entries
 (perfbench/tracer.py) counts each sweep of a batch once.
 
-Counting eigenvalues of the pencil (A, B) reduces to one LDL^T sweep over
-the tridiagonal matrix A - lam*B per query, and every bisection step and
-every counting-function sample pays for one sweep.  The O(n) parts that
-vectorise (diagonal and off-diagonal of A - lam*B, the pencil scale, the
-counts over the stored pivots) run in numpy.  The pivot recurrence
+level_pivots_many(template, lams) counts a pair-route pencil, in which
+every cell of one level is a scaled copy of one template, without its
+arrays (see LevelTemplate).  By Haynsworth inertia additivity, In(M) =
+In(M11) + In(M / M11), the interior of each cell is eliminated once per
+level and distinct scaling, so a count costs O(depth) rather than a
+sweep over 2^depth nodes, and no a_i - lam b_i is ever formed.  The
+cells of the deepest level whose t-factors depend on the level (the
+root on the self-similar route, level k on the k-th iterate) are swept
+as one chain, left to right, which keeps the counts monotone in lam.
+There a pivot's ratio is its magnitude over the sum of the magnitudes
+of the terms that formed it, and a pivot below _CLAMP of them (an exact
+zero included) is clamped and counted as a near-zero; nothing retries.
+
+Through the stored arrays, counting eigenvalues of the pencil (A, B)
+reduces to one LDL^T sweep over the tridiagonal matrix A - lam*B per
+query, and every bisection step and every counting-function sample
+pays for one sweep.  The O(n) parts that vectorise (diagonal and
+off-diagonal of A - lam*B, the pencil scale, the counts over the stored
+pivots) run in numpy.  The pivot recurrence
 
     d_i = c_i - (e_{i-1} / d_{i-1}) * e_{i-1}
 
@@ -38,8 +55,12 @@ count can then move only where a pivot sits exactly on a tie.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg.lapack import dpttrf
+
+from .errors import InvalidParametersError
 
 # The kernel is plain Python, numpy and LAPACK; perfbench records this flag.
 NUMBA_ENABLED = False
@@ -182,3 +203,165 @@ def sturm_pivots(a_diag, a_off, b_diag, b_off, lam):
 def sturm_pivots_many(a_diag, a_off, b_diag, b_off, lams):
     """The _inertia record of A - lam B at each lam of the float64 array lams."""
     return [_inertia(a_diag, a_off, b_diag, b_off, lam) for lam in lams.tolist()]
+
+
+# A level template's band keeps s of its deepest cells at or above this
+# normal float, 2^62 above the smallest one.
+_S_FLOOR = 2.0**-960
+_TINY = float(np.finfo(float).tiny)
+_INF = float("inf")
+
+
+class LevelTemplate(NamedTuple):
+    """A pair-route pencil as level_pivots_many counts it.
+
+    A cell's template at spectral parameter s is (nu, c, rho_l, rho_r):
+    nu counts the negative pivots of its interior (its Dirichlet
+    problem), and [[c + rho_l, -c], [-c, c + rho_r]] is the Schur
+    complement on its two end nodes, in units of 1 / (r_mass * length)
+    of the cell.  A deepest-level cell is one hat element, c = 1 + s M01,
+    rho_l = -s (M00 + M01), rho_r = -s (M11 + M01), and s of a cell is
+    lam * s_unit * its scale, the product of t_i m_i (t-length factor
+    times P's d'_i) on its path from the root.  Cells whose scales agree
+    to 1e-12 relative share one class and one evaluation per level.
+    """
+
+    s_unit: float
+    """r_mass * p_scale."""
+    quad: tuple[float, float, float]
+    """(M00, M01, M11): the hat products of the route against dP."""
+    leaves: tuple[float, ...]
+    """The scale of each class of deepest-level cells."""
+    levels: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
+    """One table per level, from just above the leaves up to the chain
+    level: per class its children left to right as (index of the child's
+    class on the level below, 1 / t_i), index -1 for a massless letter,
+    a wire of conductance 1 / t_i."""
+    chain: tuple[tuple[int, float], ...]
+    """The chain level's cells and the wires between them, left to right,
+    in the same form, the index into the chain level's classes and 1 / t
+    the inverse t-length of the port."""
+    left: float | None
+    """Robin coefficient of the left end times r_mass; None for Dirichlet."""
+    right: float | None
+
+    @property
+    def zero_band(self) -> float:
+        """Half-width of the band around 0 taken as the zero eigenvalue.
+
+        The smallest band in which s of every deepest-level cell stays a
+        normal float, so that an exact zero mode (Neumann ends) counts as
+        0 at -band and as 1 at +band at any depth.
+        """
+        smallest = abs(self.s_unit) * min((abs(x) for x in self.leaves), default=0.0)
+        if smallest == 0.0:
+            raise InvalidParametersError("zero weight matrix")
+        return _S_FLOOR / smallest
+
+
+def _ports(children, below):
+    """The children of a cell (or the chain's ports) in the parent's units.
+
+    Returns (negatives, near-zeros, zero pivots, smallest pivot ratio)
+    summed over the children's templates, and each child's (c, rho_l,
+    rho_r): its template's divided by its t, or c = 1 / t for a wire.
+    """
+    neg = near = zero = 0
+    low = _INF
+    ports = []
+    for index, inv_t in children:
+        if index < 0:
+            ports.append((inv_t, 0.0, 0.0))
+            continue
+        n, z, b, lo, c, l, r = below[index]
+        neg += n
+        near += z
+        zero += b
+        if lo < low:
+            low = lo
+        ports.append((c * inv_t, l * inv_t, r * inv_t))
+    return neg, near, zero, low, ports
+
+
+def _cell(children, below):
+    """Template of a cell from those of its children, joined left to right.
+
+    Joining port 1 to port 2 eliminates their shared node: with the
+    junction shunt sigma = rho_1r + rho_2l the pivot is d = c1 + c2 +
+    sigma, and the joined port has c = c1 c2 / d, rho_l = rho_1l +
+    c1 sigma / d and rho_r = rho_2r + c2 sigma / d.  The pivot ratio is
+    |d| / (|c1| + |c2| + |sigma|), since a joined port's c can be
+    negative.  A pivot below _NEAR of its terms is a near-zero, and one
+    below _CLAMP of them (an exact zero: ratio 0) is clamped as _carry
+    does.
+    """
+    neg, near, zero, low, ports = _ports(children, below)
+    c, l, r = ports[0]
+    for c2, l2, r2 in ports[1:]:
+        sigma = r + l2
+        d = c + c2 + sigma
+        size = abs(c) + abs(c2) + abs(sigma)
+        ratio = abs(d) / size if size > 0.0 else 0.0
+        if ratio < low:
+            low = ratio
+        if ratio < _NEAR:
+            near += 1
+            zero += ratio == 0.0
+            d = _carry(d, max(_CLAMP * size, _TINY))
+        neg += d < 0.0
+        c, l, r = c * c2 / d, l + c * sigma / d, r2 + c2 * sigma / d
+    return neg, near, zero, low, c, l, r
+
+
+def _chain(template, cells):
+    """The record of the top cell: its chain of ports swept left to right.
+
+    The sweep runs in row-sum form, the sequential order in which counts
+    stay monotone in lam (Demmel, Dhillon & Ren, ETNA 3, 1995).  At the
+    node between the ports c_in and c_out the shunt is sigma = rho_r of
+    c_in + rho_l of c_out, the row sum row = sigma + c_in row' / pivot'
+    carries on from the node before, and the pivot is row + c_out, with
+    the ratio and clamp of _cell.  A Robin end is a node between the end
+    port and a port with c = 0 and the Robin coefficient as its rho; a
+    Dirichlet end node is eliminated, and past it c_in row' / pivot' is
+    c_in.
+    """
+    neg, near, zero, low, ports = _ports(template.chain, cells)
+    if template.left is not None:
+        ports.insert(0, (0.0, 0.0, template.left))
+    if template.right is not None:
+        ports.append((0.0, template.right, 0.0))
+    pivot = row = None
+    for (c_in, _, r_in), (c_out, l_out, _) in zip(ports, ports[1:]):
+        sigma = r_in + l_out
+        through = c_in if pivot is None else c_in * row / pivot
+        row = sigma + through
+        pivot = row + c_out
+        size = abs(sigma) + abs(through) + abs(c_out)
+        ratio = abs(pivot) / size if size > 0.0 else 0.0
+        if ratio < low:
+            low = ratio
+        if ratio < _NEAR:
+            near += 1
+            zero += ratio == 0.0
+            pivot = _carry(pivot, max(_CLAMP * size, _TINY))
+        neg += pivot < 0.0
+    return neg, near, zero, min(low, 1e308)
+
+
+def _level_inertia(template, lam):
+    """The sturm_pivots record of a level template's pencil at lam."""
+    s = lam * template.s_unit
+    m00, m01, m11 = template.quad
+    below = []
+    for scale in template.leaves:
+        x = s * scale
+        below.append((0, 0, 0, _INF, 1.0 + x * m01, -x * (m00 + m01), -x * (m11 + m01)))
+    for table in template.levels:
+        below = [_cell(children, below) for children in table]
+    return _chain(template, below)
+
+
+def level_pivots_many(template, lams):
+    """The sturm_pivots_many record at each lam of the float64 array lams, from a LevelTemplate."""
+    return [_level_inertia(template, lam) for lam in lams.tolist()]

@@ -16,10 +16,16 @@ problem comes as a pair (R, P) on the original axis: one for exactly
 self-similar R (hat pullbacks integrate against dP via mixed moments
 int R^l dP) and one for R a finite substitution iterate (hat pullbacks
 are affine on cells of depth >= k and integrate via plain moments).
+Every cell of one level of such a pencil is a scaled copy of one
+template, so these two routes build per-level letter tables (a
+_kernels.LevelTemplate) in O(depth) and count from them; the 2^depth
+arrays come from the segment walk on first read, for the callers that
+need them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -97,7 +103,11 @@ def boundary_data(u_matrix) -> BoundaryCondition:
     return BoundaryCondition(side(u[0, 0]), side(u[1, 1]))
 
 
-@dataclass(frozen=True)
+# Fields of a pair-route pencil that its segment walk builds on first read.
+_LAZY = ("nodes", "a_diag", "a_off", "b_diag", "b_off", "constrained")
+
+
+@dataclass(frozen=True, eq=False)
 class PencilDiscretization:
     """Symmetric tridiagonal pencil (A, B) over hat functions.
 
@@ -106,7 +116,14 @@ class PencilDiscretization:
     nodes were dropped (0 or 1).  The pencil's arrays are read-only
     float64 arrays that nothing else can write to (copies where needed),
     so it never changes, and it remembers what the inertia kernel
-    returned at each spectral parameter it was swept at.
+    returned at each spectral parameter it was swept at.  Pencils
+    compare and hash by identity.
+
+    A pencil from assemble_selfsimilar_pair or assemble_iterated_pair
+    also holds its level template: the kernel counts it from that, and
+    its arrays (and constrained) come from the segment walk when first
+    read, for the callers that need them, such as the Rayleigh-quotient
+    polish of eigenvalues and resolvent_sandwich.
     """
 
     nodes: np.ndarray
@@ -117,11 +134,36 @@ class PencilDiscretization:
     free_start: int
     constrained: tuple[int, ...]
     # lam -> (negatives, near-zeros, min pivot ratio)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # the _kernels.LevelTemplate of a pair-route pencil, and the call
+    # that builds its arrays
+    _levels: _kernels.LevelTemplate | None = field(default=None, init=False, repr=False)
+    _build: Callable[[], PencilDiscretization] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    @classmethod
+    def _from_template(cls, levels, free_start: int, build) -> "PencilDiscretization":
+        """A pencil counted by its level template; build() makes its arrays on first read."""
+        disc = object.__new__(cls)
+        for name, value in (
+            ("free_start", free_start), ("_memo", {}), ("_levels", levels), ("_build", build)
+        ):
+            object.__setattr__(disc, name, value)
+        return disc
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks: the arrays of a
+        # pair-route pencil before their first read
+        build = self.__dict__.get("_build")
+        if build is None or name not in _LAZY:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        built = build()
+        for key in _LAZY:
+            object.__setattr__(self, key, getattr(built, key))
+        return getattr(self, name)
 
     @property
     def n_free(self) -> int:
@@ -139,19 +181,23 @@ class PencilDiscretization:
     def _sweeps(self, lams) -> list[tuple]:
         """(negatives, near-zeros, smallest |pivot| / scale) at each lam.
 
-        One sturm_pivots_many call sweeps the lams not yet swept; a lam
-        already swept costs nothing.  Answers are read into a local dict
-        before the memo may be cleared, so a query that races another
-        thread's clear at worst sweeps again.
+        One kernel call covers the lams not yet swept: level_pivots_many
+        for a pencil with a level template, sturm_pivots_many over the
+        arrays otherwise; a lam already swept costs nothing.  Answers are
+        read into a local dict before the memo may be cleared, so a query
+        that races another thread's clear at worst sweeps again.
         """
         memo = self._memo
         lams = [float(x) for x in lams]
         got = {lam: memo.get(lam) for lam in lams}
         missing = [lam for lam, value in got.items() if value is None]
         if missing:
-            records = _kernels.sturm_pivots_many(
-                self.a_diag, self.a_off, self.b_diag, self.b_off, np.array(missing)
-            )
+            if self._levels is not None:
+                records = _kernels.level_pivots_many(self._levels, np.array(missing))
+            else:
+                records = _kernels.sturm_pivots_many(
+                    self.a_diag, self.a_off, self.b_diag, self.b_off, np.array(missing)
+                )
             swept = [(neg, near, min_rel) for neg, near, _, min_rel in records]
             for lam, value in zip(missing, swept):
                 if len(memo) >= _MEMO_SIZE:
@@ -467,6 +513,87 @@ def _assemble_from_segments(
     return _finalize(nodes, a_diag, a_off, b_diag, b_off, bc)
 
 
+def _classes(values: list[float]) -> tuple[list[int], list[float]]:
+    """The class of each value, and the classes: values within 1e-12 relative share one.
+
+    A class opens at its smallest value, so no class spans more than
+    1e-12 relative; rounding in the products of t_i m_i along different
+    paths stays far below that.
+    """
+    index = [0] * len(values)
+    classes: list[float] = []
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        if not classes or values[i] - classes[-1] > 1e-12 * abs(classes[-1]):
+            classes.append(values[i])
+        index[i] = len(classes) - 1
+    return index, classes
+
+
+def _pair_pencil(
+    p: SelfSimilarParams,
+    depth: int,
+    chain_level: int,
+    t_factor,
+    quad: np.ndarray,
+    r_mass: float,
+    bc: BoundaryCondition,
+    p_scale: float,
+) -> PencilDiscretization:
+    """A pair-route pencil counted by its level template, arrays built on first read.
+
+    The ports of the template's chain are the cells of chain_level, the
+    deepest level whose t-factors still depend on the level, and the
+    massless segments above them, from the segment walk down to that
+    level; it raises for junction atoms and for dP mass on a plateau of
+    R there.  Below it the letter tables give each level's classes and
+    raise for mass on a plateau as the walk does.  The arrays are those
+    of _assemble_from_segments over the full walk, bit for bit.
+    """
+    n = p.n
+    dprime = p.dprime
+    rows = _walk_segments(p, chain_level, t_factor).tolist()
+    index, classes = _classes([t * m for t, m in rows if m != 0.0])
+    slot = iter(index)
+    chain = tuple((next(slot) if m != 0.0 else -1, 1.0 / t) for t, m in rows)
+    tables = []
+    for level in range(chain_level + 1, depth + 1):
+        tf = [t_factor(level, i) for i in range(n)]
+        flat = [i for i in range(n) if tf[i] == 0.0 and dprime[i] != 0.0]
+        if classes and flat:
+            raise UnsupportedConfigurationError(
+                f"cell letter {flat[0]}: dP mass sits on a plateau of R"
+            )
+        letters = [i for i in range(n) if tf[i] != 0.0]
+        live = [i for i in letters if dprime[i] != 0.0]
+        index, below = _classes([scale * tf[i] * dprime[i] for scale in classes for i in live])
+        slot = iter(index)
+        tables.append(tuple(
+            tuple((next(slot) if dprime[i] != 0.0 else -1, 1.0 / tf[i]) for i in letters)
+            for _ in classes
+        ))
+        classes = below
+    if bc.left is None and bc.right is None and (
+        not classes or (chain_level == depth and len(chain) == 1)
+    ):
+        # a single segment, as _finalize would find
+        raise InvalidParametersError("no free nodes left after constraints")
+    levels = _kernels.LevelTemplate(
+        s_unit=r_mass * p_scale,
+        quad=tuple(float(x) for x in quad),
+        leaves=tuple(classes),
+        levels=tuple(reversed(tables)),
+        chain=chain,
+        left=None if bc.left is None else bc.left * r_mass,
+        right=None if bc.right is None else bc.right * r_mass,
+    )
+
+    def build() -> PencilDiscretization:
+        segments = _walk_segments(p, depth, t_factor)
+        return _assemble_from_segments(segments, quad, r_mass, bc, p_scale)
+
+    return PencilDiscretization._from_template(levels, 0 if bc.left is not None else 1, build)
+
+
 def assemble_selfsimilar_pair(
     r: MonotonePrimitive,
     p: SelfSimilarParams,
@@ -485,8 +612,7 @@ def assemble_selfsimilar_pair(
     rp = r.params
     m = pair_moments(r, p, 2)
     quad = np.array([m[0] - 2 * m[1] + m[2], m[1] - m[2], m[2]])
-    segs = _walk_segments(p, depth, lambda level, i: rp.dprime[i])
-    return _assemble_from_segments(segs, quad, r_mass, bc, p_scale)
+    return _pair_pencil(p, depth, 0, lambda level, i: rp.dprime[i], quad, r_mass, bc, p_scale)
 
 
 def assemble_iterated_pair(
@@ -514,10 +640,10 @@ def assemble_iterated_pair(
         raise InvalidParametersError("cell widths of R and P differ")
     mu = moments(p, 2)
     quad = np.array([mu[0] - 2 * mu[1] + mu[2], mu[1] - mu[2], mu[2]])
-    segs = _walk_segments(
-        p, depth, lambda level, i: rp.dprime[i] if level <= k else rp.a[i]
+    return _pair_pencil(
+        p, depth, k, lambda level, i: rp.dprime[i] if level <= k else rp.a[i],
+        quad, r_mass, bc, p_scale,
     )
-    return _assemble_from_segments(segs, quad, r_mass, bc, p_scale)
 
 
 def resolvent_sandwich(

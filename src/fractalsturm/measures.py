@@ -92,9 +92,12 @@ def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
-    """Piecewise constant function: values[i] on [breaks[i], breaks[i+1])."""
+    """Piecewise constant function: values[i] on [breaks[i], breaks[i+1]).
+
+    Step functions compare and hash by identity.
+    """
 
     breaks: np.ndarray
     values: np.ndarray
@@ -159,7 +162,7 @@ class StepFunction:
         return cls(obj["breaks"], obj["values"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeMeasure:
     """Atoms + step density + scaled self-similar Stieltjes part.
 
@@ -167,7 +170,8 @@ class CompositeMeasure:
     P; it is treated as atomless (its own jumps, if any, are recovered
     explicitly via jump enumeration when needed).  All three parts may
     be present at once and add up.  The atom rows are clipped to [0, 1]
-    and sorted by position, then weight.
+    and sorted by position, then weight.  Measures compare and hash by
+    identity.
     """
 
     atoms: np.ndarray = ()

@@ -2,8 +2,10 @@
 
 Counting is inertia based: with a reference shift xi where A - xi B is
 positive definite, the number of pencil eigenvalues between xi and lam
-equals the number of negative LDL^T pivots of A - lam B, so each query
-costs one tridiagonal sweep and no eigenvalue is ever missed or doubled.
+equals the number of negative LDL^T pivots of A - lam B, so no
+eigenvalue is ever missed or doubled.  Each query costs one tridiagonal
+sweep, or on a pair-route pencil one pass of the level recursion over
+its template (see _kernels).
 That inertia depends only on the pencil and lam, so the pencil remembers
 it: each query resolves its shift and the zero band's edge from that
 memo, and a lam that any count, shift check or eigenvalue search has
@@ -70,11 +72,18 @@ class CountingResult:
 def zero_tolerance(disc: PencilDiscretization) -> float:
     """Width of the band around 0 identified with the zero eigenvalue.
 
-    Floating-point assembly perturbs an exact zero eigenvalue (e.g. the
-    Neumann constant mode) by roughly eps * |A| / |B| in pencil units;
-    eigenvalues inside the band count as 0.  Heuristic; every count and
-    eigenvalue search on the pencil uses it.
+    Eigenvalues inside the band count as 0; every count and eigenvalue
+    search on the pencil uses it.  On a pencil read from its arrays,
+    floating-point assembly perturbs an exact zero eigenvalue (e.g. the
+    Neumann constant mode) by roughly eps * |A| / |B| in pencil units,
+    and the band is the heuristic 1e-12 * |A| / |B|.  A pair-route
+    pencil is counted from its level template, which keeps an exact zero
+    mode exact: its band is the tiny one in which the deepest cells'
+    spectral parameter stays a normal float (LevelTemplate.zero_band),
+    and reading it builds no arrays.
     """
+    if disc._levels is not None:
+        return disc._levels.zero_band
     return 1e-12 * disc._norm_ratio
 
 

@@ -176,13 +176,27 @@ class TestAssemble:
         off[0] = 5.0
         assert disc.a_diag[0] == 2.0 and disc.a_off[0] == -1.0
         assembled = assemble(1.0, 0.0, TWO_ATOMS, DIRICHLET, depth=4)
-        for d in (disc, assembled):
+        # a pair-route pencil's arrays, built on first read
+        pair = assemble_iterated_pair(MonotonePrimitive.cantor(), 2, cantor_ladder(), NEUMANN, depth=5)
+        for d in (disc, assembled, pair):
             for arr in (d.nodes, d.a_diag, d.a_off, d.b_diag, d.b_off):
                 assert arr.dtype == np.float64 and arr.flags.c_contiguous
             with pytest.raises(ValueError):
                 d.a_diag[0] = 1.0
             with pytest.raises(ValueError):
                 d.b_off += 1.0
+
+    def test_compares_and_hashes_by_identity(self):
+        # the generated == compared the arrays and raised; on a pair-route
+        # pencil it would also have built them
+        for build in (
+            lambda: assemble(1.0, 0.0, TWO_ATOMS, DIRICHLET, depth=4),
+            lambda: assemble_selfsimilar_pair(MonotonePrimitive.identity(3), cantor_ladder(), NEUMANN, 9),
+        ):
+            one, other = build(), build()
+            assert one == one and one != other
+            assert len({one, other, one}) == 2
+        assert not any(field in vars(one) for field in PENCIL_FIELDS)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -249,6 +263,8 @@ class TestPairRoutes:
         segs = _walk_segments(cantor, 15, lambda level, i: identity.params.dprime[i])
         got = assemble_selfsimilar_pair(identity, cantor, NEUMANN, 15)
         want = reference_from_segments(segs, quad, 1.0, NEUMANN)
+        # the pair routes build their arrays on first read
+        assert not any(field in vars(got) for field in PENCIL_FIELDS)
         assert got.n_free == 65_536
         for field in PENCIL_FIELDS:
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -259,6 +275,7 @@ class TestPairRoutes:
         segs = _walk_segments(cantor, 9, lambda level, i: r.params.dprime[i] if level <= 6 else r.params.a[i])
         got = assemble_iterated_pair(r, 6, cantor, NEUMANN, 9)
         want = reference_from_segments(segs, quad, 1.0, NEUMANN)
+        assert not any(field in vars(got) for field in PENCIL_FIELDS)
         for field in PENCIL_FIELDS:
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 

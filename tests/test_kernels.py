@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractalsturm import BoundaryCondition, MonotonePrimitive, assemble_iterated_pair, cantor_ladder
+from fractalsturm import BoundaryCondition, CompositeMeasure, assemble, cantor_ladder
 from fractalsturm import _kernels as kern
 from fractalsturm.assembly import PencilDiscretization
 from fractalsturm.spectral import count, counting_function, eigenvalues
@@ -236,8 +236,8 @@ def test_benchmark_tracer_counts_each_sweep_once():
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        disc = assemble_iterated_pair(
-            MonotonePrimitive.cantor(), 2, cantor_ladder(), BoundaryCondition.neumann(), depth=6
+        disc = assemble(
+            1.0, 0.0, CompositeMeasure.from_selfsim(cantor_ladder()), BoundaryCondition.neumann(), depth=6
         )
         tracer.run = 0
         counting_function(disc, np.geomspace(10.0, 1e4, 7))

@@ -1,0 +1,244 @@
+"""Tests for the level recursion that counts pair-route pencils.
+
+The reference is the tridiagonal kernel on the same pencil's arrays,
+built by the segment walk: a pencil made from those arrays alone
+(PencilDiscretization(...)) is swept by sturm_pivots_many.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fractalsturm import (
+    BoundaryCondition,
+    InvalidParametersError,
+    MonotonePrimitive,
+    PencilDiscretization,
+    SelfSimilarParams,
+    asymptotics_report,
+    assemble_iterated_pair,
+    assemble_selfsimilar_pair,
+    cantor_ladder,
+    count,
+    counting_function,
+    splitting_inequality,
+)
+from fractalsturm import _kernels, assembly
+from fractalsturm.spectral import zero_tolerance
+
+NEUMANN = BoundaryCondition.neumann()
+DIRICHLET = BoundaryCondition.dirichlet()
+IDENTITY = MonotonePrimitive.identity(3)
+CANTOR_R = MonotonePrimitive.cantor()
+CANTOR = cantor_ladder()
+# d' = (w, 0, 1 - w) as in the benchmark's general workload: the two live
+# letters scale differently, so level L has L + 1 classes
+UNEVEN = SelfSimilarParams(a=(1 / 3,) * 3, dprime=(0.3, 0.0, 0.7), betaprime=(0.0, 0.3, 0.3))
+
+# criterion 1 and the counterexample workload: lam and the splitting
+# arguments d_i d'_i lam; criterion 6 and the asymptotics workload, and
+# the same grid one period on; the general workload; criterion 7's
+# uniform draws
+GRID = np.unique(np.concatenate((
+    [0.0, 510.0, 85.0, 85.0 / 6.0],
+    np.geomspace(1e3, 1e7, 25),
+    6.0 * np.geomspace(1e3, 1e7, 25),
+    [1e2, 1e3, 1e4],
+    np.random.default_rng(2024).uniform(-2000.0, 8000.0, 50),
+)))
+
+
+def from_arrays(disc):
+    """The same pencil, counted by the kernel over its arrays."""
+    return PencilDiscretization(
+        disc.nodes, disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, disc.free_start, disc.constrained
+    )
+
+
+def counts(disc, lams):
+    return [(r.n_plus, r.n_minus) for r in counting_function(disc, lams)]
+
+
+def cantor(bc, depth, **scales):
+    return assemble_selfsimilar_pair(IDENTITY, CANTOR, bc, depth, **scales)
+
+
+def iterate(bc, depth, **scales):
+    return assemble_iterated_pair(CANTOR_R, 6, CANTOR, bc, depth, **scales)
+
+
+def uneven(bc, depth, **scales):
+    return assemble_selfsimilar_pair(IDENTITY, UNEVEN, bc, depth, **scales)
+
+
+@pytest.mark.parametrize(
+    "build, depth",
+    [(cantor, 9), (cantor, 12), (cantor, 15), (iterate, 9), (iterate, 14), (uneven, 9), (uneven, 12)],
+)
+def test_counts_equal_kernel_sweep(build, depth):
+    disc = build(NEUMANN, depth)
+    assert counts(disc, GRID) == counts(from_arrays(disc), GRID)
+
+
+@st.composite
+def pair_problems(draw):
+    """(R, P) sharing cell widths: R's weights positive or zero (a plateau),
+    P's zero on R's plateaus and on some other letters, no junction atoms."""
+    n = draw(st.integers(2, 4))
+    a = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    a = tuple(a / a.sum())
+    r_d = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    r_d[list(draw(st.sets(st.integers(0, n - 1), max_size=n - 2)))] = 0.0
+    r_d /= r_d.sum()
+    p_d = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    p_d[(r_d == 0.0) | np.isin(np.arange(n), list(draw(st.sets(st.integers(0, n - 1), max_size=n - 2))))] = 0.0
+    # one live letter would make dP a point mass at an end
+    assume(np.count_nonzero(p_d) >= 2)
+    p_d /= p_d.sum()
+
+    def params(d):
+        return SelfSimilarParams(a=a, dprime=tuple(d), betaprime=tuple(np.concatenate(([0.0], np.cumsum(d)[:-1]))))
+
+    return MonotonePrimitive(params(r_d)), params(p_d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair_problems(),
+    st.integers(1, 7),
+    st.data(),
+    st.sampled_from([NEUMANN, DIRICHLET, BoundaryCondition(0.7, None), BoundaryCondition(-0.5, 2.5)]),
+)
+def test_counts_equal_kernel_sweep_on_random_pairs(problem, depth, data, bc):
+    r, p = problem
+    k = data.draw(st.none() | st.integers(0, depth))
+    if k is None:
+        disc = assemble_selfsimilar_pair(r, p, bc, depth, r_mass=1.3, p_scale=0.7)
+    else:
+        # on levels above k the plateaus of R carry no mass of P, below it R is affine
+        disc = assemble_iterated_pair(r, k, p, bc, depth, r_mass=1.3, p_scale=0.7)
+    grid = np.concatenate(([0.0], np.geomspace(1.0, 1e6, 40), -np.geomspace(1e-2, 1e3, 6)))
+    assert counts(disc, grid) == counts(from_arrays(disc), grid)
+
+
+def test_one_class_per_distinct_scaling():
+    # Cantor cells of one level share one scaling; (w, 0, 1 - w) gives
+    # level L the products w^j (1 - w)^(L - j), one class each
+    assert [len(t) for t in cantor(NEUMANN, 12)._levels.levels] == [1] * 12
+    assert [len(t) for t in uneven(NEUMANN, 12)._levels.levels] == list(range(12, 0, -1))
+    assert len(uneven(NEUMANN, 12)._levels.leaves) == 13
+
+
+def test_single_segment_rejected_at_assembly():
+    # as the arrays' own check would, before any array is built
+    with pytest.raises(InvalidParametersError, match="no free nodes"):
+        cantor(DIRICHLET, 0)
+    with pytest.raises(InvalidParametersError, match="no free nodes"):
+        assemble_iterated_pair(CANTOR_R, 0, CANTOR, DIRICHLET, 0)
+    assert cantor(BoundaryCondition(None, 0.0), 0)._levels is not None
+
+
+@pytest.mark.parametrize("build", [cantor, iterate, uneven])
+@pytest.mark.parametrize(
+    "bc", [DIRICHLET, BoundaryCondition(None, 1.5), BoundaryCondition(0.7, 2.5), BoundaryCondition(-1.0, -1.0)],
+    ids=["dirichlet", "dirichlet-robin", "robin", "negative-robin"],
+)
+@pytest.mark.parametrize("r_mass, p_scale", [(1.0, 1.0), (2.5, 0.3), (1e-3, 1e3)])
+def test_counts_equal_kernel_sweep_at_ends_and_scales(build, bc, r_mass, p_scale):
+    disc = build(bc, 9, r_mass=r_mass, p_scale=p_scale)
+    grid = np.concatenate((GRID, -np.geomspace(1e-2, 1e3, 12)))
+    assert counts(disc, grid) == counts(from_arrays(disc), grid)
+
+
+def first_eigenvalues(disc, how_many):
+    """The first how_many positive eigenvalues, by bisection on counts alone."""
+    found = []
+    for k in range(count(disc, 0.0).n_plus + 1, count(disc, 0.0).n_plus + how_many + 1):
+        lo, hi = 1e-3, 1.0
+        while count(disc, hi).n_plus < k:
+            lo, hi = hi, 8.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if count(disc, mid).n_plus < k:
+                lo = mid
+            else:
+                hi = mid
+        found.append(hi)
+    return found
+
+
+@pytest.mark.parametrize("build", [cantor, iterate])
+def test_counts_monotone_around_eigenvalues_at_depth_30(build):
+    disc = build(NEUMANN, 30)
+    eigs = first_eigenvalues(disc, 20)
+    assert 7.0 < eigs[0] and len(set(eigs)) == 20
+    for e in eigs:
+        window = np.linspace(e * (1.0 - 1e-10), e * (1.0 + 1e-10), 41)
+        got = [n for n, _ in counts(disc, window)]
+        assert got == sorted(got), e
+    # a 2^30-node pencil: nothing above may have built its arrays
+    assert "a_diag" not in vars(disc)
+
+
+@pytest.mark.parametrize("build", [cantor, iterate])
+@pytest.mark.parametrize("depth", [9, 24, 45])
+@pytest.mark.parametrize("r_mass", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("p_scale", [1e-3, 1.0, 1e3])
+def test_zero_mode_counts_at_any_depth(build, depth, r_mass, p_scale):
+    disc = build(NEUMANN, depth, r_mass=r_mass, p_scale=p_scale)
+    zt = zero_tolerance(disc)
+    assert 0.0 < zt < 1e-200
+    assert count(disc, 0.0).n_plus == 1
+    assert count(disc, -zt).n_minus == 0
+    assert "a_diag" not in vars(disc)
+
+
+def test_count_only_routes_build_no_arrays(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pair-route arrays built")
+
+    monkeypatch.setattr(assembly, "_assemble_from_segments", refuse)
+    disc = cantor(NEUMANN, 15)
+    grid = np.geomspace(1e3, 1e7, 25)
+    rep = asymptotics_report(disc, IDENTITY.params.dprime, CANTOR.dprime, grid)
+    assert [r.n_plus for r in counting_function(disc, grid)] == rep.n_plus.tolist()
+    chk = splitting_inequality(CANTOR_R, CANTOR, 6, 510.0, depth=9)
+    assert (chk.lhs, chk.rhs_terms) == (8, (3, 1, 3))
+    assert not any(name in vars(disc) for name in ("nodes", "a_diag", "b_off", "constrained"))
+
+
+def test_arrays_built_once_on_first_read():
+    disc = iterate(BoundaryCondition(None, 0.0), 9)
+    assert disc.free_start == 1 and "nodes" not in vars(disc)
+    assert disc.constrained == (0,)
+    arrays = [vars(disc)[name] for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off")]
+    assert disc.n_free == disc.nodes.size - 1
+    assert all(getattr(disc, name) is arr for name, arr in zip(("nodes", "a_diag"), arrays))
+    with pytest.raises(AttributeError):
+        disc.no_such_field
+
+
+def test_exact_zero_pivots_are_clamped_near_zeros():
+    # two hat elements with M01 = 0: c = 1 and rho = -s, so the junction
+    # pivot 1 + 1 - 2s and, on one Neumann element, the first chain
+    # pivot 1 - s vanish at s = 1
+    joined = _kernels.LevelTemplate(
+        s_unit=1.0, quad=(1.0, 0.0, 1.0), leaves=(1.0,), levels=((((0, 1.0), (0, 1.0)),),),
+        chain=((0, 1.0),), left=None, right=None,
+    )
+    lams = np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    assert _kernels.level_pivots_many(joined, lams) == [
+        (0, 0, 0, pytest.approx(5e-10)), (0, 1, 1, 0.0), (1, 0, 0, pytest.approx(5e-10))
+    ]
+    element = joined._replace(levels=(), left=0.0, right=0.0)
+    neg, near, zero, ratio = _kernels.level_pivots_many(element, np.array([1.0]))[0]
+    assert (near, zero, ratio) == (1, 1, 0.0) and math.isfinite(neg)
+
+
+def test_zero_weight_has_no_band():
+    weightless = _kernels.LevelTemplate(1.0, (0.3, 0.2, 0.5), (), (), ((-1, 1.0),), 0.0, 0.0)
+    with pytest.raises(InvalidParametersError):
+        weightless.zero_band

@@ -212,6 +212,22 @@ class TestAtomFormat:
             CompositeMeasure(atoms=atoms)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StepFunction.constant(1.0),
+        lambda: CompositeMeasure.from_atoms([(0.5, 1.0), (0.2, 1.0)]),
+        lambda: CompositeMeasure(density=StepFunction.constant(2.0), selfsim=(CANTOR, 1.5)),
+    ],
+    ids=["step", "atoms", "composite"],
+)
+def test_compare_and_hash_by_identity(build):
+    # the generated == compared array fields and raised
+    one, other = build(), build()
+    assert one == one and one != other
+    assert len({one, other, one}) == 2
+
+
 class TestIntegrateAgainst:
     def test_atoms_exact(self):
         mu = CompositeMeasure.from_atoms([(0.25, 2.0), (0.75, -0.5)])

@@ -396,18 +396,27 @@ class TestShiftResolution:
         assert zt2 == pytest.approx(zt1, rel=1e-9)
 
 
+def spy_entries(monkeypatch, record):
+    """Call record(lams) with the spectral parameters of every call of an
+    inertia entry: the sweeps of a pencil's arrays, and the level
+    recursion that counts a pair-route pencil."""
+    for name in ("sturm_pivots", "sturm_pivots_many", "level_pivots_many"):
+        entry = getattr(_kernels, name)
+
+        def spy(*args, entry=entry):
+            lams = args[-1]
+            record(lams.tolist() if isinstance(lams, np.ndarray) else [lams])
+            return entry(*args)
+
+        monkeypatch.setattr(_kernels, name, spy)
+
+
 class TestSweepCounts:
     @pytest.fixture
     def swept(self, monkeypatch):
-        """Spectral parameters of every inertia sweep, in call order."""
+        """Spectral parameters that reached an inertia entry, in call order."""
         lams = []
-        sweep = _kernels._sweep
-
-        def recording(a_diag, a_off, b_diag, b_off, lam):
-            lams.append(lam)
-            return sweep(a_diag, a_off, b_diag, b_off, lam)
-
-        monkeypatch.setattr(_kernels, "_sweep", recording)
+        spy_entries(monkeypatch, lams.extend)
         return lams
 
     def test_eigenvalues_share_batched_sweeps(self, swept, monkeypatch):
@@ -415,17 +424,11 @@ class TestSweepCounts:
         disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
         xi = resolve_shift(disc)
         batches = []
-        many = _kernels.sturm_pivots_many
-
-        def recording(a_diag, a_off, b_diag, b_off, lams):
-            batches.append(lams.tolist())
-            return many(a_diag, a_off, b_diag, b_off, lams)
-
-        monkeypatch.setattr(_kernels, "sturm_pivots_many", recording)
+        spy_entries(monkeypatch, batches.append)
         swept.clear()
         eigenvalues(disc, 20, reference_shift=xi)
         # one bisection per index took 770 sweeps here
-        assert len(swept) <= 140
+        assert 0 < len(swept) <= 140
         assert all(len(set(lams)) == len(lams) for lams in batches)
 
     def test_asymptotics_report_sweeps_each_endpoint_once(self, swept):
@@ -460,7 +463,7 @@ class TestSweepCounts:
         assert 0 < len(polished) <= 11
         # the x100 windows around the failed values cut bisection short:
         # 241 sweeps against 374 with plain bisection, 97 when certified
-        assert len(swept) <= 260
+        assert 0 < len(swept) <= 260
         for g, e in zip(got, exact):
             assert abs(g - e) <= 2e-10 * abs(e)
 
@@ -510,20 +513,9 @@ queries = st.one_of(
 class TestPencilMemo:
     @pytest.fixture
     def sweeps(self, monkeypatch):
-        """Spectral parameters swept by the two kernel entry points, in call order."""
+        """Spectral parameters that reached an inertia entry, in call order."""
         seen = []
-        one, many = _kernels.sturm_pivots, _kernels.sturm_pivots_many
-
-        def one_spy(*args):
-            seen.append(args[4])
-            return one(*args)
-
-        def many_spy(*args):
-            seen.extend(args[4].tolist())
-            return many(*args)
-
-        monkeypatch.setattr(_kernels, "sturm_pivots", one_spy)
-        monkeypatch.setattr(_kernels, "sturm_pivots_many", many_spy)
+        spy_entries(monkeypatch, seen.extend)
         return seen
 
     def test_repeated_grid_costs_no_sweep(self, sweeps):
@@ -533,6 +525,7 @@ class TestPencilMemo:
         grid = np.geomspace(1e2, 1e5, 13)
         asymptotics_report(disc, cl.a, cl.dprime, grid, xi)
         first = counting_function(disc, grid, xi)
+        assert sweeps
         sweeps.clear()
         assert counting_function(disc, grid, xi) == first
         assert sweeps == []
