@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import _kernels
 from .errors import (
@@ -116,14 +116,17 @@ class PencilDiscretization:
     nodes were dropped (0 or 1).  The pencil's arrays are read-only
     float64 arrays that nothing else can write to (copies where needed),
     so it never changes, and it remembers what the inertia kernel
-    returned at each spectral parameter it was swept at.  Pencils
-    compare and hash by identity.
+    returned at each spectral parameter it was swept at.  The arrays
+    must be finite (InvalidParametersError on NaN or inf), since the
+    LAPACK solves of the polish and resolvent_sandwich do not check.
+    Pencils compare and hash by identity.
 
     A pencil from assemble_selfsimilar_pair or assemble_iterated_pair
     also holds its level template: the kernel counts it from that, and
     its arrays (and constrained) come from the segment walk when first
-    read, for the callers that need them, such as the Rayleigh-quotient
-    polish of eigenvalues and resolvent_sandwich.
+    read, through this constructor and its finiteness check, for the
+    callers that need them, such as the Rayleigh-quotient polish of
+    eigenvalues and resolvent_sandwich.
     """
 
     nodes: np.ndarray
@@ -142,7 +145,10 @@ class PencilDiscretization:
 
     def __post_init__(self):
         for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            arr = _frozen(getattr(self, name))
+            if not np.isfinite(arr).all():
+                raise InvalidParametersError(f"pencil array {name} holds NaN or inf")
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def _from_template(cls, levels, free_start: int, build) -> "PencilDiscretization":
@@ -177,6 +183,13 @@ class PencilDiscretization:
         if norm_b == 0.0:
             raise InvalidParametersError("zero weight matrix")
         return norm_a / norm_b
+
+    @cached_property
+    def _sum_ratio(self) -> float:
+        """|A| / |B| in the entrywise 1-norm; read after _norm_ratio, which rejects B = 0."""
+        norm_a, norm_b = (np.abs(d).sum() + 2.0 * np.abs(o).sum() for d, o in (
+            (self.a_diag, self.a_off), (self.b_diag, self.b_off)))
+        return float(norm_a / norm_b)
 
     def _sweeps(self, lams) -> list[tuple]:
         """(negatives, near-zeros, smallest |pivot| / scale) at each lam.
@@ -653,8 +666,10 @@ def resolvent_sandwich(
 
     Entry (i, j) is e_i^T (A - lam B)^{-1} e_j over the hat coefficients
     at the given node positions; a position eliminated by a Dirichlet
-    condition contributes a zero row and column.  Raises
-    ResolventPoleError when lam is (numerically) in the spectrum.
+    condition contributes a zero row and column.  The unit columns and a
+    random probe of the conditioning are solved together by _tri_solve,
+    one LAPACK dgtsv call, and the residual is checked by _tri_mul.
+    Raises ResolventPoleError when lam is (numerically) in the spectrum.
     """
     positions = list(positions)
     k = len(positions)
@@ -662,29 +677,25 @@ def resolvent_sandwich(
     for pos in positions:
         free.append(disc.free_index(disc.node_index(pos)))
     n = disc.n_free
-    ab = np.zeros((3, n))
-    ab[0, 1:] = disc.a_off - lam * disc.b_off
-    ab[1, :] = disc.a_diag - lam * disc.b_diag
-    ab[2, :-1] = disc.a_off - lam * disc.b_off
-    rhs = np.zeros((n, k))
+    diag, off = disc.a_diag - lam * disc.b_diag, disc.a_off - lam * disc.b_off
+    # right hand sides as rows: the unit columns, then the probe
+    rhs = np.zeros((k + 1, n))
     for col, fi in enumerate(free):
         if fi is not None:
-            rhs[fi, col] = 1.0
-    scale = np.max(np.abs(ab))
-    try:
-        sol = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ResolventPoleError(f"spectral parameter {lam} is a pole") from exc
-    if not np.all(np.isfinite(sol)):
-        raise ResolventPoleError(f"spectral parameter {lam} is a pole")
-    residual = np.max(np.abs(_tri_apply(ab, sol) - rhs))
-    if residual > 1e-6 * max(scale, 1.0) * max(np.max(np.abs(sol)), 1.0):
-        raise ResolventPoleError(f"solve at {lam} lost all accuracy (near pole)")
+            rhs[col, fi] = 1.0
     # sandwich entries can vanish at a pole (green function zeros), so
     # probe the conditioning with an independent right hand side
     probe = np.random.default_rng(0).normal(size=n)
-    probe /= np.linalg.norm(probe)
-    cond_est = np.linalg.norm(solve_banded((1, 1), ab, probe)) * scale
+    rhs[k] = probe / np.linalg.norm(probe)
+    scale = np.max(np.abs(np.concatenate((diag, off))))
+    sol = _tri_solve(diag, off, rhs.T)
+    if sol is None or not np.all(np.isfinite(sol)):
+        raise ResolventPoleError(f"spectral parameter {lam} is a pole")
+    sol = sol.T
+    residual = np.max(np.abs(_tri_mul(diag, off, sol[:k]) - rhs[:k]), initial=0.0)
+    if residual > 1e-6 * max(scale, 1.0) * max(np.max(np.abs(sol[:k]), initial=0.0), 1.0):
+        raise ResolventPoleError(f"solve at {lam} lost all accuracy (near pole)")
+    cond_est = np.linalg.norm(sol[k]) * scale
     if cond_est > 1e11:
         raise ResolventPoleError(f"spectral parameter {lam} is numerically at an eigenvalue")
     out = np.zeros((k, k))
@@ -693,7 +704,7 @@ def resolvent_sandwich(
             continue
         for row, fj in enumerate(free):
             if fj is not None:
-                out[row, col] = sol[fj, col]
+                out[row, col] = sol[col, fj]
     out = 0.5 * (out + out.T)
     if weights is not None:
         w = np.asarray(weights, dtype=float)
@@ -701,13 +712,26 @@ def resolvent_sandwich(
     return out
 
 
-def _tri_apply(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the banded (1,1) matrix stored LAPACK-style to columns x."""
-    n = ab.shape[1]
-    y = ab[1, :, np.newaxis] * x
-    y[:-1] += ab[0, 1:, np.newaxis] * x[1:]
-    y[1:] += ab[2, :-1, np.newaxis] * x[:-1]
+def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix (diag, off) times x along x's last axis."""
+    y = diag * x
+    y[..., :-1] += off * x[..., 1:]
+    y[..., 1:] += off * x[..., :-1]
     return y
+
+
+def _tri_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """x with T x = rhs for the symmetric tridiagonal T = (diag, off), None if T is singular.
+
+    One LAPACK dgtsv call on copies of the arrays (dgtsv overwrites
+    both off-diagonals, so each gets its own), rhs one column or an
+    (n, m) block; dgtsv reports an exact zero pivot of its partial
+    pivoting LU as info > 0.  scipy's wrapper wants off-diagonals of
+    length 1 at n = 1, where dgtsv never reads them.
+    """
+    off = off if off.size else np.zeros(1)
+    _, _, _, x, info = dgtsv(off, diag, off, rhs)
+    return None if info > 0 else x
 
 
 def positivity_scan(disc: PencilDiscretization, xi_grid) -> float | None:

@@ -24,13 +24,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from .assembly import (
     BoundaryCondition,
     PencilDiscretization,
-    _tri_apply,
+    _tri_mul,
+    _tri_solve,
     assemble_iterated_pair,
     default_shift_grid,
     positivity_scan,
@@ -75,24 +75,20 @@ def zero_tolerance(disc: PencilDiscretization) -> float:
     Eigenvalues inside the band count as 0; every count and eigenvalue
     search on the pencil uses it.  On a pencil read from its arrays,
     floating-point assembly perturbs an exact zero eigenvalue (e.g. the
-    Neumann constant mode) by roughly eps * |A| / |B| in pencil units,
-    and the band is the heuristic 1e-12 * |A| / |B|.  A pair-route
-    pencil is counted from its level template, which keeps an exact zero
-    mode exact: its band is the tiny one in which the deepest cells'
-    spectral parameter stays a normal float (LevelTemplate.zero_band),
-    and reading it builds no arrays.
+    Neumann constant mode 1) by roughly eps * |A| / |B|, and the band is
+    the heuristic 1e-12 * |A| / |B| in the largest-entry norm or in the
+    entrywise 1-norm, whichever is smaller.  The 1-norm ratio bounds how
+    far rounding moves the constant mode, 1^T dA 1 / 1^T B 1; on a
+    graded mesh the largest-entry ratio exceeds it by the grading and
+    took resolved eigenvalues for 0.  A pair-route pencil is counted
+    from its level template, which keeps an exact zero mode exact: its
+    band is the tiny one in which the deepest cells' spectral parameter
+    stays a normal float (LevelTemplate.zero_band), and reading it
+    builds no arrays.
     """
     if disc._levels is not None:
         return disc._levels.zero_band
-    return 1e-12 * disc._norm_ratio
-
-
-def _banded(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """A symmetric tridiagonal matrix in the (1, 1) banded storage of solve_banded."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = ab[2, :-1] = off
-    ab[1] = diag
-    return ab
+    return 1e-12 * min(disc._norm_ratio, disc._sum_ratio)
 
 
 def _split(points, ks):
@@ -245,7 +241,8 @@ def _eigenvalues(
     holds a wanted index and is wider than rtol * h + 1e-14; a narrower
     interval, or one with no float left inside, reports its midpoint.
     An interval (l, h) that holds exactly one eigenvalue, a wanted one,
-    is polished once by Rayleigh-quotient inverse iteration to s,
+    is polished once by Rayleigh-quotient inverse iteration to s (see
+    _polish; every polish starts from the same seeded random vector),
     unless rtol * l is below the rounding floor eps * |A| / |B|, where
     no certificate can hold.  s is reported only if it lies in (l, h)
     and the counts at s (1 -+ rtol), swept in the round's call, put the
@@ -303,7 +300,7 @@ def _eigenvalues(
             if len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished and rtol * l >= floor:
                 polished.add(ks[0])
                 if x0 is None:
-                    x0 = np.random.default_rng(0).standard_normal((disc.n_free, 1))
+                    x0 = np.random.default_rng(0).standard_normal(disc.n_free)
                 s = _polish(disc, *sorted((side * l, side * h)), rtol, x0)
                 s = None if s is None else side * s
             if s is not None:
@@ -337,19 +334,23 @@ def _polish(
 ) -> float | None:
     """Rayleigh-quotient inverse iteration for the one eigenvalue in (lo, hi).
 
-    Starts from x0 with the shift at the midpoint.  Returns the
-    quotient once it moves by at most rtol / 100 relative, or after
-    _POLISH_SOLVES solves; None when a quotient leaves (lo, hi).
+    Starts from the 1-D vector x0 with the shift at the midpoint.  Each
+    step is one LAPACK dgtsv solve (_tri_solve) of A - shift B on the
+    pencil's arrays, with B x from the last quotient's denominator as
+    its right hand side.  Returns the quotient once it moves by at most
+    rtol / 100 relative, or after _POLISH_SOLVES solves; the shift when
+    A - shift B is exactly singular (an exact zero pivot, dgtsv's
+    info > 0); None when a quotient leaves (lo, hi).
     """
-    band_a, band_b = _banded(disc.a_diag, disc.a_off), _banded(disc.b_diag, disc.b_off)
     x, shift, rho = x0, 0.5 * (lo + hi), None
+    bx = _tri_mul(disc.b_diag, disc.b_off, x)
     for _ in range(_POLISH_SOLVES):
-        try:
-            y = solve_banded((1, 1), band_a - shift * band_b, _tri_apply(band_b, x))
-        except np.linalg.LinAlgError:
+        y = _tri_solve(disc.a_diag - shift * disc.b_diag, disc.a_off - shift * disc.b_off, bx)
+        if y is None:
             return shift  # A - shift B is singular: shift is an eigenvalue
         x = y / np.linalg.norm(y)
-        new = float((x * _tri_apply(band_a, x)).sum() / (x * _tri_apply(band_b, x)).sum())
+        bx = _tri_mul(disc.b_diag, disc.b_off, x)
+        new = float((x * _tri_mul(disc.a_diag, disc.a_off, x)).sum() / (x * bx).sum())
         if not lo < new < hi:
             return None
         if rho is not None and abs(new - rho) <= 0.01 * rtol * abs(new):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from fractalsturm import (
     BoundaryCondition,
@@ -186,6 +187,18 @@ class TestAssemble:
             with pytest.raises(ValueError):
                 d.b_off += 1.0
 
+    @pytest.mark.parametrize("name", ["nodes", "a_diag", "a_off", "b_diag", "b_off"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arrays_rejected(self, name, bad):
+        # the LAPACK solves of the polish and the sandwich do not check
+        arrays = {
+            "nodes": np.array([0.0, 0.5, 1.0]), "a_diag": np.array([2.0, 2.0]),
+            "a_off": np.array([-1.0]), "b_diag": np.ones(2), "b_off": np.zeros(1),
+        }
+        arrays[name][0] = bad
+        with pytest.raises(InvalidParametersError, match=name):
+            PencilDiscretization(**arrays, free_start=0, constrained=())
+
     def test_compares_and_hashes_by_identity(self):
         # the generated == compared the arrays and raised; on a pair-route
         # pencil it would also have built them
@@ -344,6 +357,32 @@ class TestResolventSandwich:
         e1 = eigenvalue(disc, 1)
         with pytest.raises(ResolventPoleError):
             resolvent_sandwich(disc, [0.4, 0.6], e1)
+
+    def test_matches_banded_reference_bit_for_bit(self):
+        # the acceptance-test pencil (criterion 2); solve_banded ends in the
+        # same LAPACK gtsv on the same numbers
+        disc = assemble(1.0, -7 * np.pi**2, TWO_ATOMS, DIRICHLET, depth=12)
+        lam = 1.0
+        off = disc.a_off - lam * disc.b_off
+        ab = np.zeros((3, disc.n_free))
+        ab[0, 1:] = ab[2, :-1] = off
+        ab[1] = disc.a_diag - lam * disc.b_diag
+        free = [disc.free_index(disc.node_index(x)) for x in (0.4, 0.6)]
+        rhs = np.zeros((disc.n_free, 2))
+        rhs[free, [0, 1]] = 1.0
+        sol = solve_banded((1, 1), ab, rhs)[free]
+        assert np.array_equal(resolvent_sandwich(disc, [0.4, 0.6], lam), 0.5 * (sol + sol.T))
+
+    def test_no_positions_give_an_empty_matrix(self):
+        disc = assemble(1.0, 0.0, TWO_ATOMS, DIRICHLET, depth=4)
+        assert resolvent_sandwich(disc, [], 1.0).shape == (0, 0)
+
+    def test_exactly_singular_shift_is_a_pole(self):
+        # A - 2 B has a zero pivot that dgtsv reports as info > 0
+        disc = PencilDiscretization(np.linspace(0.0, 1.0, 3), np.array([1.0, 2.0, 3.0]), np.zeros(2),
+                                    np.ones(3), np.zeros(2), 0, ())
+        with pytest.raises(ResolventPoleError):
+            resolvent_sandwich(disc, [0.5], 2.0)
 
 
 class TestPositivityScan:

@@ -124,6 +124,21 @@ def test_counts_equal_kernel_sweep_on_random_pairs(problem, depth, data, bc):
     assert counts(disc, grid) == counts(from_arrays(disc), grid)
 
 
+def test_graded_arrays_pencil_keeps_small_eigenvalues():
+    # letter weights 0.32 and 0.04 grade the depth-7 mesh: |A| / |B| in
+    # the largest-entry norm is ~1.7e14, and a zero band of 1e-12 times
+    # that (~168) took the eigenvalues near 9.3, 42.8 and 107.3 for 0
+    r = MonotonePrimitive(SelfSimilarParams(
+        a=(0.25,) * 4, dprime=(0.32, 0.32, 0.32, 0.04), betaprime=(0.0, 0.32, 0.64, 0.96)
+    ))
+    p = SelfSimilarParams(a=(0.25,) * 4, dprime=(0.25,) * 4, betaprime=(0.0, 0.25, 0.5, 0.75))
+    disc = assemble_selfsimilar_pair(r, p, NEUMANN, 7, r_mass=1.3, p_scale=0.7)
+    arrays = from_arrays(disc)
+    assert zero_tolerance(arrays) < 1.0
+    assert counts(disc, [0.0, 1.0, 10.0, 50.0, 110.0]) == [(1, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+    assert counts(arrays, [0.0, 1.0, 10.0, 50.0, 110.0]) == [(1, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+
+
 def test_one_class_per_distinct_scaling():
     # Cantor cells of one level share one scaling; (w, 0, 1 - w) gives
     # level L the products w^j (1 - w)^(L - j), one class each

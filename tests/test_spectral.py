@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from fractalsturm import (
     BoundaryCondition,
@@ -220,6 +221,43 @@ class TestEigenvalues:
         monkeypatch.setattr(spectral, "_polish", refuse)
         for g, d in zip(eigenvalues(disc, 5, rtol=1e-17), pos):
             assert abs(g - d) <= 1e-12 * d
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: assemble_iterated_pair(MonotonePrimitive.cantor(), 6, cantor_ladder(), NEUMANN, depth=9),
+            lambda: assemble(1.0, 0.0, CompositeMeasure.from_selfsim(cantor_ladder()), DIRICHLET, depth=6),
+        ],
+    )
+    def test_polish_matches_banded_reference(self, build, monkeypatch):
+        # the first five isolated brackets that multisection hands to the polish
+        disc = build()
+        polish = spectral._polish
+        calls = []
+
+        def spy(disc, lo, hi, rtol, x0):
+            s = polish(disc, lo, hi, rtol, x0)
+            calls.append((lo, hi, rtol, s))
+            return s
+
+        monkeypatch.setattr(spectral, "_polish", spy)
+        eigenvalues(disc, 8)
+        assert len(calls) >= 5 and any(s is not None for *_, s in calls[:5])
+        for lo, hi, rtol, s in calls[:5]:
+            assert s == reference_polish(disc, lo, hi, rtol)
+
+    def test_polish_at_a_singular_shift_returns_it(self):
+        # the first shift, the midpoint 1.0, makes A - shift B exactly singular
+        disc = PencilDiscretization(np.linspace(0.0, 1.0, 3), np.array([1.0, 2.0, 3.0]), np.zeros(2),
+                                    np.ones(3), np.zeros(2), 0, ())
+        x0 = np.random.default_rng(0).standard_normal(3)
+        assert spectral._polish(disc, 0.5, 1.5, 1e-10, x0) == 1.0
+
+    def test_one_node_pencil(self):
+        disc = PencilDiscretization(np.array([0.0, 0.5, 1.0]), np.array([3.0]), np.zeros(0),
+                                    np.array([2.0]), np.zeros(0), 1, (0, 2))
+        assert assembly._tri_solve(disc.a_diag, disc.a_off, np.array([3.0])) == 1.0
+        assert eigenvalue(disc, 1) == pytest.approx(1.5, rel=1e-12)
 
     def test_missing_eigenvalue_raises(self):
         disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), DIRICHLET, depth=3)
@@ -466,6 +504,43 @@ class TestSweepCounts:
         assert 0 < len(swept) <= 260
         for g, e in zip(got, exact):
             assert abs(g - e) <= 2e-10 * abs(e)
+
+
+def reference_polish(disc, lo, hi, rtol):
+    """The Rayleigh-quotient inverse iteration of _polish on scipy's solve_banded.
+
+    Works on (n, 1) columns and (1, 1) banded storage, from the same
+    random start vector.
+    """
+
+    def banded(diag, off):
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:] = ab[2, :-1] = off
+        ab[1] = diag
+        return ab
+
+    def apply(ab, x):
+        y = ab[1, :, None] * x
+        y[:-1] += ab[0, 1:, None] * x[1:]
+        y[1:] += ab[2, :-1, None] * x[:-1]
+        return y
+
+    band_a, band_b = banded(disc.a_diag, disc.a_off), banded(disc.b_diag, disc.b_off)
+    x = np.random.default_rng(0).standard_normal((disc.n_free, 1))
+    shift, rho = 0.5 * (lo + hi), None
+    for _ in range(spectral._POLISH_SOLVES):
+        try:
+            y = solve_banded((1, 1), band_a - shift * band_b, apply(band_b, x))
+        except np.linalg.LinAlgError:
+            return shift
+        x = y / np.linalg.norm(y)
+        new = float((x * apply(band_a, x)).sum() / (x * apply(band_b, x)).sum())
+        if not lo < new < hi:
+            return None
+        if rho is not None and abs(new - rho) <= 0.01 * rtol * abs(new):
+            return new
+        shift = rho = new
+    return rho
 
 
 def cantor_pencil():
