@@ -240,17 +240,17 @@ def _dedupe(xs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     return keep
 
 
-def _mesh_nodes(p: CompositeMeasure, q: CompositeMeasure, depth: int) -> np.ndarray:
+def _mesh_nodes(parts, depth: int) -> np.ndarray:
+    """Mesh of the (measure, leaves) parts, leaves the support_cells of its self-similar part."""
     cand = [np.array([0.0, 1.0])]
     has_selfsim = False
     has_density = False
-    for mu in (p, q):
+    for mu, leaves in parts:
         if mu.selfsim is not None:
             has_selfsim = True
             params = mu.selfsim[0]
-            cells = support_cells(params, depth)
-            cand.append(cells[:, 0])
-            cand.append(cells[:, 0] + cells[:, 1])
+            cand.append(leaves[:, 0])
+            cand.append(leaves[:, 0] + leaves[:, 1])
             branching = sum(1 for dp in params.dprime if dp != 0.0)
             if branching <= 1:
                 jump_depth = min(depth, 48)
@@ -307,26 +307,36 @@ class _Accumulator:
         self.diag[1:] += vals * h / 3.0
         self.off += vals * h / 6.0
 
-    def add_selfsim(self, params: SelfSimilarParams, scale: float, depth: int, extra: int = 30):
+    def add_selfsim(
+        self, params: SelfSimilarParams, scale: float, leaves: np.ndarray, depth: int, extra: int = 30
+    ):
         """Stamp scale * dP, exact per cell of the self-similar tree.
 
-        The cells are expanded one level at a time, parent-major, from
-        the root.  A cell that fits one mesh interval (1e-12 slack) is
-        stamped through the copy moments; a straddling cell emits its
-        junction atoms and splits into its live children.  What still
-        straddles at level depth + extra is lumped at its midpoint.
-        Each stamp is the value a depth-first walk computes, and within
-        a level shared entries are summed left to right as that walk
-        does; where cells of different levels or junction atoms share an
-        entry the order differs, so a sum can move in its last bits
+        leaves holds the live cells of level `depth` (support_cells rows),
+        whose ends are mesh nodes; the walk starts there and goes down one
+        level at a time, parent-major, and the junction atoms of the levels
+        above come from one jump_atoms call.  A cell that fits one mesh
+        interval (1e-12 slack) is stamped through the copy moments; a
+        straddling cell emits its junction atoms and splits into its live
+        children.  What still straddles at level depth + extra is lumped
+        at its midpoint.  Each stamp is the value a depth-first walk from
+        the root computes.  That walk stamps a cell above the leaves whole
+        where it fits within the slack or has one live letter; stamping
+        its leaves and junction atoms instead is exact per cell too.
+        Within a level shared entries are summed left to right as that
+        walk does; where cells of different levels or junction atoms share
+        an entry the order differs, so a sum can move in its last bits
         (tests allow 1e-13 relative).
         """
         mu = moments(params, 2)
         nodes = self.nodes
         gaps = np.asarray(junction_gaps(params))
         jumpy = np.flatnonzero(gaps != 0.0) + 1
-        left, width, weight, offset = (np.array([v]) for v in (0.0, 1.0, 1.0, 0.0))
-        for level in range(depth + extra + 1):
+        if jumpy.size and depth > 0:
+            pos, jump = jump_atoms(params, depth).T
+            self.add_atoms(pos, scale * jump)
+        left, width, weight, offset = leaves.T
+        for level in range(depth, depth + extra + 1):
             j = np.clip(np.searchsorted(nodes, left, side="right") - 1, 0, nodes.size - 2)
             xl, xr = nodes[j], nodes[j + 1]
             fits = (left >= xl - 1e-12) & (left + width <= xr + 1e-12)
@@ -364,12 +374,12 @@ class _Accumulator:
         np.add.at(self.diag, j + 1, w * (1 - al) * (1 - al))
         np.add.at(self.off, j, w * al * (1 - al))
 
-    def add_measure(self, mu: CompositeMeasure, depth: int):
+    def add_measure(self, mu: CompositeMeasure, leaves: np.ndarray | None, depth: int):
         self.add_atoms(mu.atoms[:, 0], mu.atoms[:, 1])
         if mu.density is not None and np.any(mu.density.values):
             self.add_density(mu.density)
         if mu.selfsim is not None:
-            self.add_selfsim(mu.selfsim[0], mu.selfsim[1], depth)
+            self.add_selfsim(mu.selfsim[0], mu.selfsim[1], leaves, depth)
 
 
 def _finalize(
@@ -425,7 +435,12 @@ def assemble(
     if p.is_zero():
         raise InvalidParametersError("weight measure p is zero")
 
-    nodes = _mesh_nodes(p, q, depth)
+    # each self-similar tree is expanded once, to the depth-`depth` cells
+    # that both the mesh and the stamping start from
+    p_leaves, q_leaves = (
+        None if mu.selfsim is None else support_cells(mu.selfsim[0], depth) for mu in (p, q)
+    )
+    nodes = _mesh_nodes(((p, p_leaves), (q, q_leaves)), depth)
     h = np.diff(nodes)
     stiff = 1.0 / (r_mass * h)
     a_diag = np.zeros(nodes.size)
@@ -434,12 +449,12 @@ def assemble(
     a_off = -stiff
 
     qa = _Accumulator(nodes)
-    qa.add_measure(q, depth)
+    qa.add_measure(q, q_leaves, depth)
     a_diag += qa.diag
     a_off = a_off + qa.off
 
     pa = _Accumulator(nodes)
-    pa.add_measure(p, depth)
+    pa.add_measure(p, p_leaves, depth)
     return _finalize(nodes, a_diag, a_off, pa.diag, pa.off, bc)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterMismatchError, UnsupportedConfigurationError
 from .measures import CompositeMeasure, StepFunction, _cluster_starts, _run_sums
-from .selfsim import MonotonePrimitive, SelfSimilarParams, evaluate, support_cells
+from .selfsim import MonotonePrimitive, SelfSimilarParams, _evaluate_many, support_cells
 
 _TOL = 1e-12
 
@@ -82,8 +82,8 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
     the given depth.  Step densities map via plateau collapse (exact
     atoms) and per-cell spreading (exact cell masses).
     """
-    pos = [evaluate(r.params, x, 60)[0] for x in f.atoms[:, 0].tolist()]
-    w = f.atoms[:, 1].tolist()
+    x0, w = f.atoms[:, 0], f.atoms[:, 1]
+    ends = np.zeros(0)
     plateau_pos = plateau_w = np.zeros(0)
     density_out: StepFunction | None = None
     selfsim_out = None
@@ -100,20 +100,21 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
         if compatible:
             selfsim_out = (pushforward_params(r, params), scale)
         else:
-            # incompatible cell structure: scatter cell masses through R
-            mass0 = params.p1 - params.p0
-            for left, width, weight, _ in support_cells(params, depth).tolist():
-                lo_t = evaluate(rp, left, 60)[0]
-                hi_t = evaluate(rp, left + width, 60)[0]
-                cell_mass = scale * weight * mass0
-                if cell_mass == 0.0:
-                    continue
-                pos.append(0.5 * (lo_t + hi_t))
-                w.append(cell_mass)
+            # incompatible cell structure: scatter cell masses through R,
+            # each to the midpoint of its cell's image
+            left, width, weight, _ = support_cells(params, depth).T
+            mass = scale * weight * (params.p1 - params.p0)
+            live = mass != 0.0
+            ends = np.concatenate((left[live], (left + width)[live]))
+            w = np.concatenate((w, mass[live]))
 
+    # one digit expansion maps the atoms and the cell ends through R
+    t = _evaluate_many(r.params, np.concatenate((x0, ends)), 60)
+    lo, hi = np.split(t[x0.size:], 2)
     # atoms within 1e-12 of the first of their cluster merge into it,
     # weights summed in (position, weight) order
-    pos, w = np.concatenate((pos, plateau_pos)), np.concatenate((w, plateau_w))
+    pos = np.concatenate((t[: x0.size], 0.5 * (lo + hi), plateau_pos))
+    w = np.concatenate((w, plateau_w))
     order = np.lexsort((w, pos))
     pos, w = pos[order], w[order]
     starts = _cluster_starts(pos, 1e-12)

@@ -260,6 +260,49 @@ def evaluate(
     return offset + scale * mid, abs(scale) * params.osc_bound()
 
 
+def _evaluate_many(params: SelfSimilarParams, xs, depth: int = 48) -> np.ndarray:
+    """evaluate(params, x, depth)[0] at every x of a 1-D array, bit for bit.
+
+    The same digit expansion, run on all points at once: each step takes
+    the points still expanding through the operations `evaluate` makes
+    on one, in the same order, and finishes those it would return from.
+    """
+    x = np.asarray(xs, dtype=float)
+    outside = (x < -_TOL) | (x > 1.0 + _TOL)
+    if outside.any():
+        raise DomainError(f"point {x[outside][0]} outside [0, 1]")
+    alpha, a = params.alpha, np.asarray(params.a)
+    dprime, betaprime = np.asarray(params.dprime), np.asarray(params.betaprime)
+    out = np.empty(x.size)
+    at = np.arange(x.size)  # output slots of the points still expanding
+    t = np.minimum(np.maximum(x, 0.0), 1.0)
+    offset, scale = np.zeros(x.size), np.ones(x.size)
+    drift = np.full(x.size, 4.0 * np.finfo(float).eps)
+    mid = 0.5 * (params.p0 + params.p1)
+    for _ in range(depth):
+        if at.size == 0:
+            break
+        # points that evaluate returns from here, tested in its order
+        stop = drift >= 0.25
+        done = stop | (t <= 0.0) | (t >= 1.0)
+        if done.any():
+            end = np.where(stop, mid, np.where(t <= 0.0, params.p0, params.p1))
+            out[at[done]] = offset[done] + scale[done] * end[done]
+            at, t, offset, scale, drift = (v[~done] for v in (at, t, offset, scale, drift))
+        i = np.clip(np.searchsorted(alpha, t) - 1, 0, alpha.size - 2)
+        offset = offset + scale * betaprime[i]
+        scale = scale * dprime[i]
+        dead = scale == 0.0
+        if dead.any():
+            out[at[dead]] = offset[dead]
+            at, t, offset, scale, drift, i = (v[~dead] for v in (at, t, offset, scale, drift, i))
+        ai = a[i]
+        t = np.minimum(np.maximum((t - alpha[i]) / ai, 0.0), 1.0)
+        drift = drift / ai
+    out[at] = offset + scale * mid
+    return out
+
+
 def _moments(p: SelfSimilarParams, scales, shifts, order: int) -> np.ndarray:
     """Moments m_k = int_0^1 f(t)^k dP(t), k = 0..order.
 
@@ -314,18 +357,24 @@ def pair_moments(r: MonotonePrimitive, p: SelfSimilarParams, order: int = 2) -> 
 def _children(params: SelfSimilarParams, left, width, weight, offset):
     """Children with nonzero weight of the given cells, parent-major.
 
-    Takes and returns (left, width, weight, offset) arrays.  The order
-    keeps cells left to right, and each value is the float expression a
-    depth-first walk evaluates, so the results are bit-identical to it.
+    Takes and returns (left, width, weight, offset) arrays.  Only the
+    live letters (d' != 0) are expanded; a child whose weight product
+    underflows to 0 is masked out.  The order keeps cells left to right,
+    and each value is the float expression a depth-first walk evaluates,
+    so the results are bit-identical to it.
     """
-    w = (weight[:, None] * np.asarray(params.dprime)).ravel()
-    live = w != 0.0
-    return (
-        (left[:, None] + width[:, None] * params.alpha[:-1]).ravel()[live],
-        (width[:, None] * np.asarray(params.a)).ravel()[live],
-        w[live],
-        (offset[:, None] + weight[:, None] * np.asarray(params.betaprime)).ravel()[live],
+    dprime = np.asarray(params.dprime)
+    live = np.flatnonzero(dprime)
+    w = (weight[:, None] * dprime[live]).ravel()
+    cells = (
+        (left[:, None] + width[:, None] * params.alpha[live]).ravel(),
+        (width[:, None] * np.asarray(params.a)[live]).ravel(),
+        w,
+        (offset[:, None] + weight[:, None] * np.asarray(params.betaprime)[live]).ravel(),
     )
+    if w.all():
+        return cells
+    return tuple(x[w != 0.0] for x in cells)
 
 
 def _levels(params: SelfSimilarParams, depth: int):
@@ -374,17 +423,24 @@ def jump_atoms(params: SelfSimilarParams, depth: int) -> np.ndarray:
     Returns a read-only (m, 2) float64 array of (position, jump) rows
     sorted by position, the atom format of `measures`.  Junction values
     use the true one-sided limits, so each listed jump is exact; only
-    junctions deeper than `depth` are omitted.  The junctions of all live
-    cells of depth 0..depth-1 are collected level by level; jumps that
-    land on the same float position are summed in that level order, so
-    with three or more of them the sum can differ from a depth-first
-    walk's in the last bit.  The corner equations pin P(0) = p0 and
-    P(1) = p1, so the ends carry no atom.
+    junctions deeper than `depth` are omitted.  When every junction gap
+    is 0 the table is empty and no cell is expanded.  Otherwise the
+    junctions with a nonzero gap of all live cells of depth 0..depth-1
+    are collected level by level; jumps that land on the same float
+    position are summed in that level order, so with three or more of
+    them the sum can differ from a depth-first walk's in the last bit.
+    The corner equations pin P(0) = p0 and P(1) = p1, so the ends carry
+    no atom.
     """
     if depth < 1:
         raise InvalidParametersError("depth must be >= 1")
-    inner = params.alpha[1:-1]
     gaps = np.asarray(junction_gaps(params))
+    jumpy = np.flatnonzero(gaps)
+    if jumpy.size == 0:
+        out = np.zeros((0, 2))
+        out.flags.writeable = False
+        return out
+    inner, gaps = params.alpha[jumpy + 1], gaps[jumpy]
     pos, jump = [], []
     for left, width, weight, _ in _levels(params, depth - 1):
         pos.append((left[:, None] + width[:, None] * inner).ravel())

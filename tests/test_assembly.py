@@ -40,6 +40,7 @@ DIRICHLET = BoundaryCondition(None, None)
 NEUMANN = BoundaryCondition(0.0, 0.0)
 TWO_ATOMS = CompositeMeasure.from_atoms([(0.4, 1.0), (0.6, 1.0)])
 PENCIL_FIELDS = ("nodes", "a_diag", "a_off", "b_diag", "b_off")
+JUMPY = SelfSimilarParams(a=(0.3, 0.3, 0.4), dprime=(0.3, 0.0, 0.4), betaprime=(0.0, 0.45, 0.6))
 DEAD_ENDS = SelfSimilarParams(a=(0.25,) * 4, dprime=(0.0, 0.5, 0.5, 0.0), betaprime=(0.0, 0.0, 0.5, 1.0))
 
 
@@ -221,6 +222,19 @@ class TestAssemble:
         st.none() | step_densities(),
         st.sampled_from([DIRICHLET, NEUMANN, BoundaryCondition(0.7, 2.5), BoundaryCondition(None, 1.5)]),
         st.integers(1, 6),
+    )
+    # junction gaps, and an atom strictly inside the first depth-5 cell
+    # [0, 0.3**5]: the junction atoms above the leaves and the descent of a
+    # straddling leaf both run
+    @example(
+        params=JUMPY,
+        scale=1.5,
+        p_atoms=[(0.0012, 0.7), (0.5, 1.1)],
+        p_dens=None,
+        q_atoms=[(0.37, 0.4)],
+        q_dens=StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0])),
+        bc=DIRICHLET,
+        depth=5,
     )
     def test_matches_depth_first_reference(self, params, scale, p_atoms, p_dens, q_atoms, q_dens, bc, depth):
         # random atoms sit strictly inside self-similar cells, so the cells

@@ -18,10 +18,10 @@ from fractalsturm import (
     pushforward_params,
     transform_measure,
 )
-from fractalsturm import assembly
+from fractalsturm import assembly, selfsim
 from fractalsturm.assembly import BoundaryCondition, _dedupe
 from fractalsturm.reduction import _density_through
-from fractalsturm.selfsim import evaluate
+from fractalsturm.selfsim import evaluate, support_cells
 
 from _oracles import cdf, clean_atoms_loop, dedupe_loop, merge_atoms_loop
 
@@ -87,6 +87,28 @@ class TestTransformMeasure:
         assert g.density is None
         assert len(g.atoms) > 10
         assert g.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, r",
+        [
+            (identity_params(2), R_CANTOR),
+            (
+                SelfSimilarParams(a=(0.2, 0.3, 0.5), dprime=(0.3, 0.0, -0.2), betaprime=(0.0, 0.5, 1.2)),
+                MonotonePrimitive.identity(3),
+            ),
+        ],
+    )
+    def test_incompatible_scatter_matches_loop(self, params, r):
+        # one evaluate call per atom and per cell end, as the scatter used to run
+        f = CompositeMeasure(atoms=((0.4, 0.5), (1 / 3, 0.25)), selfsim=(params, 1.7))
+        for depth in (0, 3, 8):
+            pairs = [(evaluate(r.params, x, 60)[0], w) for x, w in f.atoms.tolist()]
+            for left, width, weight, _ in support_cells(params, depth).tolist():
+                mass = 1.7 * weight * (params.p1 - params.p0)
+                lo, hi = evaluate(r.params, left, 60)[0], evaluate(r.params, left + width, 60)[0]
+                if mass != 0.0:
+                    pairs.append((0.5 * (lo + hi), mass))
+            assert transform_measure(f, r, depth).atoms.tolist() == merge_atoms_loop(pairs)
 
     def test_identity_preserves_distribution(self):
         f = CompositeMeasure(
@@ -171,3 +193,21 @@ class TestMergeRules:
             with mock.patch.object(assembly, "_dedupe", side_effect=lambda xs: seen.append(xs) or _dedupe(xs)):
                 disc = assembly.assemble(1.0, q_t, p_t, BoundaryCondition.neumann(), 14)
             assert np.array_equal(disc.nodes, dedupe_loop(seen[0]))
+
+    def test_general_assemble_expands_each_tree_once(self, monkeypatch):
+        # the mesh and the stamping share the depth-14 cells, and the zero
+        # junction gaps of the image part need no jump_atoms walk
+        p, q = general_problem(np.random.default_rng(1))
+        r = MonotonePrimitive.cantor()
+        p_t, q_t = (transform_measure(mu, r, depth=14) for mu in (p, q))
+        calls = []
+        children = selfsim._children
+
+        def spy(*args):
+            calls.append(args[1].size)
+            return children(*args)
+
+        monkeypatch.setattr(selfsim, "_children", spy)
+        monkeypatch.setattr(assembly, "_children", spy)
+        assembly.assemble(1.0, q_t, p_t, BoundaryCondition.neumann(), 14)
+        assert calls == [2**k for k in range(14)]

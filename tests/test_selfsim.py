@@ -24,6 +24,8 @@ from fractalsturm import (
     support_cells,
     validate_contraction,
 )
+from fractalsturm import selfsim
+from fractalsturm.selfsim import _evaluate_many
 
 from _oracles import visit_jump_atoms, walk_support_cells
 
@@ -170,6 +172,55 @@ def test_level_expansion_matches_depth_first_walk(params, depth):
     assert np.array_equal(cells, want)
     if depth >= 1:
         assert jump_atoms(params, depth).tolist() == visit_jump_atoms(params, depth)
+
+
+def test_support_cells_drop_underflowing_weights():
+    # both letters live, but 1e-200 squared underflows to 0 at depth 2
+    params = SelfSimilarParams(a=(0.5, 0.5), dprime=(1e-200, 1 - 1e-200), betaprime=(0.0, 1e-200))
+    for depth in (2, 4):
+        cells = support_cells(params, depth)
+        assert cells.shape[0] < 2**depth
+        assert np.array_equal(cells, walk_support_cells(params, depth))
+
+
+def test_continuous_jump_atoms_expand_no_cell(monkeypatch):
+    def expand(*args):
+        raise AssertionError("jump_atoms expanded a cell of a P without junction gaps")
+
+    monkeypatch.setattr(selfsim, "_children", expand)
+    for params in (CANTOR, identity_params(3)):
+        atoms = jump_atoms(params, 40)
+        assert atoms.dtype == np.float64 and atoms.shape == (0, 2)
+        assert not atoms.flags.writeable
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    substitution_params(),
+    st.lists(st.floats(0.0, 1.0), max_size=20),
+    st.sampled_from([0, 1, 5, 48, 60]),
+)
+def test_array_evaluation_matches_evaluate_bit_for_bit(params, xs, depth):
+    for p in (params, CANTOR, JUMP, MonotonePrimitive.identity(3).params):
+        # random points; the ends and junctions of the depth-3 cells, exact
+        # hits down to level 4; the middle of every letter's cell, dead
+        # letters included; the ends, and points clamped onto them
+        cells = support_cells(p, 3)
+        grid = cells[:, :1] + cells[:, 1:2] * p.alpha
+        middles = p.alpha[:-1] + 0.5 * np.asarray(p.a)
+        pts = np.concatenate((xs, grid.ravel(), middles, [0.0, 1.0, -1e-13, 1 + 1e-13]))
+        want = [evaluate(p, x, depth)[0] for x in pts]
+        assert _bits(_evaluate_many(p, pts, depth)) == _bits(want)
+
+
+def test_array_evaluation_outside_domain_raises():
+    assert _evaluate_many(CANTOR, np.zeros(0)).shape == (0,)
+    with pytest.raises(DomainError):
+        _evaluate_many(CANTOR, np.array([0.5, 1.1]))
 
 
 def test_monotone_primitive_validation():
