@@ -54,6 +54,9 @@ _TOL = 1e-12
 # A pencil remembers at most this many swept spectral parameters; a full
 # memo is cleared and refills from the next sweeps.
 _MEMO_SIZE = 4096
+# A pair-route pencil builds its arrays only if its segment walk has at
+# most this many rows (2^25 - 1 at depth 24 of the Cantor pair).
+_MAX_NODES = 2**25
 
 
 @dataclass(frozen=True)
@@ -575,7 +578,9 @@ def _pair_pencil(
     level; it raises for junction atoms and for dP mass on a plateau of
     R there.  Below it the letter tables give each level's classes and
     raise for mass on a plateau as the walk does.  The arrays are those
-    of _assemble_from_segments over the full walk, bit for bit.
+    of _assemble_from_segments over the full walk, bit for bit; reading
+    them raises UnsupportedConfigurationError, before the walk allocates
+    anything, when the walk would have more than _MAX_NODES rows.
     """
     n = p.n
     dprime = p.dprime
@@ -616,6 +621,18 @@ def _pair_pencil(
     )
 
     def build() -> PencilDiscretization:
+        # the walk's rows, level by level: each live cell gives way to
+        # its letters, a massless leaf stays
+        rows = live = 1
+        for level in range(1, depth + 1):
+            tf = [t_factor(level, i) for i in range(n)]
+            rows += live * (sum(t != 0.0 for t in tf) - 1)
+            live *= sum(t != 0.0 and d != 0.0 for t, d in zip(tf, dprime))
+        if rows > _MAX_NODES:
+            raise UnsupportedConfigurationError(
+                f"depth {depth}: the segment walk for the pencil's arrays would make {rows} "
+                f"rows, over the cap of {_MAX_NODES}; counts need no arrays, eigenvalues do"
+            )
         segments = _walk_segments(p, depth, t_factor)
         return _assemble_from_segments(segments, quad, r_mass, bc, p_scale)
 

@@ -45,7 +45,8 @@ class UnsupportedConfigurationError(FractalSturmError):
 
     Examples: coupled (non separated) boundary conditions, mass sitting
     on a plateau of the substitution primitive, nonzero potential in the
-    direct two-function assembly.
+    direct two-function assembly, the arrays of a pair-route pencil whose
+    segment walk would exceed the node cap (assembly._MAX_NODES rows).
     """
 
     exit_code = 3

@@ -241,13 +241,18 @@ def _eigenvalues(
     holds a wanted index and is wider than rtol * h + 1e-14; a narrower
     interval, or one with no float left inside, reports its midpoint.
     An interval (l, h) that holds exactly one eigenvalue, a wanted one,
-    is polished once by Rayleigh-quotient inverse iteration to s (see
+    is polished by Rayleigh-quotient inverse iteration to s (see
     _polish; every polish starts from the same seeded random vector),
     unless rtol * l is below the rounding floor eps * |A| / |B|, where
-    no certificate can hold.  s is reported only if it lies in (l, h)
-    and the counts at s (1 -+ rtol), swept in the round's call, put the
-    index between them.  Otherwise the window around s widens x100 per
-    round until it brackets the index, and bisection goes on inside it.
+    no certificate can hold.  A polish that returns no value (its
+    quotients ended outside (l, h), drawn to a neighbour that dominates
+    the start vector) is tried again in the next round that finds the
+    index alone, on an interval at most half as wide, since the round
+    bisected it.  s is reported only if the counts at s (1 -+ rtol),
+    swept in the round's call, put the index between them.  Otherwise
+    the index is never polished again: the window around s widens x100
+    per round until it brackets the index, and bisection goes on inside
+    it.
     """
     if side not in (1, -1):
         raise InvalidParametersError("side must be +1 or -1")
@@ -298,11 +303,12 @@ def _eigenvalues(
                 continue
             s = None
             if len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished and rtol * l >= floor:
-                polished.add(ks[0])
                 if x0 is None:
                     x0 = np.random.default_rng(0).standard_normal(disc.n_free)
                 s = _polish(disc, *sorted((side * l, side * h)), rtol, x0)
-                s = None if s is None else side * s
+                if s is not None:
+                    polished.add(ks[0])
+                    s = side * s
             if s is not None:
                 cut = [t for t in (s * (1.0 - rtol), s * (1.0 + rtol)) if l < t < h]
             elif probe is not None and l < probe[0] + probe[1] < h:
@@ -335,24 +341,30 @@ def _polish(
     """Rayleigh-quotient inverse iteration for the one eigenvalue in (lo, hi).
 
     Starts from the 1-D vector x0 with the shift at the midpoint.  Each
-    step is one LAPACK dgtsv solve (_tri_solve) of A - shift B on the
-    pencil's arrays, with B x from the last quotient's denominator as
-    its right hand side.  Returns the quotient once it moves by at most
-    rtol / 100 relative, or after _POLISH_SOLVES solves; the shift when
-    A - shift B is exactly singular (an exact zero pivot, dgtsv's
-    info > 0); None when a quotient leaves (lo, hi).
+    step is one LAPACK dgtsv solve (_tri_solve) of (A - shift B) y = B x
+    on the pencil's arrays, x the last y scaled to unit length.  Since
+    y^T (A - shift B) y = y^T B x, the Rayleigh quotient of y is
+    shift + y^T B x / y^T B y, and B y / |y| is the next right hand
+    side, so no step multiplies by A.  A quotient in (lo, hi) becomes
+    the shift; one outside leaves the shift where it was, and inverse
+    iteration goes on from y.  Returns a quotient once it and the one
+    before it lie in (lo, hi) and differ by at most rtol / 100 relative,
+    or the last quotient after _POLISH_SOLVES solves if it lies in
+    (lo, hi), else None; the shift when A - shift B is exactly singular
+    (an exact zero pivot, dgtsv's info > 0).
     """
-    x, shift, rho = x0, 0.5 * (lo + hi), None
-    bx = _tri_mul(disc.b_diag, disc.b_off, x)
+    shift, rho = 0.5 * (lo + hi), None
+    bx = _tri_mul(disc.b_diag, disc.b_off, x0)
     for _ in range(_POLISH_SOLVES):
         y = _tri_solve(disc.a_diag - shift * disc.b_diag, disc.a_off - shift * disc.b_off, bx)
         if y is None:
             return shift  # A - shift B is singular: shift is an eigenvalue
-        x = y / np.linalg.norm(y)
-        bx = _tri_mul(disc.b_diag, disc.b_off, x)
-        new = float((x * _tri_mul(disc.a_diag, disc.a_off, x)).sum() / (x * bx).sum())
+        by = _tri_mul(disc.b_diag, disc.b_off, y)
+        new = shift + float((y * bx).sum() / (y * by).sum())
+        bx = by / np.linalg.norm(y)
         if not lo < new < hi:
-            return None
+            rho = None  # the shift stays at its last value inside (lo, hi)
+            continue
         if rho is not None and abs(new - rho) <= 0.01 * rtol * abs(new):
             return new
         shift = rho = new

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fractalsturm import CompositeMeasure, MonotonePrimitive, SelfSimilarParams, identity_params
+from fractalsturm import CompositeMeasure, MonotonePrimitive, SelfSimilarParams, assembly, identity_params
 from fractalsturm.cli import main
 
 CANTOR_PARAMS = {
@@ -243,6 +243,13 @@ class TestSpectrum:
     )
     def test_composite_p_rejected_on_selfsim_routes(self, problems, capsys, command, problem):
         assert main([command[0], problems[problem], *command[1:]]) == 3
+
+    def test_arrays_over_the_node_cap_exit_3(self, problems, capsys, monkeypatch):
+        # the depth-7 pair route walks 2^8 - 1 rows for its arrays
+        monkeypatch.setattr(assembly, "_MAX_NODES", 2**7)
+        assert main(["spectrum", problems["pair"], "--n-eigs", "2", "--k-iter", "0", "--depth", "7"]) == 3
+        assert "cap" in capsys.readouterr().err
+        assert main(["asymptotics", problems["pair"], "--depth", "7"]) == 0
 
     def test_indefinite_pencil_exit_4(self, problems, capsys):
         rc = main(["spectrum", problems["indefinite"], "--n-eigs", "1", "--depth", "10"])

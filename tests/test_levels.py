@@ -18,12 +18,14 @@ from fractalsturm import (
     MonotonePrimitive,
     PencilDiscretization,
     SelfSimilarParams,
+    UnsupportedConfigurationError,
     asymptotics_report,
     assemble_iterated_pair,
     assemble_selfsimilar_pair,
     cantor_ladder,
     count,
     counting_function,
+    eigenvalues,
     splitting_inequality,
 )
 from fractalsturm import _kernels, assembly
@@ -234,6 +236,39 @@ def test_arrays_built_once_on_first_read():
     assert all(getattr(disc, name) is arr for name, arr in zip(("nodes", "a_diag"), arrays))
     with pytest.raises(AttributeError):
         disc.no_such_field
+
+
+def test_arrays_over_the_node_cap_raise_before_the_walk(monkeypatch):
+    # the depth-9 Cantor pair walks 2^10 - 1 rows; counts need no arrays
+    want = count(cantor(NEUMANN, 9), 1e3).n_plus
+    monkeypatch.setattr(assembly, "_MAX_NODES", 2**10 - 2)
+    disc = cantor(NEUMANN, 9)
+
+    def refuse(*args):
+        raise AssertionError("segment walk started")
+
+    monkeypatch.setattr(assembly, "_walk_segments", refuse)
+    with pytest.raises(UnsupportedConfigurationError, match="cap"):
+        eigenvalues(disc, 3)
+    assert count(disc, 1e3).n_plus == want > 3
+    assert "a_diag" not in vars(disc)
+
+
+@pytest.mark.parametrize("depth, walks", [(24, True), (25, False)])
+def test_node_cap_admits_depth_24_of_the_cantor_pair(monkeypatch, depth, walks):
+    # depth d walks 2^(d + 1) - 1 rows, under the cap 2^25 up to d = 24;
+    # the walk itself is stubbed, so no array is allocated
+    disc = cantor(NEUMANN, depth)
+
+    class Walked(Exception):
+        pass
+
+    def walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(assembly, "_walk_segments", walk)
+    with pytest.raises(Walked if walks else UnsupportedConfigurationError):
+        disc.a_diag
 
 
 def test_exact_zero_pivots_are_clamped_near_zeros():

@@ -253,6 +253,39 @@ class TestEigenvalues:
         x0 = np.random.default_rng(0).standard_normal(3)
         assert spectral._polish(disc, 0.5, 1.5, 1e-10, x0) == 1.0
 
+    def test_polish_keeps_its_shift_inside_the_interval(self):
+        # the first quotient, 381.9, lies below (400, 512): the shift stays
+        # at the midpoint and inverse iteration goes on to the eigenvalue
+        r = MonotonePrimitive.cantor()
+        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        x0 = np.random.default_rng(0).standard_normal(disc.n_free)
+        assert spectral._polish(disc, 400.0, 512.0, 1e-10, x0) == pytest.approx(483.14411097, rel=1e-9)
+
+    def test_failed_polish_is_retried_on_a_narrower_interval(self, monkeypatch):
+        # from the midpoint of (1184, 1408) the quotients head for the
+        # neighbour 1417.13 above it; the round bisects the interval, and
+        # the polish on (1184, 1296) finds eigenvalue 12
+        r = MonotonePrimitive.cantor()
+        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        x0 = np.random.default_rng(0).standard_normal(disc.n_free)
+        assert spectral._polish(disc, 1184.0, 1408.0, 1e-10, x0) is None
+        assert reference_polish(disc, 1184.0, 1408.0, 1e-10) is None
+        polish = spectral._polish
+        calls = []
+
+        def spy(disc, lo, hi, rtol, x0):
+            s = polish(disc, lo, hi, rtol, x0)
+            calls.append((lo, hi, s))
+            return s
+
+        monkeypatch.setattr(spectral, "_polish", spy)
+        got = eigenvalues(disc, 20)
+        assert calls.index((1184.0, 1408.0, None)) < calls.index((1184.0, 1296.0, got[11]))
+        assert got[11] == pytest.approx(1191.3416671, rel=1e-9)
+        # a polish that returns a value is the last one for its index
+        values = [s for *_, s in calls if s is not None]
+        assert len(values) == len(set(values)) == 19
+
     def test_one_node_pencil(self):
         disc = PencilDiscretization(np.array([0.0, 0.5, 1.0]), np.array([3.0]), np.zeros(0),
                                     np.array([2.0]), np.zeros(0), 1, (0, 2))
@@ -469,6 +502,19 @@ class TestSweepCounts:
         assert 0 < len(swept) <= 140
         assert all(len(set(lams)) == len(lams) for lams in batches)
 
+    @pytest.mark.parametrize("how_many, most_lams, most_calls", [(20, 70, 12), (60, 200, 16)])
+    def test_failed_polishes_are_retried_not_bisected(self, monkeypatch, how_many, most_lams, most_calls):
+        r = MonotonePrimitive.cantor()
+        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        xi = resolve_shift(disc)
+        batches = []
+        spy_entries(monkeypatch, batches.append)
+        eigenvalues(disc, how_many, reference_shift=xi)
+        # bisecting each index whose first polish failed took 121 lams in
+        # 40 calls for 20 eigenvalues, and 593 lams in 42 calls for 60
+        assert 0 < sum(map(len, batches)) <= most_lams
+        assert len(batches) <= most_calls
+
     def test_asymptotics_report_sweeps_each_endpoint_once(self, swept):
         cl = cantor_ladder()
         disc = assemble_iterated_pair(MonotonePrimitive.cantor(), 0, cl, NEUMANN, depth=7)
@@ -497,8 +543,8 @@ class TestSweepCounts:
         monkeypatch.setattr(spectral, "_polish", off_by_1e7)
         swept.clear()
         got = eigenvalues(disc, 12)
-        # one polish per index at most, and none of them certified
-        assert 0 < len(polished) <= 11
+        # at most one polish per index returns a value, and none of them is certified
+        assert 0 < sum(s is not None for s in polished) <= 11
         # the x100 windows around the failed values cut bisection short:
         # 241 sweeps against 374 with plain bisection, 97 when certified
         assert 0 < len(swept) <= 260
@@ -510,7 +556,8 @@ def reference_polish(disc, lo, hi, rtol):
     """The Rayleigh-quotient inverse iteration of _polish on scipy's solve_banded.
 
     Works on (n, 1) columns and (1, 1) banded storage, from the same
-    random start vector.
+    random start vector, and forms each quotient as _polish does:
+    shift + y^T B x / y^T B y for (A - shift B) y = B x.
     """
 
     def banded(diag, off):
@@ -528,15 +575,18 @@ def reference_polish(disc, lo, hi, rtol):
     band_a, band_b = banded(disc.a_diag, disc.a_off), banded(disc.b_diag, disc.b_off)
     x = np.random.default_rng(0).standard_normal((disc.n_free, 1))
     shift, rho = 0.5 * (lo + hi), None
+    bx = apply(band_b, x)
     for _ in range(spectral._POLISH_SOLVES):
         try:
-            y = solve_banded((1, 1), band_a - shift * band_b, apply(band_b, x))
+            y = solve_banded((1, 1), band_a - shift * band_b, bx)
         except np.linalg.LinAlgError:
             return shift
-        x = y / np.linalg.norm(y)
-        new = float((x * apply(band_a, x)).sum() / (x * apply(band_b, x)).sum())
+        by = apply(band_b, y)
+        new = shift + float((y * bx).sum() / (y * by).sum())
+        bx = by / np.linalg.norm(y)
         if not lo < new < hi:
-            return None
+            rho = None
+            continue
         if rho is not None and abs(new - rho) <= 0.01 * rtol * abs(new):
             return new
         shift = rho = new
