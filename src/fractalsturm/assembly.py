@@ -43,6 +43,7 @@ from .selfsim import (
     MonotonePrimitive,
     SelfSimilarParams,
     _children,
+    _columns,
     jump_atoms,
     junction_gaps,
     moments,
@@ -354,7 +355,7 @@ class _Accumulator:
             w = scale * weight[fits]
             dl = w * (al * al * mu[0] + 2 * al * bl * mu[1] + bl * bl * mu[2])
             dr = w * (ar * ar * mu[0] + 2 * ar * br * mu[1] + br * br * mu[2])
-            np.add.at(self.diag, np.stack((jf, jf + 1), axis=1), np.stack((dl, dr), axis=1))
+            np.add.at(self.diag, np.stack((jf, jf + 1), axis=1).ravel(), np.stack((dl, dr), axis=1).ravel())
             np.add.at(self.off, jf, w * (al * ar * mu[0] + (al * br + ar * bl) * mu[1] + bl * br * mu[2]))
             straddle = ~fits
             left, width, weight, offset, j = (x[straddle] for x in (left, width, weight, offset, j))
@@ -364,10 +365,10 @@ class _Accumulator:
             # neighbouring copy values; emit them explicitly
             if jumpy.size:
                 self.add_atoms(
-                    (left[:, None] + width[:, None] * params.alpha[jumpy]).ravel(),
-                    ((scale * weight)[:, None] * gaps[jumpy - 1]).ravel(),
+                    _columns(width, params.alpha[jumpy], left).ravel(),
+                    _columns(scale * weight, gaps[jumpy - 1]).ravel(),
                 )
-            left, width, weight, offset = _children(params, left, width, weight, offset)
+            left, width, weight, offset = _children(params, left, width, weight, offset).T
         # unresolvable straddles at the maximum depth: lump the remaining
         # (vanishingly small) cell mass at its midpoint
         mid = left + 0.5 * width

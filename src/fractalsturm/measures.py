@@ -79,7 +79,28 @@ def _cluster_starts(xs: np.ndarray, tol: float) -> np.ndarray:
             if x - first > tol:
                 chained.append(j)
                 first = x
-    return np.sort(np.concatenate((bounds[:-1], np.array(chained, dtype=np.int64))))
+    # two sorted runs of indices, which the stable sort (timsort) merges
+    return np.sort(np.concatenate((bounds[:-1], np.array(chained, dtype=np.int64))), kind="stable")
+
+
+def _atom_order(pos: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """np.lexsort((w, pos)) for atom rows, or None when they are in that order.
+
+    The rows are in order when the position never falls and the weight
+    never falls between equal positions; that takes one O(m) pass.  Else
+    a stable argsort by position, after which only the runs of exactly
+    equal positions are lexsorted by weight too, which gives the same
+    permutation as a lexsort of the whole table.
+    """
+    if np.all((pos[1:] > pos[:-1]) | ((pos[1:] == pos[:-1]) & (w[1:] >= w[:-1]))):
+        return None
+    order = np.argsort(pos, kind="stable")
+    tie = pos[order[1:]] == pos[order[:-1]]
+    if tie.any():
+        run = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+        sub = order[run]
+        order[run] = sub[np.lexsort((w[sub], pos[sub]))]
+    return order
 
 
 def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -170,8 +191,8 @@ class CompositeMeasure:
     P; it is treated as atomless (its own jumps, if any, are recovered
     explicitly via jump enumeration when needed).  All three parts may
     be present at once and add up.  The atom rows are clipped to [0, 1]
-    and sorted by position, then weight.  Measures compare and hash by
-    identity.
+    and sorted by position, then weight; a table already in that order
+    is kept without a sort.  Measures compare and hash by identity.
     """
 
     atoms: np.ndarray = ()
@@ -180,8 +201,11 @@ class CompositeMeasure:
 
     def __post_init__(self):
         table = _atom_table(self.atoms)
-        pos, w = np.clip(table[:, 0], 0.0, 1.0, out=table[:, 0]), table[:, 1]
-        object.__setattr__(self, "atoms", _frozen(table[np.lexsort((w, pos))]))
+        order = _atom_order(np.clip(table[:, 0], 0.0, 1.0, out=table[:, 0]), table[:, 1])
+        if order is not None:
+            table = table[order]
+        table.flags.writeable = False  # a fresh table, which _frozen keeps uncopied
+        object.__setattr__(self, "atoms", _frozen(table))
         if self.selfsim is not None:
             params, scale = self.selfsim
             object.__setattr__(self, "selfsim", (params, float(scale)))

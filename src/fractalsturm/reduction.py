@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterMismatchError, UnsupportedConfigurationError
-from .measures import CompositeMeasure, StepFunction, _cluster_starts, _run_sums
+from .measures import CompositeMeasure, StepFunction, _atom_order, _cluster_starts, _run_sums
 from .selfsim import MonotonePrimitive, SelfSimilarParams, _evaluate_many, support_cells
 
 _TOL = 1e-12
@@ -115,8 +115,9 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
     # weights summed in (position, weight) order
     pos = np.concatenate((t[: x0.size], 0.5 * (lo + hi), plateau_pos))
     w = np.concatenate((w, plateau_w))
-    order = np.lexsort((w, pos))
-    pos, w = pos[order], w[order]
+    order = _atom_order(pos, w)
+    if order is not None:
+        pos, w = pos[order], w[order]
     starts = _cluster_starts(pos, 1e-12)
     pos, w = pos[starts], _run_sums(w, starts)
     atoms = np.column_stack((pos, w))[w != 0.0]

@@ -354,35 +354,58 @@ def pair_moments(r: MonotonePrimitive, p: SelfSimilarParams, order: int = 2) -> 
     return _moments(p, r.weights, rp.betaprime, order)
 
 
-def _children(params: SelfSimilarParams, left, width, weight, offset):
+def _columns(x: np.ndarray, factors, base: np.ndarray | None = None, out: np.ndarray | None = None):
+    """base + x * f for each f of factors, one column per factor, in an (x.size, k) array.
+
+    Writes into out when given, else into a new array, and returns it;
+    raveled it is parent-major, the same bits as (base[:, None] + x[:, None]
+    * factors).ravel().  Each column is written by full-length ufunc
+    calls, since numpy runs a broadcast over an (n, k <= 3) array a few
+    elements at a time.
+    """
+    if out is None:
+        out = np.empty((x.size, len(factors)))
+    for col, f in zip(out.T, factors):
+        np.multiply(x, f, out=col)
+        if base is not None:
+            col += base
+    return out
+
+
+def _children(params: SelfSimilarParams, left, width, weight, offset) -> np.ndarray:
     """Children with nonzero weight of the given cells, parent-major.
 
-    Takes and returns (left, width, weight, offset) arrays.  Only the
-    live letters (d' != 0) are expanded; a child whose weight product
-    underflows to 0 is masked out.  The order keeps cells left to right,
-    and each value is the float expression a depth-first walk evaluates,
-    so the results are bit-identical to it.
+    Takes (left, width, weight, offset) arrays and returns the children
+    as an (m, 4) table of support_cells rows.  Only the live letters
+    (d' != 0) are expanded; a child whose weight product underflows to 0
+    is masked out.  The order keeps cells left to right, and each value
+    is the float expression a depth-first walk evaluates, so the results
+    are bit-identical to it.
     """
-    dprime = np.asarray(params.dprime)
-    live = np.flatnonzero(dprime)
-    w = (weight[:, None] * dprime[live]).ravel()
-    cells = (
-        (left[:, None] + width[:, None] * params.alpha[live]).ravel(),
-        (width[:, None] * np.asarray(params.a)[live]).ravel(),
-        w,
-        (offset[:, None] + weight[:, None] * np.asarray(params.betaprime)[live]).ravel(),
+    # layout rule of every tree expansion (here, in jump_atoms and in the
+    # stamping of assembly): no (n, k <= 3) broadcasts, one _columns
+    # column per letter instead; and only 1-D indices for np.add.at,
+    # the one form numpy runs on its fast path
+    live = [i for i, d in enumerate(params.dprime) if d != 0.0]
+    alpha, a, dprime, betaprime = (
+        [v[i] for i in live] for v in (params.alpha, params.a, params.dprime, params.betaprime)
     )
-    if w.all():
-        return cells
-    return tuple(x[w != 0.0] for x in cells)
+    # one contiguous row of children per quantity, read back as columns
+    table = np.empty((4, left.size, len(live)))
+    _columns(width, alpha, left, out=table[0])
+    _columns(width, a, out=table[1])
+    _columns(weight, dprime, out=table[2])
+    _columns(weight, betaprime, offset, out=table[3])
+    table = table.reshape(4, -1).T
+    return table if table[:, 2].all() else table[table[:, 2] != 0.0]
 
 
 def _levels(params: SelfSimilarParams, depth: int):
-    """Live cells of every depth 0..depth, one (left, width, weight, offset) per depth."""
-    cells = tuple(np.array([v]) for v in (0.0, 1.0, 1.0, 0.0))
+    """Live cells of every depth 0..depth, one (m, 4) support_cells table per depth."""
+    cells = np.array([[0.0, 1.0, 1.0, 0.0]])
     yield cells
     for _ in range(depth):
-        cells = _children(params, *cells)
+        cells = _children(params, *cells.T)
         yield cells
 
 
@@ -399,7 +422,7 @@ def support_cells(params: SelfSimilarParams, depth: int) -> np.ndarray:
         raise InvalidParametersError("depth must be >= 0")
     for deepest in _levels(params, depth):
         pass
-    return np.stack(deepest, axis=1)
+    return deepest
 
 
 def junction_gaps(params: SelfSimilarParams) -> tuple[float, ...]:
@@ -442,9 +465,10 @@ def jump_atoms(params: SelfSimilarParams, depth: int) -> np.ndarray:
         return out
     inner, gaps = params.alpha[jumpy + 1], gaps[jumpy]
     pos, jump = [], []
-    for left, width, weight, _ in _levels(params, depth - 1):
-        pos.append((left[:, None] + width[:, None] * inner).ravel())
-        jump.append((weight[:, None] * gaps).ravel())
+    for cells in _levels(params, depth - 1):
+        left, width, weight, _ = cells.T
+        pos.append(_columns(width, inner, left).ravel())
+        jump.append(_columns(weight, gaps).ravel())
     pos, jump = np.concatenate(pos), np.concatenate(jump)
     keep = jump != 0.0
     pos, jump = pos[keep], jump[keep]

@@ -348,11 +348,14 @@ def _polish(
     side, so no step multiplies by A.  A quotient in (lo, hi) becomes
     the shift; one outside leaves the shift where it was, and inverse
     iteration goes on from y.  Returns a quotient once it and the one
-    before it lie in (lo, hi) and differ by at most rtol / 100 relative,
-    or the last quotient after _POLISH_SOLVES solves if it lies in
-    (lo, hi), else None; the shift when A - shift B is exactly singular
-    (an exact zero pivot, dgtsv's info > 0).
+    before it lie in (lo, hi) and differ by at most rtol / 100 relative
+    or by eps |A| / |B|, the rounding the stored arrays carry, below
+    which successive quotients wander; or the last quotient after
+    _POLISH_SOLVES solves if it lies in (lo, hi), else None; the shift
+    when A - shift B is exactly singular (an exact zero pivot, dgtsv's
+    info > 0).
     """
+    floor = np.finfo(float).eps * disc._norm_ratio
     shift, rho = 0.5 * (lo + hi), None
     bx = _tri_mul(disc.b_diag, disc.b_off, x0)
     for _ in range(_POLISH_SOLVES):
@@ -365,7 +368,7 @@ def _polish(
         if not lo < new < hi:
             rho = None  # the shift stays at its last value inside (lo, hi)
             continue
-        if rho is not None and abs(new - rho) <= 0.01 * rtol * abs(new):
+        if rho is not None and abs(new - rho) <= max(0.01 * rtol * abs(new), floor):
             return new
         shift = rho = new
     return rho

@@ -23,7 +23,7 @@ from fractalsturm.assembly import BoundaryCondition, _dedupe
 from fractalsturm.reduction import _density_through
 from fractalsturm.selfsim import evaluate, support_cells
 
-from _oracles import cdf, clean_atoms_loop, dedupe_loop, merge_atoms_loop
+from _oracles import cdf, clean_atoms_loop, dedupe_loop, merge_atoms_loop, reference_assemble
 
 R_CANTOR = MonotonePrimitive.cantor()
 
@@ -171,6 +171,27 @@ class TestMergeRules:
         want = merge_atoms_loop((evaluate(identity_params(2), x, 60)[0], w) for x, w in clean_atoms_loop(atoms))
         assert merged.atoms.tolist() == want
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [(0.5, 1.0), (0.5, 0.25)],  # in order by position, not by weight at the tie
+            [(0.0, 0.5), (-0.0, 0.25), (0.3, 1.0)],  # -0.0 and 0.0 tie
+            [(-0.0, 0.25), (0.0, 0.5), (0.5, -1.0), (0.5, 1.0), (0.75, 0.0)],  # already in order
+            [(0.75, 1.0), (0.25, 2.0), (0.75, -1.0), (0.5, 0.0)],
+        ],
+    )
+    def test_atom_table_order_matches_loop(self, atoms):
+        assert CompositeMeasure(atoms=atoms).atoms.tolist() == clean_atoms_loop(atoms)
+
+    def test_transform_orders_atoms_that_land_on_one_point_by_weight(self):
+        # 0.4 and 0.5 lie on the Cantor plateau (1/3, 2/3) and both map to
+        # exactly 0.5, so the weights decide their order before the merge
+        atoms = [(0.4, 1.0), (0.5, 0.25), (0.2, 0.5)]
+        f = CompositeMeasure(atoms=atoms)
+        assert [evaluate(R_CANTOR.params, x, 60)[0] for x in (0.4, 0.5)] == [0.5, 0.5]
+        want = merge_atoms_loop((evaluate(R_CANTOR.params, x, 60)[0], w) for x, w in atoms)
+        assert transform_measure(f, R_CANTOR).atoms.tolist() == want
+
     def test_atom_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="atom at 1.5 outside"):
             CompositeMeasure(atoms=[(0.5, 1.0), (1.5, 1.0), (-1.0, 1.0)])
@@ -211,3 +232,17 @@ class TestMergeRules:
         monkeypatch.setattr(assembly, "_children", spy)
         assembly.assemble(1.0, q_t, p_t, BoundaryCondition.neumann(), 14)
         assert calls == [2**k for k in range(14)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_sized_general_pencil_matches_depth_first_reference(seed):
+    # the general route at the depth and on the problems the benchmark runs:
+    # every array of the pencil bit for bit against the depth-first walk
+    p, q = general_problem(np.random.default_rng(seed))
+    r = MonotonePrimitive.cantor()
+    p_t, q_t = (transform_measure(mu, r, depth=14) for mu in (p, q))
+    bc = BoundaryCondition.neumann()
+    got = assembly.assemble(1.0, q_t, p_t, bc, 14)
+    want = reference_assemble(1.0, q_t, p_t, bc, 14)
+    for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -261,6 +261,21 @@ class TestEigenvalues:
         x0 = np.random.default_rng(0).standard_normal(disc.n_free)
         assert spectral._polish(disc, 400.0, 512.0, 1e-10, x0) == pytest.approx(483.14411097, rel=1e-9)
 
+    def test_polish_stops_at_the_rounding_floor(self, monkeypatch):
+        # the quotients near 9.87 and 39.48 wander by more than rtol / 100
+        # relative but less than eps |A| / |B| (5.2e-10): the polish stops
+        # there instead of running all _POLISH_SOLVES solves
+        r = MonotonePrimitive.cantor()
+        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        x0 = np.random.default_rng(0).standard_normal(disc.n_free)
+        solve = spectral._tri_solve
+        solves = []
+        monkeypatch.setattr(spectral, "_tri_solve", lambda *a: solves.append(1) or solve(*a))
+        for lo, hi, lam in ((8.0, 36.0, 9.8694117), (36.0, 64.0, 39.475333)):
+            solves.clear()
+            assert spectral._polish(disc, lo, hi, 1e-10, x0) == pytest.approx(lam, rel=1e-7)
+            assert len(solves) < spectral._POLISH_SOLVES
+
     def test_failed_polish_is_retried_on_a_narrower_interval(self, monkeypatch):
         # from the midpoint of (1184, 1408) the quotients head for the
         # neighbour 1417.13 above it; the round bisects the interval, and
@@ -557,7 +572,9 @@ def reference_polish(disc, lo, hi, rtol):
 
     Works on (n, 1) columns and (1, 1) banded storage, from the same
     random start vector, and forms each quotient as _polish does:
-    shift + y^T B x / y^T B y for (A - shift B) y = B x.
+    shift + y^T B x / y^T B y for (A - shift B) y = B x.  It stops as
+    _polish does, when two quotients in (lo, hi) differ by at most
+    rtol / 100 relative or by eps |A| / |B|.
     """
 
     def banded(diag, off):
@@ -574,6 +591,7 @@ def reference_polish(disc, lo, hi, rtol):
 
     band_a, band_b = banded(disc.a_diag, disc.a_off), banded(disc.b_diag, disc.b_off)
     x = np.random.default_rng(0).standard_normal((disc.n_free, 1))
+    floor = np.finfo(float).eps * disc._norm_ratio
     shift, rho = 0.5 * (lo + hi), None
     bx = apply(band_b, x)
     for _ in range(spectral._POLISH_SOLVES):
@@ -587,7 +605,7 @@ def reference_polish(disc, lo, hi, rtol):
         if not lo < new < hi:
             rho = None
             continue
-        if rho is not None and abs(new - rho) <= 0.01 * rtol * abs(new):
+        if rho is not None and abs(new - rho) <= max(0.01 * rtol * abs(new), floor):
             return new
         shift = rho = new
     return rho
