@@ -24,6 +24,9 @@ as one chain, left to right, which keeps the counts monotone in lam.
 There a pivot's ratio is its magnitude over the sum of the magnitudes
 of the terms that formed it, and a pivot below _CLAMP of them (an exact
 zero included) is clamped and counted as a near-zero; nothing retries.
+One loop, with no Python call per class or port, evaluates each pivot
+in one fixed order (children left to right, levels bottom up, then the
+chain); that order keeps every record bit-identical to a per-cell one.
 
 Through the stored arrays, counting eigenvalues of the pencil (A, B)
 reduces to one LDL^T sweep over the tridiagonal matrix A - lam*B per
@@ -223,7 +226,8 @@ class LevelTemplate(NamedTuple):
     rho_l = -s (M00 + M01), rho_r = -s (M11 + M01), and s of a cell is
     lam * s_unit * its scale, the product of t_i m_i (t-length factor
     times P's d'_i) on its path from the root.  Cells whose scales agree
-    to 1e-12 relative share one class and one evaluation per level.
+    to 1e-12 relative share one class and one evaluation per level, and
+    every class is a child of one on the level above or a chain port.
     """
 
     s_unit: float
@@ -259,107 +263,103 @@ class LevelTemplate(NamedTuple):
         return _S_FLOOR / smallest
 
 
-def _ports(children, below):
-    """The children of a cell (or the chain's ports) in the parent's units.
-
-    Returns (negatives, near-zeros, zero pivots, smallest pivot ratio)
-    summed over the children's templates, and each child's (c, rho_l,
-    rho_r): its template's divided by its t, or c = 1 / t for a wire.
-    """
-    neg = near = zero = 0
-    low = _INF
-    ports = []
-    for index, inv_t in children:
-        if index < 0:
-            ports.append((inv_t, 0.0, 0.0))
-            continue
-        n, z, b, lo, c, l, r = below[index]
-        neg += n
-        near += z
-        zero += b
-        if lo < low:
-            low = lo
-        ports.append((c * inv_t, l * inv_t, r * inv_t))
-    return neg, near, zero, low, ports
-
-
-def _cell(children, below):
-    """Template of a cell from those of its children, joined left to right.
-
-    Joining port 1 to port 2 eliminates their shared node: with the
-    junction shunt sigma = rho_1r + rho_2l the pivot is d = c1 + c2 +
-    sigma, and the joined port has c = c1 c2 / d, rho_l = rho_1l +
-    c1 sigma / d and rho_r = rho_2r + c2 sigma / d.  The pivot ratio is
-    |d| / (|c1| + |c2| + |sigma|), since a joined port's c can be
-    negative.  A pivot below _NEAR of its terms is a near-zero, and one
-    below _CLAMP of them (an exact zero: ratio 0) is clamped as _carry
-    does.
-    """
-    neg, near, zero, low, ports = _ports(children, below)
-    c, l, r = ports[0]
-    for c2, l2, r2 in ports[1:]:
-        sigma = r + l2
-        d = c + c2 + sigma
-        size = abs(c) + abs(c2) + abs(sigma)
-        ratio = abs(d) / size if size > 0.0 else 0.0
-        if ratio < low:
-            low = ratio
-        if ratio < _NEAR:
-            near += 1
-            zero += ratio == 0.0
-            d = _carry(d, max(_CLAMP * size, _TINY))
-        neg += d < 0.0
-        c, l, r = c * c2 / d, l + c * sigma / d, r2 + c2 * sigma / d
-    return neg, near, zero, low, c, l, r
-
-
-def _chain(template, cells):
-    """The record of the top cell: its chain of ports swept left to right.
-
-    The sweep runs in row-sum form, the sequential order in which counts
-    stay monotone in lam (Demmel, Dhillon & Ren, ETNA 3, 1995).  At the
-    node between the ports c_in and c_out the shunt is sigma = rho_r of
-    c_in + rho_l of c_out, the row sum row = sigma + c_in row' / pivot'
-    carries on from the node before, and the pivot is row + c_out, with
-    the ratio and clamp of _cell.  A Robin end is a node between the end
-    port and a port with c = 0 and the Robin coefficient as its rho; a
-    Dirichlet end node is eliminated, and past it c_in row' / pivot' is
-    c_in.
-    """
-    neg, near, zero, low, ports = _ports(template.chain, cells)
-    if template.left is not None:
-        ports.insert(0, (0.0, 0.0, template.left))
-    if template.right is not None:
-        ports.append((0.0, template.right, 0.0))
-    pivot = row = None
-    for (c_in, _, r_in), (c_out, l_out, _) in zip(ports, ports[1:]):
-        sigma = r_in + l_out
-        through = c_in if pivot is None else c_in * row / pivot
-        row = sigma + through
-        pivot = row + c_out
-        size = abs(sigma) + abs(through) + abs(c_out)
-        ratio = abs(pivot) / size if size > 0.0 else 0.0
-        if ratio < low:
-            low = ratio
-        if ratio < _NEAR:
-            near += 1
-            zero += ratio == 0.0
-            pivot = _carry(pivot, max(_CLAMP * size, _TINY))
-        neg += pivot < 0.0
-    return neg, near, zero, min(low, 1e308)
-
-
 def _level_inertia(template, lam):
-    """The sturm_pivots record of a level template's pencil at lam."""
+    """The sturm_pivots record of a level template's pencil at lam.
+
+    Each class gets the record (negatives, near-zeros, zero pivots, c,
+    rho_l, rho_r) of its cell, its children joined left to right as
+    ports: a class's template times 1 / t, or c = 1 / t, rho = 0 for a
+    wire.  Joining port 1 to port 2 eliminates their shared node: with
+    sigma = rho_1r + rho_2l the pivot is d = c1 + c2 + sigma, and the
+    joined port has c = c1 c2 / d, rho_l = rho_1l + c1 sigma / d and
+    rho_r = rho_2r + c2 sigma / d.  The pivot ratio is |d| / (|c1| +
+    |c2| + |sigma|), as a joined c can be negative; below _NEAR it is a
+    near-zero, below _CLAMP (an exact zero: ratio 0) it is clamped.
+    """
     s = lam * template.s_unit
     m00, m01, m11 = template.quad
+    m0, m1 = m00 + m01, m11 + m01
     below = []
     for scale in template.leaves:
         x = s * scale
-        below.append((0, 0, 0, _INF, 1.0 + x * m01, -x * (m00 + m01), -x * (m11 + m01)))
+        below.append((0, 0, 0, 1.0 + x * m01, -x * m0, -x * m1))
+    low = _INF  # every class is a child of one above, so one minimum serves
     for table in template.levels:
-        below = [_cell(children, below) for children in table]
-    return _chain(template, below)
+        cells = []
+        for children in table:
+            neg = near = zero = 0
+            c = None
+            for index, inv_t in children:
+                if index < 0:
+                    c2, l2, r2 = inv_t, 0.0, 0.0
+                else:
+                    n, z, b, c2, l2, r2 = below[index]
+                    neg, near, zero = neg + n, near + z, zero + b
+                    c2, l2, r2 = c2 * inv_t, l2 * inv_t, r2 * inv_t
+                if c is None:
+                    c, l, r = c2, l2, r2
+                    continue
+                sigma = r + l2
+                d = c + c2 + sigma
+                size = abs(c) + abs(c2) + abs(sigma)
+                ratio = abs(d) / size if size > 0.0 else 0.0
+                if ratio < low:
+                    low = ratio
+                if ratio < _NEAR:
+                    near += 1
+                    zero += ratio == 0.0
+                    d = _carry(d, max(_CLAMP * size, _TINY))
+                neg += d < 0.0
+                c, l, r = c * c2 / d, l + c * sigma / d, r2 + c2 * sigma / d
+            cells.append((neg, near, zero, c, l, r))
+        below = cells
+    return _chain(template, below, low)
+
+
+def _chain(template, cells, low):
+    """The record of the top cell: template.chain's ports swept left to right.
+
+    The sweep runs in row-sum form, in which counts stay monotone in lam
+    (Demmel, Dhillon & Ren, ETNA 3, 1995).  At the node between ports
+    c_in and c_out the shunt is sigma = rho_r of c_in + rho_l of c_out,
+    the row sum row = sigma + c_in row' / pivot' carries on from the
+    node before, and the pivot is row + c_out, with the ratio and clamp
+    of a junction.  A Robin end is a node next to a port with c = 0 and
+    the Robin coefficient as its rho; past an eliminated Dirichlet end
+    node c_in row' / pivot' is c_in.
+    """
+    neg = near = zero = 0
+    c_in, r_in = (None, None) if template.left is None else (0.0, template.left)
+    row = pivot = 1.0  # c_in * row / pivot is c_in at the first node
+    for index, inv_t in template.chain:
+        if index < 0:
+            c2, l2, r2 = inv_t, 0.0, 0.0
+        else:
+            n, z, b, c2, l2, r2 = cells[index]
+            neg, near, zero = neg + n, near + z, zero + b
+            c2, l2, r2 = c2 * inv_t, l2 * inv_t, r2 * inv_t
+        if c_in is not None:
+            sigma = r_in + l2
+            through = c_in * row / pivot
+            row = sigma + through
+            pivot = row + c2
+            size = abs(sigma) + abs(through) + abs(c2)
+            ratio = abs(pivot) / size if size > 0.0 else 0.0
+            if ratio < low:
+                low = ratio
+            if ratio < _NEAR:
+                near += 1
+                zero += ratio == 0.0
+                pivot = _carry(pivot, max(_CLAMP * size, _TINY))
+            neg += pivot < 0.0
+        c_in, r_in = c2, r2
+    if template.right is not None:  # the last node: c_out = 0, no pivot after it
+        sigma, through = r_in + template.right, c_in * row / pivot
+        pivot, size = sigma + through, abs(sigma) + abs(through)
+        ratio = abs(pivot) / size if size > 0.0 else 0.0
+        low = min(low, ratio)
+        near, zero, neg = near + (ratio < _NEAR), zero + (ratio == 0.0), neg + (pivot < 0.0)
+    return neg, near, zero, min(low, 1e308)
 
 
 def level_pivots_many(template, lams):

@@ -25,6 +25,7 @@ need them.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -202,13 +203,18 @@ class PencilDiscretization:
         for a pencil with a level template, sturm_pivots_many over the
         arrays otherwise; a lam already swept costs nothing.  Answers are
         read into a local dict before the memo may be cleared, so a query
-        that races another thread's clear at worst sweeps again.
+        that races another thread's clear at worst sweeps again.  Every
+        count and shift check passes here, and a NaN or infinite lam
+        raises InvalidParametersError before any kernel runs.
         """
         memo = self._memo
         lams = [float(x) for x in lams]
         got = {lam: memo.get(lam) for lam in lams}
         missing = [lam for lam, value in got.items() if value is None]
         if missing:
+            bad = [lam for lam in missing if not math.isfinite(lam)]
+            if bad:
+                raise InvalidParametersError(f"spectral parameter {bad[0]} is not finite")
             if self._levels is not None:
                 records = _kernels.level_pivots_many(self._levels, np.array(missing))
             else:
@@ -487,27 +493,21 @@ def _walk_segments(
     mass = np.ones(1)
     for level in range(1, depth + 1):
         tf = np.array([t_factor(level, i) for i in range(p.n)])
-        live = np.flatnonzero(mass != 0.0)
-        m2 = mass[live, None] * dprime
-        flat = (tf == 0.0) & np.any(m2 != 0.0, axis=0)
-        if flat.any():
-            raise UnsupportedConfigurationError(
-                f"cell letter {int(np.argmax(flat))}: dP mass sits on a plateau of R"
-            )
+        for i in np.flatnonzero((tf == 0.0) & (dprime != 0.0)):
+            if np.any(mass * dprime[i] != 0.0):
+                raise UnsupportedConfigurationError(f"cell letter {i}: dP mass sits on a plateau of R")
+        # each cell's children in its row, one _columns column per letter
+        # with shrink; a massless leaf stays, alone in its row
         letters = np.flatnonzero(tf != 0.0)
-        # a cell with mass gives way to its children, a massless leaf stays
-        count = np.ones(mass.size, dtype=np.int64)
-        count[live] = letters.size
-        at = np.cumsum(count) - count
-        slots = (at[live, None] + np.arange(letters.size)).ravel()
-        new_t = np.empty(int(count.sum()))
-        new_m = np.zeros(new_t.size)
-        leaf = np.ones(mass.size, dtype=bool)
-        leaf[live] = False
-        new_t[at[leaf]] = tprod[leaf]
-        new_t[slots] = (tprod[live, None] * tf[letters]).ravel()
-        new_m[slots] = m2[:, letters].ravel()
-        tprod, mass = new_t, new_m
+        new_t = _columns(tprod, tf[letters])
+        new_m = _columns(mass, dprime[letters])
+        leaf = mass == 0.0
+        if leaf.any():
+            new_t[leaf, 0] = tprod[leaf]
+            keep = np.ones(new_t.shape, dtype=bool)
+            keep[leaf, 1:] = False
+            new_t, new_m = new_t[keep], new_m[keep]
+        tprod, mass = new_t.ravel(), new_m.ravel()
     mass[mass == 0.0] = 0.0  # no signed zeros
     return np.stack((tprod, mass), axis=1)
 

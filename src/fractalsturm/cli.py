@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -241,6 +242,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise InputError(f"--grid expects lo:hi:n, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"--grid needs finite lo and hi, got {text!r}")
     if lo <= 0.0 or hi <= lo or n < 2:
         raise InputError("--grid needs 0 < lo < hi and n >= 2")
     return np.geomspace(lo, hi, n)

@@ -382,10 +382,10 @@ def _children(params: SelfSimilarParams, left, width, weight, offset) -> np.ndar
     is the float expression a depth-first walk evaluates, so the results
     are bit-identical to it.
     """
-    # layout rule of every tree expansion (here, in jump_atoms and in the
-    # stamping of assembly): no (n, k <= 3) broadcasts, one _columns
-    # column per letter instead; and only 1-D indices for np.add.at,
-    # the one form numpy runs on its fast path
+    # layout rule of every tree expansion (here, in jump_atoms, and in
+    # the stamping and the segment walk of assembly): no (n, k <= 3)
+    # broadcasts, one _columns column per letter instead; and only 1-D
+    # indices for np.add.at, the one form numpy runs on its fast path
     live = [i for i, d in enumerate(params.dprime) if d != 0.0]
     alpha, a, dprime, betaprime = (
         [v[i] for i in live] for v in (params.alpha, params.a, params.dprime, params.betaprime)

@@ -8,7 +8,9 @@ against brute-force quadrature.  `cdf` reads a measure's distribution
 function off its parts, for comparing measures.  The cell walks, the
 general accumulator, the pair-route stamping and the merge rules of the
 mesh and atom lists are the one-call-per-item loops that the vectorised
-library code must reproduce.
+library code must reproduce, and `reference_level_inertia` is the level
+recursion with one call per cell whose records the one-loop kernel must
+give bit for bit.
 """
 
 import numpy as np
@@ -434,3 +436,122 @@ def merge_atoms_loop(atoms):
         else:
             merged.append([pos, w])
     return clean_atoms_loop((p, w) for p, w in merged if w != 0.0)
+
+
+# The level recursion of _kernels as it stood when counts first ran on the
+# level template: one _cell call per class, one _ports list per cell.  The
+# kernel's one-loop form must give each record bit for bit.
+_CLAMP = 5e-32
+_NEAR = 1e-12
+_TINY = float(np.finfo(float).tiny)
+_INF = float("inf")
+
+
+def _carry(piv, clamp):
+    """The value that carries a pivot on: piv, or sign * clamp when smaller."""
+    if -clamp < piv < clamp:
+        return -clamp if piv < 0.0 else clamp
+    return piv
+
+
+def _ports(children, below):
+    """The children of a cell (or the chain's ports) in the parent's units.
+
+    Returns (negatives, near-zeros, zero pivots, smallest pivot ratio)
+    summed over the children's templates, and each child's (c, rho_l,
+    rho_r): its template's divided by its t, or c = 1 / t for a wire.
+    """
+    neg = near = zero = 0
+    low = _INF
+    ports = []
+    for index, inv_t in children:
+        if index < 0:
+            ports.append((inv_t, 0.0, 0.0))
+            continue
+        n, z, b, lo, c, l, r = below[index]
+        neg += n
+        near += z
+        zero += b
+        if lo < low:
+            low = lo
+        ports.append((c * inv_t, l * inv_t, r * inv_t))
+    return neg, near, zero, low, ports
+
+
+def _cell(children, below):
+    """Template of a cell from those of its children, joined left to right.
+
+    Joining port 1 to port 2 eliminates their shared node: with the
+    junction shunt sigma = rho_1r + rho_2l the pivot is d = c1 + c2 +
+    sigma, and the joined port has c = c1 c2 / d, rho_l = rho_1l +
+    c1 sigma / d and rho_r = rho_2r + c2 sigma / d.  The pivot ratio is
+    |d| / (|c1| + |c2| + |sigma|), since a joined port's c can be
+    negative.  A pivot below _NEAR of its terms is a near-zero, and one
+    below _CLAMP of them (an exact zero: ratio 0) is clamped as _carry
+    does.
+    """
+    neg, near, zero, low, ports = _ports(children, below)
+    c, l, r = ports[0]
+    for c2, l2, r2 in ports[1:]:
+        sigma = r + l2
+        d = c + c2 + sigma
+        size = abs(c) + abs(c2) + abs(sigma)
+        ratio = abs(d) / size if size > 0.0 else 0.0
+        if ratio < low:
+            low = ratio
+        if ratio < _NEAR:
+            near += 1
+            zero += ratio == 0.0
+            d = _carry(d, max(_CLAMP * size, _TINY))
+        neg += d < 0.0
+        c, l, r = c * c2 / d, l + c * sigma / d, r2 + c2 * sigma / d
+    return neg, near, zero, low, c, l, r
+
+
+def _chain(template, cells):
+    """The record of the top cell: its chain of ports swept left to right.
+
+    The sweep runs in row-sum form, the sequential order in which counts
+    stay monotone in lam (Demmel, Dhillon & Ren, ETNA 3, 1995).  At the
+    node between the ports c_in and c_out the shunt is sigma = rho_r of
+    c_in + rho_l of c_out, the row sum row = sigma + c_in row' / pivot'
+    carries on from the node before, and the pivot is row + c_out, with
+    the ratio and clamp of _cell.  A Robin end is a node between the end
+    port and a port with c = 0 and the Robin coefficient as its rho; a
+    Dirichlet end node is eliminated, and past it c_in row' / pivot' is
+    c_in.
+    """
+    neg, near, zero, low, ports = _ports(template.chain, cells)
+    if template.left is not None:
+        ports.insert(0, (0.0, 0.0, template.left))
+    if template.right is not None:
+        ports.append((0.0, template.right, 0.0))
+    pivot = row = None
+    for (c_in, _, r_in), (c_out, l_out, _) in zip(ports, ports[1:]):
+        sigma = r_in + l_out
+        through = c_in if pivot is None else c_in * row / pivot
+        row = sigma + through
+        pivot = row + c_out
+        size = abs(sigma) + abs(through) + abs(c_out)
+        ratio = abs(pivot) / size if size > 0.0 else 0.0
+        if ratio < low:
+            low = ratio
+        if ratio < _NEAR:
+            near += 1
+            zero += ratio == 0.0
+            pivot = _carry(pivot, max(_CLAMP * size, _TINY))
+        neg += pivot < 0.0
+    return neg, near, zero, min(low, 1e308)
+
+
+def reference_level_inertia(template, lam):
+    """The level_pivots_many record of a level template's pencil at lam."""
+    s = lam * template.s_unit
+    m00, m01, m11 = template.quad
+    below = []
+    for scale in template.leaves:
+        x = s * scale
+        below.append((0, 0, 0, _INF, 1.0 + x * m01, -x * (m00 + m01), -x * (m11 + m01)))
+    for table in template.levels:
+        below = [_cell(children, below) for children in table]
+    return _chain(template, below)

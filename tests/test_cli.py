@@ -294,6 +294,23 @@ class TestAsymptotics:
         assert ratios[-1] == pytest.approx(4.0, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--lambda-max", "nan"],
+        ["spectrum", "--lambda-max", "inf"],
+        ["asymptotics", "--grid", "1e3:inf:5"],
+        ["asymptotics", "--grid", "nan:1e4:5"],
+    ],
+)
+def test_non_finite_lambda_exit_2(problems, capsys, argv):
+    # the README's Neumann Cantor problem
+    command, *flags = argv
+    assert main([command, problems["cantor"], "--depth", "6", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
 class TestCounterexample:
     def test_default_refutes_splitting(self, capsys):
         rc = main(["counterexample"])

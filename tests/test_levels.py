@@ -2,7 +2,9 @@
 
 The reference is the tridiagonal kernel on the same pencil's arrays,
 built by the segment walk: a pencil made from those arrays alone
-(PencilDiscretization(...)) is swept by sturm_pivots_many.
+(PencilDiscretization(...)) is swept by sturm_pivots_many.  The records
+themselves are pinned bit for bit to a recursion that evaluates one cell
+per call (_oracles.reference_level_inertia).
 """
 
 import math
@@ -30,6 +32,8 @@ from fractalsturm import (
 )
 from fractalsturm import _kernels, assembly
 from fractalsturm.spectral import zero_tolerance
+
+from _oracles import reference_level_inertia
 
 NEUMANN = BoundaryCondition.neumann()
 DIRICHLET = BoundaryCondition.dirichlet()
@@ -271,21 +275,61 @@ def test_node_cap_admits_depth_24_of_the_cantor_pair(monkeypatch, depth, walks):
         disc.a_diag
 
 
+# two hat elements with M01 = 0: c = 1 and rho = -s, so the junction
+# pivot 1 + 1 - 2s and, on one Neumann element, the first chain pivot
+# 1 - s vanish at s = 1
+JOINED = _kernels.LevelTemplate(
+    s_unit=1.0, quad=(1.0, 0.0, 1.0), leaves=(1.0,), levels=((((0, 1.0), (0, 1.0)),),),
+    chain=((0, 1.0),), left=None, right=None,
+)
+ELEMENT = JOINED._replace(levels=(), left=0.0, right=0.0)
+
+
 def test_exact_zero_pivots_are_clamped_near_zeros():
-    # two hat elements with M01 = 0: c = 1 and rho = -s, so the junction
-    # pivot 1 + 1 - 2s and, on one Neumann element, the first chain
-    # pivot 1 - s vanish at s = 1
-    joined = _kernels.LevelTemplate(
-        s_unit=1.0, quad=(1.0, 0.0, 1.0), leaves=(1.0,), levels=((((0, 1.0), (0, 1.0)),),),
-        chain=((0, 1.0),), left=None, right=None,
-    )
     lams = np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
-    assert _kernels.level_pivots_many(joined, lams) == [
+    assert _kernels.level_pivots_many(JOINED, lams) == [
         (0, 0, 0, pytest.approx(5e-10)), (0, 1, 1, 0.0), (1, 0, 0, pytest.approx(5e-10))
     ]
-    element = joined._replace(levels=(), left=0.0, right=0.0)
-    neg, near, zero, ratio = _kernels.level_pivots_many(element, np.array([1.0]))[0]
+    neg, near, zero, ratio = _kernels.level_pivots_many(ELEMENT, np.array([1.0]))[0]
     assert (near, zero, ratio) == (1, 1, 0.0) and math.isfinite(neg)
+
+
+def iterate0(bc, depth, **scales):
+    return assemble_iterated_pair(CANTOR_R, 0, CANTOR, bc, depth, **scales)
+
+
+# 0 and the smallest subnormals, negatives down to -1e12, the workloads'
+# grid and a seeded uniform sample
+RECORD_LAMS = np.concatenate((
+    [0.0, 5e-324, -5e-324],
+    -np.geomspace(1e-3, 1e12, 16),
+    GRID,
+    np.random.default_rng(18).uniform(-1e4, 1e5, 40),
+))
+
+
+def same_records(template, lams):
+    got = _kernels.level_pivots_many(template, lams)
+    return got == [reference_level_inertia(template, lam) for lam in lams.tolist()]
+
+
+@pytest.mark.parametrize("build", [cantor, iterate, uneven, iterate0])
+@pytest.mark.parametrize(
+    "bc", [NEUMANN, DIRICHLET, BoundaryCondition(0.7, 2.5), BoundaryCondition(None, 1.5)],
+    ids=["neumann", "dirichlet", "robin", "mixed"],
+)
+@pytest.mark.parametrize("depth", [6, 9, 14, 30])
+def test_records_equal_reference_recursion(build, bc, depth):
+    template = build(bc, depth, r_mass=1.3, p_scale=0.7)._levels
+    lams = np.concatenate((RECORD_LAMS, [template.zero_band, -template.zero_band]))
+    assert same_records(template, lams)
+
+
+@pytest.mark.parametrize("template", [JOINED, ELEMENT], ids=["joined", "element"])
+def test_records_equal_reference_on_hand_built_templates(template):
+    # around and at their exact zero pivots
+    lams = np.concatenate((RECORD_LAMS, [1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.5, 2.0]))
+    assert same_records(template, lams)
 
 
 def test_zero_weight_has_no_band():

@@ -4,6 +4,7 @@ import io
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +422,44 @@ class TestSplittingInequality:
     def test_negative_lambda_rejected(self):
         with pytest.raises(InvalidParametersError):
             splitting_inequality(MonotonePrimitive.cantor(), cantor_ladder(), 0, -5.0, depth=6)
+
+
+class TestNonFiniteLambda:
+    """A NaN or infinite spectral parameter raises before any kernel runs."""
+
+    @pytest.fixture(params=["pair", "general"])
+    def disc(self, request):
+        if request.param == "pair":
+            return assemble_iterated_pair(MonotonePrimitive.cantor(), 6, cantor_ladder(), NEUMANN, 9)
+        return sample_problems()[2]
+
+    @pytest.fixture(autouse=True)
+    def no_runtime_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_counts_raise(self, disc, lam):
+        with pytest.raises(InvalidParametersError, match="not finite"):
+            count(disc, lam)
+        with pytest.raises(InvalidParametersError, match="not finite"):
+            counting_function(disc, [10.0, lam, 100.0])
+        with pytest.raises(InvalidParametersError, match="not finite"):
+            eigenvalues_below(disc, lam)
+        # the finite queries still answer
+        assert count(disc, 10.0).n_plus >= 1
+
+    def test_reference_shift_raises(self, disc):
+        with pytest.raises(InvalidParametersError, match="not finite"):
+            resolve_shift(disc, reference_shift=math.nan)
+        with pytest.raises(InvalidParametersError, match="not finite"):
+            count(disc, 10.0, reference_shift=math.inf)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_splitting_inequality_raises(self, lam):
+        with pytest.raises(InvalidParametersError, match="not finite"):
+            splitting_inequality(MonotonePrimitive.cantor(), cantor_ladder(), 6, lam, depth=6)
 
 
 class TestAsymptoticsReport:
