@@ -21,12 +21,16 @@ sweep over 2^depth nodes, and no a_i - lam b_i is ever formed.  The
 cells of the deepest level whose t-factors depend on the level (the
 root on the self-similar route, level k on the k-th iterate) are swept
 as one chain, left to right, which keeps the counts monotone in lam.
+The chain is stored as runs of equal neighbouring ports (the k-th
+iterate of the Cantor string is one run of 2^k), so each run's port is
+scaled once per lam and each port costs one junction of the sweep.
 There a pivot's ratio is its magnitude over the sum of the magnitudes
 of the terms that formed it, and a pivot below _CLAMP of them (an exact
 zero included) is clamped and counted as a near-zero; nothing retries.
 One loop, with no Python call per class or port, evaluates each pivot
 in one fixed order (children left to right, levels bottom up, then the
-chain); that order keeps every record bit-identical to a per-cell one.
+chain port by port); that order keeps every record bit-identical to a
+per-cell one.
 
 Through the stored arrays, counting eigenvalues of the pencil (A, B)
 reduces to one LDL^T sweep over the tridiagonal matrix A - lam*B per
@@ -241,10 +245,11 @@ class LevelTemplate(NamedTuple):
     level: per class its children left to right as (index of the child's
     class on the level below, 1 / t_i), index -1 for a massless letter,
     a wire of conductance 1 / t_i."""
-    chain: tuple[tuple[int, float], ...]
+    chain: tuple[tuple[int, float, int], ...]
     """The chain level's cells and the wires between them, left to right,
-    in the same form, the index into the chain level's classes and 1 / t
-    the inverse t-length of the port."""
+    as runs of equal neighbouring ports: (index into the chain level's
+    classes or -1 for a wire, 1 / t the inverse t-length of each port,
+    the number of ports in the run)."""
     left: float | None
     """Robin coefficient of the left end times r_mass; None for Dirichlet."""
     right: float | None
@@ -326,24 +331,30 @@ def _chain(template, cells, low):
     node before, and the pivot is row + c_out, with the ratio and clamp
     of a junction.  A Robin end is a node next to a port with c = 0 and
     the Robin coefficient as its rho; past an eliminated Dirichlet end
-    node c_in row' / pivot' is c_in.
+    node c_in row' / pivot' is c_in.  Each run of equal ports is scaled
+    once and adds its ports' interior counts times its length; past the
+    run's first junction c_in is c_out and sigma is rho_r + rho_l of the
+    run's port, so |sigma| and |c_out| are taken once per run.
     """
     neg = near = zero = 0
     c_in, r_in = (None, None) if template.left is None else (0.0, template.left)
     row = pivot = 1.0  # c_in * row / pivot is c_in at the first node
-    for index, inv_t in template.chain:
+    for index, inv_t, count in template.chain:
         if index < 0:
             c2, l2, r2 = inv_t, 0.0, 0.0
         else:
             n, z, b, c2, l2, r2 = cells[index]
-            neg, near, zero = neg + n, near + z, zero + b
+            neg, near, zero = neg + n * count, near + z * count, zero + b * count
             c2, l2, r2 = c2 * inv_t, l2 * inv_t, r2 * inv_t
-        if c_in is not None:
-            sigma = r_in + l2
+        if c_in is None:  # the first port after a Dirichlet end: no node before it
+            c_in, r_in, count = c2, r2, count - 1
+        sigma, inner, size_c = r_in + l2, r2 + l2, abs(c2)
+        size_sigma, size_inner = abs(sigma), abs(inner)
+        for _ in range(count):
             through = c_in * row / pivot
             row = sigma + through
             pivot = row + c2
-            size = abs(sigma) + abs(through) + abs(c2)
+            size = size_sigma + abs(through) + size_c
             ratio = abs(pivot) / size if size > 0.0 else 0.0
             if ratio < low:
                 low = ratio
@@ -352,6 +363,7 @@ def _chain(template, cells, low):
                 zero += ratio == 0.0
                 pivot = _carry(pivot, max(_CLAMP * size, _TINY))
             neg += pivot < 0.0
+            c_in, sigma, size_sigma = c2, inner, size_inner
         c_in, r_in = c2, r2
     if template.right is not None:  # the last node: c_out = 0, no pivot after it
         sigma, through = r_in + template.right, c_in * row / pivot

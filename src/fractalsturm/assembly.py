@@ -25,6 +25,7 @@ need them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -195,6 +196,12 @@ class PencilDiscretization:
         norm_a, norm_b = (np.abs(d).sum() + 2.0 * np.abs(o).sum() for d, o in (
             (self.a_diag, self.a_off), (self.b_diag, self.b_off)))
         return float(norm_a / norm_b)
+
+    @cached_property
+    def _b_semidefinite(self) -> bool:
+        """B >= 0: the clamped LDL^T sweep of B = 0 - (-1) B has no negative pivot."""
+        zero_diag, zero_off = np.zeros_like(self.b_diag), np.zeros_like(self.b_off)
+        return _kernels._sweep(zero_diag, zero_off, self.b_diag, self.b_off, -1.0)[0] == 0
 
     def _sweeps(self, lams) -> list[tuple]:
         """(negatives, near-zeros, smallest |pivot| / scale) at each lam.
@@ -588,7 +595,8 @@ def _pair_pencil(
     rows = _walk_segments(p, chain_level, t_factor).tolist()
     index, classes = _classes([t * m for t, m in rows if m != 0.0])
     slot = iter(index)
-    chain = tuple((next(slot) if m != 0.0 else -1, 1.0 / t) for t, m in rows)
+    ports = [(next(slot) if m != 0.0 else -1, 1.0 / t) for t, m in rows]
+    chain = tuple((*port, len(list(run))) for port, run in itertools.groupby(ports))
     tables = []
     for level in range(chain_level + 1, depth + 1):
         tf = [t_factor(level, i) for i in range(n)]
@@ -607,7 +615,7 @@ def _pair_pencil(
         ))
         classes = below
     if bc.left is None and bc.right is None and (
-        not classes or (chain_level == depth and len(chain) == 1)
+        not classes or (chain_level == depth and len(ports) == 1)
     ):
         # a single segment, as _finalize would find
         raise InvalidParametersError("no free nodes left after constraints")

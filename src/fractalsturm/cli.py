@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-eigs", type=int, default=None, help="first n eigenvalues per side")
     s.add_argument("--lambda-max", type=float, default=None, help="all eigenvalues up to this")
     s.add_argument("--k-iter", type=int, default=None, help="iterate order for the pair route")
-    s.add_argument("--tol", type=float, default=1e-10, help="eigenvalue relative tolerance")
+    s.add_argument("--tol", type=float, default=1e-10, help="eigenvalue relative tolerance, 0 <= tol < 1")
     _add_common(s)
     _add_json(s)
     s.set_defaults(func=cmd_spectrum)

@@ -238,8 +238,10 @@ def _eigenvalues(
     rest share one bracket, probed x8 upward from start until it holds
     the largest index, and every probe cuts it.  Then each round sweeps,
     in one batched call, the midpoints of every interval that still
-    holds a wanted index and is wider than rtol * h + 1e-14; a narrower
-    interval, or one with no float left inside, reports its midpoint.
+    holds a wanted index and is wider than rtol * l + 1e-14; a narrower
+    interval, or one with no float left inside, reports its midpoint,
+    which lies within rtol / 2 of the eigenvalue (plus 5e-15).  rtol must
+    be finite with 0 <= rtol < 1; 0 bisects to the last float.
     An interval (l, h) that holds exactly one eigenvalue, a wanted one,
     is polished by Rayleigh-quotient inverse iteration to s (see
     _polish; every polish starts from the same seeded random vector),
@@ -256,6 +258,8 @@ def _eigenvalues(
     """
     if side not in (1, -1):
         raise InvalidParametersError("side must be +1 or -1")
+    if not 0.0 <= rtol < 1.0:
+        raise InvalidParametersError(f"rtol must be finite, >= 0 and < 1, got {rtol}")
     wanted = None if indices is None else sorted(set(indices))
     if wanted is not None:
         if not wanted:
@@ -298,7 +302,7 @@ def _eigenvalues(
         for l, c_l, h, c_h, ks, probe in active:
             mid = 0.5 * (l + h)
             # done when narrow enough, or when no float lies between l and h
-            if h - l <= rtol * h + 1e-14 or not l < mid < h:
+            if h - l <= rtol * l + 1e-14 or not l < mid < h:
                 found.update(dict.fromkeys(ks, mid))
                 continue
             s = None
@@ -347,28 +351,41 @@ def _polish(
     shift + y^T B x / y^T B y, and B y / |y| is the next right hand
     side, so no step multiplies by A.  A quotient in (lo, hi) becomes
     the shift; one outside leaves the shift where it was, and inverse
-    iteration goes on from y.  Returns a quotient once it and the one
-    before it lie in (lo, hi) and differ by at most rtol / 100 relative
-    or by eps |A| / |B|, the rounding the stored arrays carry, below
-    which successive quotients wander; or the last quotient after
-    _POLISH_SOLVES solves if it lies in (lo, hi), else None; the shift
-    when A - shift B is exactly singular (an exact zero pivot, dgtsv's
-    info > 0).
+    iteration goes on from y.  The tolerance is rtol / 100 relative or
+    eps |A| / |B|, the rounding the stored arrays carry, below which
+    successive quotients wander.  Returns a quotient rho in (lo, hi)
+    once its Kato-Temple bound eps2 / min(rho - lo, hi - rho) is within
+    it, where eps2 = (x^T B x y^T B y - (y^T B x)^2) / (y^T B y)^2 is
+    |(A - rho B) y|^2 in the B^-1 norm over y^T B y, and (lo, hi) holds
+    no other eigenvalue (T. Kato, J. Phys. Soc. Japan 4, 1949); the
+    bound needs B >= 0, so a pencil with an indefinite B skips it.
+    Otherwise returns a quotient once it and the one before it lie in
+    (lo, hi) and differ by at most the tolerance; or the last quotient
+    after _POLISH_SOLVES solves if it lies in (lo, hi), else None; the
+    shift when A - shift B is exactly singular (an exact zero pivot,
+    dgtsv's info > 0).
     """
     floor = np.finfo(float).eps * disc._norm_ratio
+    kato_temple = disc._b_semidefinite
     shift, rho = 0.5 * (lo + hi), None
     bx = _tri_mul(disc.b_diag, disc.b_off, x0)
+    xbx = float(x0 @ bx)
     for _ in range(_POLISH_SOLVES):
         y = _tri_solve(disc.a_diag - shift * disc.b_diag, disc.a_off - shift * disc.b_off, bx)
         if y is None:
             return shift  # A - shift B is singular: shift is an eigenvalue
         by = _tri_mul(disc.b_diag, disc.b_off, y)
-        new = shift + float((y * bx).sum() / (y * by).sum())
-        bx = by / np.linalg.norm(y)
+        ybx, yby, norm = float(y @ bx), float(y @ by), math.sqrt(y @ y)
+        new = shift + ybx / yby
+        eps2 = (xbx * yby - ybx * ybx) / (yby * yby)
+        bx, xbx = by / norm, yby / (norm * norm)
         if not lo < new < hi:
             rho = None  # the shift stays at its last value inside (lo, hi)
             continue
-        if rho is not None and abs(new - rho) <= max(0.01 * rtol * abs(new), floor):
+        tol = max(0.01 * rtol * abs(new), floor)
+        if kato_temple and eps2 / min(new - lo, hi - new) <= tol:
+            return new
+        if rho is not None and abs(new - rho) <= tol:
             return new
         shift = rho = new
     return rho

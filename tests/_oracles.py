@@ -519,9 +519,10 @@ def _chain(template, cells):
     the ratio and clamp of _cell.  A Robin end is a node between the end
     port and a port with c = 0 and the Robin coefficient as its rho; a
     Dirichlet end node is eliminated, and past it c_in row' / pivot' is
-    c_in.
+    c_in.  The chain's runs of equal ports are expanded back into ports.
     """
-    neg, near, zero, low, ports = _ports(template.chain, cells)
+    children = [(index, inv_t) for index, inv_t, count in template.chain for _ in range(count)]
+    neg, near, zero, low, ports = _ports(children, cells)
     if template.left is not None:
         ports.insert(0, (0.0, 0.0, template.left))
     if template.right is not None:

@@ -311,6 +311,15 @@ def test_non_finite_lambda_exit_2(problems, capsys, argv):
     assert "finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["1", "2", "-1", "nan", "inf"])
+def test_tol_outside_unit_interval_exit_2(problems, capsys, tol):
+    # --tol 1 printed 36 for both 9.87 and 39.48 of the k = 6 iterate, exit 0
+    argv = ["spectrum", problems["cantor"], "--depth", "6", "--n-eigs", "3", "--tol", tol]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "rtol" in err and "Traceback" not in err
+
+
 class TestCounterexample:
     def test_default_refutes_splitting(self, capsys):
         rc = main(["counterexample"])

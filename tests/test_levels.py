@@ -43,6 +43,10 @@ CANTOR = cantor_ladder()
 # d' = (w, 0, 1 - w) as in the benchmark's general workload: the two live
 # letters scale differently, so level L has L + 1 classes
 UNEVEN = SelfSimilarParams(a=(1 / 3,) * 3, dprime=(0.3, 0.0, 0.7), betaprime=(0.0, 0.3, 0.3))
+# P with two equal live letters, a massless one and a heavier one: the
+# chain of its k = 2 iterate holds runs of two ports, single ports and
+# wires of two lengths
+PAIRED = SelfSimilarParams(a=(0.25,) * 4, dprime=(0.25, 0.25, 0.0, 0.5), betaprime=(0.0, 0.25, 0.5, 0.5))
 
 # criterion 1 and the counterexample workload: lam and the splitting
 # arguments d_i d'_i lam; criterion 6 and the asymptotics workload, and
@@ -78,6 +82,14 @@ def iterate(bc, depth, **scales):
 
 def uneven(bc, depth, **scales):
     return assemble_selfsimilar_pair(IDENTITY, UNEVEN, bc, depth, **scales)
+
+
+def iterate10(bc, depth, **scales):
+    return assemble_iterated_pair(CANTOR_R, 10, CANTOR, bc, depth, **scales)
+
+
+def paired(bc, depth, **scales):
+    return assemble_iterated_pair(MonotonePrimitive.identity(4), 2, PAIRED, bc, depth, **scales)
 
 
 @pytest.mark.parametrize(
@@ -160,9 +172,14 @@ def test_single_segment_rejected_at_assembly():
     with pytest.raises(InvalidParametersError, match="no free nodes"):
         assemble_iterated_pair(CANTOR_R, 0, CANTOR, DIRICHLET, 0)
     assert cantor(BoundaryCondition(None, 0.0), 0)._levels is not None
+    # the k = 6 iterate at depth 6 is one run of 64 one-element ports: its
+    # chain holds one entry but 63 free nodes between Dirichlet ends
+    disc = assemble_iterated_pair(CANTOR_R, 6, CANTOR, DIRICHLET, 6)
+    assert disc._levels.chain == ((0, 64.0, 64),) and disc._levels.levels == ()
+    assert counts(disc, GRID) == counts(from_arrays(disc), GRID)
 
 
-@pytest.mark.parametrize("build", [cantor, iterate, uneven])
+@pytest.mark.parametrize("build", [cantor, iterate, uneven, paired])
 @pytest.mark.parametrize(
     "bc", [DIRICHLET, BoundaryCondition(None, 1.5), BoundaryCondition(0.7, 2.5), BoundaryCondition(-1.0, -1.0)],
     ids=["dirichlet", "dirichlet-robin", "robin", "negative-robin"],
@@ -280,7 +297,7 @@ def test_node_cap_admits_depth_24_of_the_cantor_pair(monkeypatch, depth, walks):
 # 1 - s vanish at s = 1
 JOINED = _kernels.LevelTemplate(
     s_unit=1.0, quad=(1.0, 0.0, 1.0), leaves=(1.0,), levels=((((0, 1.0), (0, 1.0)),),),
-    chain=((0, 1.0),), left=None, right=None,
+    chain=((0, 1.0, 1),), left=None, right=None,
 )
 ELEMENT = JOINED._replace(levels=(), left=0.0, right=0.0)
 
@@ -332,7 +349,47 @@ def test_records_equal_reference_on_hand_built_templates(template):
     assert same_records(template, lams)
 
 
+@pytest.mark.parametrize(
+    "build, depth, runs",
+    [
+        (iterate, 9, [(0, 64)]),
+        (iterate10, 12, [(0, 1024)]),
+        (paired, 7, [(0, 2), (-1, 1), (1, 1), (0, 2), (-1, 1), (1, 1), (-1, 1), (1, 2), (-1, 1), (2, 1)]),
+    ],
+    ids=["k6", "k10", "mixed"],
+)
+@pytest.mark.parametrize(
+    "bc", [NEUMANN, DIRICHLET, BoundaryCondition(0.7, 2.5), BoundaryCondition(None, 1.5)],
+    ids=["neumann", "dirichlet", "robin", "mixed"],
+)
+def test_chain_runs_equal_reference(build, depth, runs, bc):
+    template = build(bc, depth, r_mass=1.3, p_scale=0.7)._levels
+    assert [(index, count) for index, _, count in template.chain] == runs
+    lams = np.concatenate((RECORD_LAMS, [template.zero_band, -template.zero_band]))
+    assert same_records(template, lams)
+
+
+# three one-element ports in one run between Neumann ends: at s the pivots
+# are 1 - s, then 1 - 2s - s / (1 - s) at the run's first inner junction,
+# which vanishes at s = 1 - sqrt(2)/2; at s = 1 the first pivot is exactly
+# zero, and the clamp carried into the run makes its second inner pivot
+# exactly zero too; at s = 1/2 the last node's pivot is exactly zero
+RUN = ELEMENT._replace(chain=((0, 1.0, 3),))
+
+
+def test_run_records_equal_reference_at_zero_pivots():
+    root = 1.0 - math.sqrt(2.0) / 2.0
+    near_root = [root]
+    for _ in range(3):
+        near_root = [np.nextafter(near_root[0], 0.0), *near_root, np.nextafter(near_root[-1], 1.0)]
+    lams = np.concatenate((RECORD_LAMS, near_root, [0.5, 1.0]))
+    assert same_records(RUN, lams)
+    records = _kernels.level_pivots_many(RUN, np.array([root, 0.5, 1.0]))
+    assert [near for _, near, _, _ in records] == [1, 1, 2]
+    assert [zero for _, _, zero, _ in records] == [0, 1, 2]
+
+
 def test_zero_weight_has_no_band():
-    weightless = _kernels.LevelTemplate(1.0, (0.3, 0.2, 0.5), (), (), ((-1, 1.0),), 0.0, 0.0)
+    weightless = _kernels.LevelTemplate(1.0, (0.3, 0.2, 0.5), (), (), ((-1, 1.0, 1),), 0.0, 0.0)
     with pytest.raises(InvalidParametersError):
         weightless.zero_band

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from fractalsturm import (
     BoundaryCondition,
@@ -197,12 +197,17 @@ class TestEigenvalues:
         for g, m in zip(got[1:], arpack_eigenvalues(disc, 8)[1:]):
             assert abs(g - m) <= rel * m
 
-    def test_values_are_certified_by_counts(self):
-        # raw counts of (-zt, x) put index k between e_k (1 -+ rtol)
+    def test_values_are_certified_by_counts(self, monkeypatch):
+        # raw counts of (-zt, x) put index k between e_k (1 -+ rtol);
+        # the polishes stop on the Kato-Temple bound, where confirming
+        # each converged quotient with one more solve took 99 solves
         r = MonotonePrimitive.cantor()
         disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
         xi = resolve_shift(disc)
         rtol = 1e-10
+        solve = spectral._tri_solve
+        solves = []
+        monkeypatch.setattr(spectral, "_tri_solve", lambda *a: solves.append(1) or solve(*a))
 
         def raw(x):
             return spectral._from_edge(disc, xi, [x])[0][0]
@@ -210,6 +215,7 @@ class TestEigenvalues:
         for k, e in enumerate(eigenvalues(disc, 20, reference_shift=xi, rtol=rtol), start=1):
             if e != 0.0:
                 assert raw(e * (1 - rtol)) < k <= raw(e * (1 + rtol))
+        assert disc._b_semidefinite and 0 < len(solves) <= 82
 
     def test_no_polish_below_rounding_floor(self, monkeypatch):
         # rtol * lam under eps * |A| / |B|: no count could certify a polish
@@ -301,6 +307,46 @@ class TestEigenvalues:
         # a polish that returns a value is the last one for its index
         values = [s for *_, s in calls if s is not None]
         assert len(values) == len(set(values)) == 19
+
+    def test_indefinite_b_keeps_the_two_quotient_stop(self, monkeypatch):
+        # B of the signed p has the eigenvalue -0.4, so the Kato-Temple
+        # bound does not hold; taken anyway, it stopped the polishes at
+        # 5.592 and -51.96 after one solve each, which no count certifies
+        disc = signed_pencil()
+        assert not disc._b_semidefinite
+        polish = spectral._polish
+        calls = []
+
+        def spy(disc, lo, hi, rtol, x0):
+            s = polish(disc, lo, hi, rtol, x0)
+            calls.append((lo, hi, rtol, s))
+            return s
+
+        monkeypatch.setattr(spectral, "_polish", spy)
+        got = eigenvalues_below(disc, 100.0) + eigenvalues(disc, 1, side=-1)
+        assert [s for *_, s in calls] == pytest.approx([9.0763016418, 5.5710262135, -16.480661189])
+        assert sorted(s for *_, s in calls) == sorted(got)
+        for lo, hi, rtol, s in calls:
+            assert s == reference_polish(disc, lo, hi, rtol)
+
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf, -1e-10, -1.0, 1.0, 2.0])
+    def test_rtol_outside_unit_interval_rejected(self, rtol):
+        disc = cantor_pencil()
+        for ask in (eigenvalue, eigenvalues):
+            with pytest.raises(InvalidParametersError, match="rtol"):
+                ask(disc, 3, rtol=rtol)
+        with pytest.raises(InvalidParametersError, match="rtol"):
+            eigenvalues_below(disc, 100.0, rtol=rtol)
+
+    @pytest.mark.parametrize("rtol", [0.0, 1e-3, 0.5, 0.9, 0.999])
+    def test_values_lie_within_half_rtol(self, rtol):
+        # an interval counted as done once h - l <= rtol h reported 36 for
+        # both 9.87 and 39.48 at rtol 0.9, and 50 for 39.48 at rtol 0.5
+        r = MonotonePrimitive.cantor()
+        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        exact = eigenvalues(disc, 6)
+        for g, e in zip(eigenvalues(disc, 6, rtol=rtol), exact):
+            assert abs(g - e) <= (0.5 * rtol + 1e-9) * e
 
     def test_one_node_pencil(self):
         disc = PencilDiscretization(np.array([0.0, 0.5, 1.0]), np.array([3.0]), np.zeros(0),
@@ -611,9 +657,13 @@ def reference_polish(disc, lo, hi, rtol):
 
     Works on (n, 1) columns and (1, 1) banded storage, from the same
     random start vector, and forms each quotient as _polish does:
-    shift + y^T B x / y^T B y for (A - shift B) y = B x.  It stops as
-    _polish does, when two quotients in (lo, hi) differ by at most
-    rtol / 100 relative or by eps |A| / |B|.
+    shift + y^T B x / y^T B y for (A - shift B) y = B x, with the dot
+    products and |y| taken on the columns as BLAS dots.  It stops as
+    _polish does: when B's eigenvalues (eigvalsh_tridiagonal) are all
+    >= 0 and the Kato-Temple bound (x^T B x y^T B y - (y^T B x)^2) /
+    (y^T B y)^2 / min(rho - lo, hi - rho) of a quotient rho in (lo, hi)
+    is within rtol / 100 relative or eps |A| / |B|, or when two
+    quotients in (lo, hi) differ by at most that.
     """
 
     def banded(diag, off):
@@ -628,23 +678,33 @@ def reference_polish(disc, lo, hi, rtol):
         y[1:] += ab[2, :-1, None] * x[:-1]
         return y
 
+    def dot(u, v):
+        return float(u[:, 0] @ v[:, 0])
+
     band_a, band_b = banded(disc.a_diag, disc.a_off), banded(disc.b_diag, disc.b_off)
     x = np.random.default_rng(0).standard_normal((disc.n_free, 1))
     floor = np.finfo(float).eps * disc._norm_ratio
+    kato_temple = eigvalsh_tridiagonal(disc.b_diag, disc.b_off).min() >= 0.0
     shift, rho = 0.5 * (lo + hi), None
     bx = apply(band_b, x)
+    xbx = dot(x, bx)
     for _ in range(spectral._POLISH_SOLVES):
         try:
             y = solve_banded((1, 1), band_a - shift * band_b, bx)
         except np.linalg.LinAlgError:
             return shift
         by = apply(band_b, y)
-        new = shift + float((y * bx).sum() / (y * by).sum())
-        bx = by / np.linalg.norm(y)
+        ybx, yby, norm = dot(y, bx), dot(y, by), math.sqrt(dot(y, y))
+        new = shift + ybx / yby
+        eps2 = (xbx * yby - ybx * ybx) / (yby * yby)
+        bx, xbx = by / norm, yby / (norm * norm)
         if not lo < new < hi:
             rho = None
             continue
-        if rho is not None and abs(new - rho) <= max(0.01 * rtol * abs(new), floor):
+        tol = max(0.01 * rtol * abs(new), floor)
+        if kato_temple and eps2 / min(new - lo, hi - new) <= tol:
+            return new
+        if rho is not None and abs(new - rho) <= tol:
             return new
         shift = rho = new
     return rho
