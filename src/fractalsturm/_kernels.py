@@ -2,13 +2,25 @@
 
 The package calls two entries, and only PencilDiscretization._sweeps
 chooses between them.  Both take a float64 array of lams and return for
-each lam the record (negatives, near-zeros, breakdowns, smallest
-|pivot| / scale) of A - lam B: counts read the negatives and near-zeros,
-shift checks the negatives and the pivot ratio.
+each lam the record (negatives, near-zeros, smallest |pivot| / scale) of
+A - lam B: counts read the negatives and near-zeros, shift checks the
+negatives and the pivot ratio.
+
+Both follow one rule for a pivot below the clamp: it is carried on as
+sign * clamp, and an exact zero, as in LAPACK's bisection (dstebz and
+dlaebz take any pivot below pivmin to -pivmin), is carried as -clamp
+and counted as negative; nothing retries.  Clamping a pivot, in any elimination order, is the same as
+moving that node's diagonal entry by at most the clamp, and a zero
+carried as -clamp moves it down.  By Weyl the count then lies between
+the number of eigenvalues of A - lam B below 0 and the number at or
+below 0: an eigenvalue exactly at lam counts as lying between the shift
+and lam, on either side of the shift.  A zero with a pivot after it
+flips that pivot's sign with it, so there either sign of the clamp gives
+the same count.
 
 sturm_pivots_many(a_diag, a_off, b_diag, b_off, lams) sweeps the stored
 tridiagonal pencil.  sturm_pivots(..., lam) is the same record at one
-lam.  It is a function object of its own, not a name for _inertia, so
+lam.  It is a function object of its own, not a name for _sweep, so
 that a tracer that wraps every binding of both entries
 (perfbench/tracer.py) counts each sweep of a batch once.
 
@@ -26,7 +38,7 @@ iterate of the Cantor string is one run of 2^k), so each run's port is
 scaled once per lam and each port costs one junction of the sweep.
 There a pivot's ratio is its magnitude over the sum of the magnitudes
 of the terms that formed it, and a pivot below _CLAMP of them (an exact
-zero included) is clamped and counted as a near-zero; nothing retries.
+zero included) is clamped by the rule above and counted as a near-zero.
 One loop, with no Python call per class or port, evaluates each pivot
 in one fixed order (children left to right, levels bottom up, then the
 chain port by port); that order keeps every record bit-identical to a
@@ -72,10 +84,12 @@ from .errors import InvalidParametersError
 # The kernel is plain Python, numpy and LAPACK; perfbench records this flag.
 NUMBA_ENABLED = False
 
-# Pivots below _CLAMP * scale are clamped (sign preserved) so that the
-# recurrence never overflows; a pivot that is exactly zero is reported as
-# a breakdown and the sweep is retried with a relative micro-shift of lam.
+# Pivots below _CLAMP * scale are clamped (sign preserved, an exact zero
+# to -clamp and counted as negative) so that the recurrence never overflows;
+# the clamp stays at least _TINY, the smallest normal float, so that it
+# does not underflow to 0 on a pencil of tiny scale.
 _CLAMP = 5e-32
+_TINY = float(np.finfo(float).tiny)
 # A pivot below _NEAR * scale in magnitude counts as a near-zero.
 _NEAR = 1e-12
 # Hand over to the Python loop once at least _MIN_RUNS dpttrf runs have
@@ -89,9 +103,9 @@ _BLOCK = 4096
 
 
 def _carry(piv, clamp):
-    """The value that carries a pivot on: piv, or sign * clamp when smaller."""
+    """The value that carries a pivot on: piv, or sign * clamp when smaller (-clamp for 0)."""
     if -clamp < piv < clamp:
-        return -clamp if piv < 0.0 else clamp
+        return clamp if piv > 0.0 else -clamp
     return piv
 
 
@@ -140,16 +154,16 @@ def _loop(d, c, e, i, clamp):
             prev = ci - (ei / prev) * ei
             append(prev)
             if -clamp < prev < clamp:
-                prev = -clamp if prev < 0.0 else clamp
+                prev = clamp if prev > 0.0 else -clamp
         d[start:stop] = out
 
 
 def _sweep(a_diag, a_off, b_diag, b_off, lam):
     """One clamped LDL^T sweep of A - lam B.
 
-    Returns (negatives, near-zeros, breakdowns, smallest |pivot| / scale),
-    where scale is the largest entry of A - lam B in magnitude and a
-    near-zero is a pivot below _NEAR * scale.
+    Returns (negatives, near-zeros, smallest |pivot| / scale), where
+    scale is the largest entry of A - lam B in magnitude, a near-zero is
+    a pivot below _NEAR * scale and an exact zero counts as negative.
     """
     n = a_diag.shape[0]
     m = max(n - 1, 0)
@@ -157,8 +171,8 @@ def _sweep(a_diag, a_off, b_diag, b_off, lam):
     e = a_off[:m] - lam * b_off[:m]
     scale = max(float(np.max(np.abs(c), initial=0.0)), float(np.max(np.abs(e), initial=0.0)))
     if scale == 0.0:
-        return 0, n, 0, 0.0
-    clamp = _CLAMP * scale
+        return n, n, 0.0
+    clamp = max(_CLAMP * scale, _TINY)
     pivots = c.copy()
     i = _runs(pivots, c, e, clamp)
     mag = np.abs(pivots)
@@ -172,50 +186,25 @@ def _sweep(a_diag, a_off, b_diag, b_off, lam):
         _loop(pivots, c, e, i, clamp)
         np.abs(pivots, out=mag)
     return (
-        int(np.count_nonzero(pivots < 0.0)),
+        int(np.count_nonzero(pivots <= 0.0)),
         int(np.count_nonzero(mag < _NEAR * scale)),
-        int(np.count_nonzero(pivots == 0.0)),
         min(float(mag.min()) / scale, 1e308),
     )
 
 
-def _inertia(a_diag, a_off, b_diag, b_off, lam):
-    """_sweep at lam with breakdown recovery.
-
-    A pivot landing exactly on zero makes the count ambiguous; lam is
-    then nudged by a relative micro-shift (1e-14 of the pencil scale at
-    lam) and the sweep repeated, growing the shift up to three times
-    before accepting the clamped result.  Negatives and near-zeros come
-    from the last sweep; breakdowns and the pivot ratio describe lam
-    itself.
-    """
-    neg, near, breakdown, min_rel = _sweep(a_diag, a_off, b_diag, b_off, lam)
-    if breakdown:
-        norm_a = max(np.max(np.abs(a_diag), initial=0.0), np.max(np.abs(a_off), initial=0.0))
-        norm_b = max(np.max(np.abs(b_diag), initial=0.0), np.max(np.abs(b_off), initial=0.0))
-        unit = (norm_a + abs(lam) * norm_b) / max(norm_b, 1e-300)
-        shift = 1e-14 * max(unit, abs(lam), 1.0)
-        for attempt in range(1, 4):
-            neg, near, retry, _ = _sweep(a_diag, a_off, b_diag, b_off, lam + attempt * shift)
-            if not retry:
-                break
-    return neg, near, breakdown, min_rel
-
-
 def sturm_pivots(a_diag, a_off, b_diag, b_off, lam):
-    """The _inertia record of A - lam B at one lam."""
-    return _inertia(a_diag, a_off, b_diag, b_off, lam)
+    """The _sweep record of A - lam B at one lam."""
+    return _sweep(a_diag, a_off, b_diag, b_off, lam)
 
 
 def sturm_pivots_many(a_diag, a_off, b_diag, b_off, lams):
-    """The _inertia record of A - lam B at each lam of the float64 array lams."""
-    return [_inertia(a_diag, a_off, b_diag, b_off, lam) for lam in lams.tolist()]
+    """The _sweep record of A - lam B at each lam of the float64 array lams."""
+    return [_sweep(a_diag, a_off, b_diag, b_off, lam) for lam in lams.tolist()]
 
 
 # A level template's band keeps s of its deepest cells at or above this
 # normal float, 2^62 above the smallest one.
 _S_FLOOR = 2.0**-960
-_TINY = float(np.finfo(float).tiny)
 _INF = float("inf")
 
 
@@ -271,15 +260,15 @@ class LevelTemplate(NamedTuple):
 def _level_inertia(template, lam):
     """The sturm_pivots record of a level template's pencil at lam.
 
-    Each class gets the record (negatives, near-zeros, zero pivots, c,
-    rho_l, rho_r) of its cell, its children joined left to right as
-    ports: a class's template times 1 / t, or c = 1 / t, rho = 0 for a
-    wire.  Joining port 1 to port 2 eliminates their shared node: with
-    sigma = rho_1r + rho_2l the pivot is d = c1 + c2 + sigma, and the
-    joined port has c = c1 c2 / d, rho_l = rho_1l + c1 sigma / d and
-    rho_r = rho_2r + c2 sigma / d.  The pivot ratio is |d| / (|c1| +
-    |c2| + |sigma|), as a joined c can be negative; below _NEAR it is a
-    near-zero, below _CLAMP (an exact zero: ratio 0) it is clamped.
+    Each class gets the record (negatives, near-zeros, c, rho_l, rho_r)
+    of its cell, its children joined left to right as ports: a class's
+    template times 1 / t, or c = 1 / t, rho = 0 for a wire.  Joining
+    port 1 to port 2 eliminates their shared node: with sigma = rho_1r +
+    rho_2l the pivot is d = c1 + c2 + sigma, and the joined port has
+    c = c1 c2 / d, rho_l = rho_1l + c1 sigma / d and rho_r = rho_2r +
+    c2 sigma / d.  The pivot ratio is |d| / (|c1| + |c2| + |sigma|), as
+    a joined c can be negative; below _NEAR it is a near-zero, below
+    _CLAMP (an exact zero: ratio 0) it is clamped as _carry does.
     """
     s = lam * template.s_unit
     m00, m01, m11 = template.quad
@@ -287,19 +276,19 @@ def _level_inertia(template, lam):
     below = []
     for scale in template.leaves:
         x = s * scale
-        below.append((0, 0, 0, 1.0 + x * m01, -x * m0, -x * m1))
+        below.append((0, 0, 1.0 + x * m01, -x * m0, -x * m1))
     low = _INF  # every class is a child of one above, so one minimum serves
     for table in template.levels:
         cells = []
         for children in table:
-            neg = near = zero = 0
+            neg = near = 0
             c = None
             for index, inv_t in children:
                 if index < 0:
                     c2, l2, r2 = inv_t, 0.0, 0.0
                 else:
-                    n, z, b, c2, l2, r2 = below[index]
-                    neg, near, zero = neg + n, near + z, zero + b
+                    n, z, c2, l2, r2 = below[index]
+                    neg, near = neg + n, near + z
                     c2, l2, r2 = c2 * inv_t, l2 * inv_t, r2 * inv_t
                 if c is None:
                     c, l, r = c2, l2, r2
@@ -312,11 +301,10 @@ def _level_inertia(template, lam):
                     low = ratio
                 if ratio < _NEAR:
                     near += 1
-                    zero += ratio == 0.0
                     d = _carry(d, max(_CLAMP * size, _TINY))
                 neg += d < 0.0
                 c, l, r = c * c2 / d, l + c * sigma / d, r2 + c2 * sigma / d
-            cells.append((neg, near, zero, c, l, r))
+            cells.append((neg, near, c, l, r))
         below = cells
     return _chain(template, below, low)
 
@@ -336,15 +324,15 @@ def _chain(template, cells, low):
     run's first junction c_in is c_out and sigma is rho_r + rho_l of the
     run's port, so |sigma| and |c_out| are taken once per run.
     """
-    neg = near = zero = 0
+    neg = near = 0
     c_in, r_in = (None, None) if template.left is None else (0.0, template.left)
     row = pivot = 1.0  # c_in * row / pivot is c_in at the first node
     for index, inv_t, count in template.chain:
         if index < 0:
             c2, l2, r2 = inv_t, 0.0, 0.0
         else:
-            n, z, b, c2, l2, r2 = cells[index]
-            neg, near, zero = neg + n * count, near + z * count, zero + b * count
+            n, z, c2, l2, r2 = cells[index]
+            neg, near = neg + n * count, near + z * count
             c2, l2, r2 = c2 * inv_t, l2 * inv_t, r2 * inv_t
         if c_in is None:  # the first port after a Dirichlet end: no node before it
             c_in, r_in, count = c2, r2, count - 1
@@ -360,7 +348,6 @@ def _chain(template, cells, low):
                 low = ratio
             if ratio < _NEAR:
                 near += 1
-                zero += ratio == 0.0
                 pivot = _carry(pivot, max(_CLAMP * size, _TINY))
             neg += pivot < 0.0
             c_in, sigma, size_sigma = c2, inner, size_inner
@@ -370,8 +357,8 @@ def _chain(template, cells, low):
         pivot, size = sigma + through, abs(sigma) + abs(through)
         ratio = abs(pivot) / size if size > 0.0 else 0.0
         low = min(low, ratio)
-        near, zero, neg = near + (ratio < _NEAR), zero + (ratio == 0.0), neg + (pivot < 0.0)
-    return neg, near, zero, min(low, 1e308)
+        near, neg = near + (ratio < _NEAR), neg + (pivot <= 0.0)
+    return neg, near, min(low, 1e308)
 
 
 def level_pivots_many(template, lams):

@@ -199,20 +199,26 @@ class PencilDiscretization:
 
     @cached_property
     def _b_semidefinite(self) -> bool:
-        """B >= 0: the clamped LDL^T sweep of B = 0 - (-1) B has no negative pivot."""
+        """B >= 0: the clamped LDL^T sweep of -B = 0 - 1 B counts every pivot as <= 0.
+
+        A zero row of B makes an exact zero pivot, which the sweep counts
+        as negative; so it is -B that is swept, not B.
+        """
         zero_diag, zero_off = np.zeros_like(self.b_diag), np.zeros_like(self.b_off)
-        return _kernels._sweep(zero_diag, zero_off, self.b_diag, self.b_off, -1.0)[0] == 0
+        return _kernels._sweep(zero_diag, zero_off, self.b_diag, self.b_off, 1.0)[0] == self.n_free
 
     def _sweeps(self, lams) -> list[tuple]:
         """(negatives, near-zeros, smallest |pivot| / scale) at each lam.
 
-        One kernel call covers the lams not yet swept: level_pivots_many
-        for a pencil with a level template, sturm_pivots_many over the
-        arrays otherwise; a lam already swept costs nothing.  Answers are
-        read into a local dict before the memo may be cleared, so a query
-        that races another thread's clear at worst sweeps again.  Every
-        count and shift check passes here, and a NaN or infinite lam
-        raises InvalidParametersError before any kernel runs.
+        The record is the kernel's, stored as it is: an exact zero pivot
+        counts as negative.  One kernel call covers the lams not yet
+        swept: level_pivots_many for a pencil with a level template,
+        sturm_pivots_many over the arrays otherwise; a lam already swept
+        costs nothing.  Answers are read into a local dict before the
+        memo may be cleared, so a query that races another thread's clear
+        at worst sweeps again.  Every count and shift check passes here,
+        and a NaN or infinite lam raises InvalidParametersError before
+        any kernel runs.
         """
         memo = self._memo
         lams = [float(x) for x in lams]
@@ -228,8 +234,7 @@ class PencilDiscretization:
                 records = _kernels.sturm_pivots_many(
                     self.a_diag, self.a_off, self.b_diag, self.b_off, np.array(missing)
                 )
-            swept = [(neg, near, min_rel) for neg, near, _, min_rel in records]
-            for lam, value in zip(missing, swept):
+            for lam, value in zip(missing, records):
                 if len(memo) >= _MEMO_SIZE:
                     memo.clear()
                 got[lam] = memo[lam] = value

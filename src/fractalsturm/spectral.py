@@ -233,7 +233,8 @@ def _eigenvalues(
     """Eigenvalues of the given indices (every index counted at start if None).
 
     Works in t = side * lam on the raw count c(t): the eigenvalues
-    strictly between the band edge -zt and side * t, with no widening.
+    between the band edge -zt, excluded, and side * t, included (the
+    kernels count an exact zero pivot as negative), with no widening.
     An index k with c(zt) >= k lies in the zero band and is 0.  The
     rest share one bracket, probed x8 upward from start until it holds
     the largest index, and every probe cuts it.  Then each round sweeps,

@@ -125,10 +125,11 @@ _CLAMP = 5e-32
 def clamped_sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
     """Reference LDL^T sweep of A - lam B, one node at a time.
 
-    (negatives, near-zeros, breakdowns, smallest |pivot| / scale) with the
-    package's clamp rule: a pivot that is exactly zero is a breakdown and
-    continues as +clamp, a nonzero pivot below clamp = 5e-32 * scale in
-    magnitude continues as sign * clamp.
+    (negatives, near-zeros, smallest |pivot| / scale) with the package's
+    clamp rule: a pivot that is exactly zero counts as negative and
+    continues as -clamp, a nonzero pivot below clamp = 5e-32 * scale
+    (at least the smallest normal float) in magnitude continues as
+    sign * clamp.
     """
     n = a_diag.shape[0]
     scale = 0.0
@@ -141,12 +142,11 @@ def clamped_sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
         if e > scale:
             scale = e
     if scale == 0.0:
-        return 0, n, 0, 0.0
+        return n, n, 0.0
 
-    clamp = _CLAMP * scale
+    clamp = max(_CLAMP * scale, float(np.finfo(float).tiny))
     neg = 0
     near = 0
-    breakdown = 0
     min_rel = 1e308
     d_prev = 0.0
     for i in range(n):
@@ -154,20 +154,17 @@ def clamped_sweep(a_diag, a_off, b_diag, b_off, lam, near_tol):
         if i > 0:
             e = a_off[i - 1] - lam * b_off[i - 1]
             d -= (e / d_prev) * e
-        if d < 0.0:
+        if d <= 0.0:
             neg += 1
         mag = abs(d)
         if mag < near_tol * scale:
             near += 1
         if mag / scale < min_rel:
             min_rel = mag / scale
-        if d == 0.0:
-            breakdown += 1
-            d = clamp
-        elif mag < clamp:
+        if mag < clamp:
             d = clamp if d > 0.0 else -clamp
         d_prev = d
-    return neg, near, breakdown, min_rel
+    return neg, near, min_rel
 
 
 def walk_support_cells(params, depth):
@@ -439,8 +436,9 @@ def merge_atoms_loop(atoms):
 
 
 # The level recursion of _kernels as it stood when counts first ran on the
-# level template: one _cell call per class, one _ports list per cell.  The
-# kernel's one-loop form must give each record bit for bit.
+# level template: one _cell call per class, one _ports list per cell, with
+# the clamp rule of clamped_sweep.  The kernel's one-loop form must give
+# each record bit for bit.
 _CLAMP = 5e-32
 _NEAR = 1e-12
 _TINY = float(np.finfo(float).tiny)
@@ -448,34 +446,33 @@ _INF = float("inf")
 
 
 def _carry(piv, clamp):
-    """The value that carries a pivot on: piv, or sign * clamp when smaller."""
+    """The value that carries a pivot on: piv, or sign * clamp when smaller (-clamp for 0)."""
     if -clamp < piv < clamp:
-        return -clamp if piv < 0.0 else clamp
+        return clamp if piv > 0.0 else -clamp
     return piv
 
 
 def _ports(children, below):
     """The children of a cell (or the chain's ports) in the parent's units.
 
-    Returns (negatives, near-zeros, zero pivots, smallest pivot ratio)
-    summed over the children's templates, and each child's (c, rho_l,
-    rho_r): its template's divided by its t, or c = 1 / t for a wire.
+    Returns (negatives, near-zeros, smallest pivot ratio) summed over
+    the children's templates, and each child's (c, rho_l, rho_r): its
+    template's divided by its t, or c = 1 / t for a wire.
     """
-    neg = near = zero = 0
+    neg = near = 0
     low = _INF
     ports = []
     for index, inv_t in children:
         if index < 0:
             ports.append((inv_t, 0.0, 0.0))
             continue
-        n, z, b, lo, c, l, r = below[index]
+        n, z, lo, c, l, r = below[index]
         neg += n
         near += z
-        zero += b
         if lo < low:
             low = lo
         ports.append((c * inv_t, l * inv_t, r * inv_t))
-    return neg, near, zero, low, ports
+    return neg, near, low, ports
 
 
 def _cell(children, below):
@@ -490,7 +487,7 @@ def _cell(children, below):
     below _CLAMP of them (an exact zero: ratio 0) is clamped as _carry
     does.
     """
-    neg, near, zero, low, ports = _ports(children, below)
+    neg, near, low, ports = _ports(children, below)
     c, l, r = ports[0]
     for c2, l2, r2 in ports[1:]:
         sigma = r + l2
@@ -501,11 +498,10 @@ def _cell(children, below):
             low = ratio
         if ratio < _NEAR:
             near += 1
-            zero += ratio == 0.0
             d = _carry(d, max(_CLAMP * size, _TINY))
         neg += d < 0.0
         c, l, r = c * c2 / d, l + c * sigma / d, r2 + c2 * sigma / d
-    return neg, near, zero, low, c, l, r
+    return neg, near, low, c, l, r
 
 
 def _chain(template, cells):
@@ -522,7 +518,7 @@ def _chain(template, cells):
     c_in.  The chain's runs of equal ports are expanded back into ports.
     """
     children = [(index, inv_t) for index, inv_t, count in template.chain for _ in range(count)]
-    neg, near, zero, low, ports = _ports(children, cells)
+    neg, near, low, ports = _ports(children, cells)
     if template.left is not None:
         ports.insert(0, (0.0, 0.0, template.left))
     if template.right is not None:
@@ -539,10 +535,9 @@ def _chain(template, cells):
             low = ratio
         if ratio < _NEAR:
             near += 1
-            zero += ratio == 0.0
             pivot = _carry(pivot, max(_CLAMP * size, _TINY))
         neg += pivot < 0.0
-    return neg, near, zero, min(low, 1e308)
+    return neg, near, min(low, 1e308)
 
 
 def reference_level_inertia(template, lam):
@@ -552,7 +547,7 @@ def reference_level_inertia(template, lam):
     below = []
     for scale in template.leaves:
         x = s * scale
-        below.append((0, 0, 0, _INF, 1.0 + x * m01, -x * (m00 + m01), -x * (m11 + m01)))
+        below.append((0, 0, _INF, 1.0 + x * m01, -x * (m00 + m01), -x * (m11 + m01)))
     for table in template.levels:
         below = [_cell(children, below) for children in table]
     return _chain(template, below)

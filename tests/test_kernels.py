@@ -27,24 +27,28 @@ def random_pencil(rng, n):
 
 def pivot_counts(a_diag, a_off, b_diag, b_off, lam):
     """(negatives, near-zeros) of A - lam B from a one-lambda batch."""
-    ((neg, near, _, _),) = kern.sturm_pivots_many(a_diag, a_off, b_diag, b_off, np.array([lam]))
+    ((neg, near, _),) = kern.sturm_pivots_many(a_diag, a_off, b_diag, b_off, np.array([lam]))
     return neg, near
 
 
-def dense_negative_count(a_diag, a_off, b_diag, b_off, lam):
-    n = len(a_diag)
+def dense_eigenvalues(a_diag, a_off, b_diag, b_off, lam):
+    """The eigenvalues of the matrix A - lam B."""
     m = np.diag(a_diag - lam * b_diag)
     off = a_off - lam * b_off
     m += np.diag(off, 1) + np.diag(off, -1)
-    return int(np.sum(np.linalg.eigvalsh(m) < 0))
+    return np.linalg.eigvalsh(m)
+
+
+def dense_negative_count(a_diag, a_off, b_diag, b_off, lam):
+    return int(np.sum(dense_eigenvalues(a_diag, a_off, b_diag, b_off, lam) < 0))
 
 
 @st.composite
 def pencils(draw):
     """Random tridiagonal pencils, some with zero rows of B.
 
-    Small-integer entries with an integer lam make exact zero pivots
-    (breakdowns) and a vanishing scale common.
+    Small-integer entries with an integer lam make exact zero pivots and
+    a vanishing scale common.
     """
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -108,6 +112,11 @@ def test_sweep_matches_reference_loop(pencil, switch):
     with switched(switch):
         got = kern._sweep(*arrays, lam)
     assert got == clamped_sweep(*arrays, lam, 1e-12)
+    if all(np.array_equal(x, np.round(x)) for x in (*arrays, lam)):
+        # an exact zero pivot counts as negative: by Weyl the count lies
+        # between the eigenvalues of A - lam B below 0 and those at or below 0
+        eigs = dense_eigenvalues(*arrays, lam)
+        assert np.sum(eigs < -1e-9) <= got[0] <= np.sum(eigs <= 1e-9)
 
 
 def test_sweep_matches_reference_across_chunk_boundaries():
@@ -137,8 +146,8 @@ def test_scalar_batch_and_counting_paths_agree_at_breakdown():
     # lambda = 2 zeroes the first pivot of A - lambda B exactly
     a_diag, a_off, b_diag, b_off = TWO_BY_TWO
     disc = PencilDiscretization(np.array([0.0, 1.0]), a_diag, a_off, b_diag, b_off, 0, ())
-    scalar, _, _, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
-    ((batch, _, _, _),) = kern.sturm_pivots_many(a_diag, a_off, b_diag, b_off, np.array([2.0]))
+    scalar, _, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
+    ((batch, _, _),) = kern.sturm_pivots_many(a_diag, a_off, b_diag, b_off, np.array([2.0]))
     assert scalar == batch == 1
     assert count(disc, 2.0).n_plus == counting_function(disc, [2.0])[0].n_plus == 1
 
@@ -159,22 +168,21 @@ def test_batch_matches_scalar_loop():
     lams = np.sort(rng.normal(scale=8.0, size=17))
     records = kern.sturm_pivots_many(a_diag, a_off, b_diag, b_off, lams)
     assert records == [kern.sturm_pivots(a_diag, a_off, b_diag, b_off, lam) for lam in lams.tolist()]
-    for (neg_i, near_i, _, _), lam in zip(records, lams, strict=True):
+    for (neg_i, near_i, _), lam in zip(records, lams, strict=True):
         neg, near = pivot_counts(a_diag, a_off, b_diag, b_off, lam)
         assert neg_i == neg
         assert near_i == near
 
 
-def test_breakdown_at_exact_eigenvalue_resolved_by_micro_shift():
+def test_exact_zero_pivot_counts_eigenvalue_at_lambda_as_below():
     # diag(2, 3) vs I: lambda = 2 zeroes the first pivot exactly.
     a_diag = np.array([2.0, 3.0])
     a_off = np.array([0.0])
     b_diag = np.ones(2)
     b_off = np.array([0.0])
-    neg, near, breakdown, min_piv = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
-    assert breakdown == 1
+    _, _, min_piv = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
     assert min_piv == 0.0
-    # The retry shifts upward, so the eigenvalue at lambda counts as below it.
+    # The zero pivot counts as negative, so the eigenvalue at lambda counts as below it.
     neg, near = pivot_counts(a_diag, a_off, b_diag, b_off, 2.0)
     assert neg == 1
     assert near >= 1
@@ -182,15 +190,22 @@ def test_breakdown_at_exact_eigenvalue_resolved_by_micro_shift():
     assert neg == 0
 
 
+def test_clamp_does_not_underflow_at_tiny_scale():
+    # at scale 1e-300, 5e-32 * scale underflows to 0; a clamp of 0 would
+    # carry the exact zero first pivot on as 0, the next pivot as -inf and
+    # count 2
+    arrays = rows([0.0, 1e-300, 1e-300], [1e-300, 1e-300], [0.0] * 3, [0.0] * 2)
+    assert pivot_counts(*arrays, 0.0)[0] == dense_negative_count(*arrays, 0.0) == 1
+
+
 def test_near_flag_marks_close_pivots_only():
     a_diag = np.array([2.0, 3.0])
     a_off = np.array([0.0])
     b_diag = np.ones(2)
     b_off = np.array([0.0])
-    _, near, breakdown, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.5)
+    _, near, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.5)
     assert near == 0
-    assert breakdown == 0
-    _, near, _, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0 + 1e-14)
+    _, near, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0 + 1e-14)
     assert near == 1
 
 
@@ -199,8 +214,8 @@ def test_pivot_ratio_vanishes_at_spectrum():
     a_off = np.array([0.0])
     b_diag = np.ones(2)
     b_off = np.array([0.0])
-    _, _, _, ratio_eig = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
-    _, _, _, ratio_gap = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.5)
+    _, _, ratio_eig = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
+    _, _, ratio_gap = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.5)
     assert ratio_eig == 0.0
     assert ratio_gap > 0.1
 

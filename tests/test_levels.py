@@ -303,12 +303,14 @@ ELEMENT = JOINED._replace(levels=(), left=0.0, right=0.0)
 
 
 def test_exact_zero_pivots_are_clamped_near_zeros():
+    # the exact zero pivot counts as negative: at s = 1 the joined cells'
+    # eigenvalue counts as below s, and on one element the clamped first
+    # pivot turns the last one positive, which keeps the count at 1
     lams = np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
     assert _kernels.level_pivots_many(JOINED, lams) == [
-        (0, 0, 0, pytest.approx(5e-10)), (0, 1, 1, 0.0), (1, 0, 0, pytest.approx(5e-10))
+        (0, 0, pytest.approx(5e-10)), (1, 1, 0.0), (1, 0, pytest.approx(5e-10))
     ]
-    neg, near, zero, ratio = _kernels.level_pivots_many(ELEMENT, np.array([1.0]))[0]
-    assert (near, zero, ratio) == (1, 1, 0.0) and math.isfinite(neg)
+    assert _kernels.level_pivots_many(ELEMENT, np.array([1.0])) == [(1, 1, 0.0)]
 
 
 def iterate0(bc, depth, **scales):
@@ -385,8 +387,39 @@ def test_run_records_equal_reference_at_zero_pivots():
     lams = np.concatenate((RECORD_LAMS, near_root, [0.5, 1.0]))
     assert same_records(RUN, lams)
     records = _kernels.level_pivots_many(RUN, np.array([root, 0.5, 1.0]))
-    assert [near for _, near, _, _ in records] == [1, 1, 2]
-    assert [zero for _, _, zero, _ in records] == [0, 1, 2]
+    assert [near for _, near, _ in records] == [1, 1, 2]
+    # the eigenvalue at s = 1/2 counts as below it, with the constant mode
+    assert [neg for neg, _, _ in records] == [1, 2, 2]
+
+
+def rows(*values):
+    return tuple(np.array(v, dtype=float) for v in values)
+
+
+# the arrays of the hand-built templates, stamped by hand: unit hat
+# elements with c = 1, M00 = M11 = 1 and M01 = 0, so s is lam
+RUN_ARRAYS = rows([1, 2, 2, 1], [-1, -1, -1], [1, 2, 2, 1], [0, 0, 0])
+JOINED_ARRAYS = rows([2], [], [2], [])  # its Dirichlet ends eliminated
+ELEMENT_ARRAYS = rows([1, 1], [-1], [1, 1], [0])
+
+
+@pytest.mark.parametrize(
+    "template, arrays, lam",
+    [(RUN, RUN_ARRAYS, 0.5), (RUN, RUN_ARRAYS, 1.0), (JOINED, JOINED_ARRAYS, 1.0), (ELEMENT, ELEMENT_ARRAYS, 1.0)],
+    ids=["run-half", "run-one", "joined", "element"],
+)
+def test_routes_agree_at_exact_zero_pivots(template, arrays, lam):
+    # one rule in both kernels: the level recursion and the sweep over
+    # the same pencil's arrays count the same negatives at an exact zero
+    # pivot, between the eigenvalues of A - lam B below 0 and at or below 0
+    ((level, _, ratio),) = _kernels.level_pivots_many(template, np.array([lam]))
+    swept = _kernels.sturm_pivots(*arrays, lam)[0]
+    a_diag, a_off, b_diag, b_off = arrays
+    off = a_off - lam * b_off
+    eigs = np.linalg.eigvalsh(np.diag(a_diag - lam * b_diag) + np.diag(off, 1) + np.diag(off, -1))
+    assert ratio == 0.0
+    assert level == swept
+    assert np.sum(eigs < -1e-9) <= level <= np.sum(eigs <= 1e-9)
 
 
 def test_zero_weight_has_no_band():

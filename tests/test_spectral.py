@@ -283,6 +283,22 @@ class TestEigenvalues:
             assert spectral._polish(disc, lo, hi, 1e-10, x0) == pytest.approx(lam, rel=1e-7)
             assert len(solves) < spectral._POLISH_SOLVES
 
+    def test_kato_temple_bound_is_taken_at_the_nearer_end(self, monkeypatch):
+        # the eigenvalue near 38.4975 lies 4.5e-4 above lo = 38.4971 and
+        # 34.5 below hi: the fourth quotient, 38.49778, has eps2 = 0.0104,
+        # within tol = 3.8e-3 times its distance to hi but not to lo, so
+        # the polish goes on to a fifth solve
+        disc = cantor_pencil()
+        assert disc._b_semidefinite
+        x0 = np.random.default_rng(0).standard_normal(disc.n_free)
+        solve = spectral._tri_solve
+        solves = []
+        monkeypatch.setattr(spectral, "_tri_solve", lambda *a: solves.append(1) or solve(*a))
+        got = spectral._polish(disc, 38.4971, 73.0, 1e-2, x0)
+        assert len(solves) == 5
+        assert got == reference_polish(disc, 38.4971, 73.0, 1e-2)
+        assert got == pytest.approx(38.497548018, rel=1e-10)
+
     def test_failed_polish_is_retried_on_a_narrower_interval(self, monkeypatch):
         # from the midpoint of (1184, 1408) the quotients head for the
         # neighbour 1417.13 above it; the round bisects the interval, and
@@ -307,6 +323,15 @@ class TestEigenvalues:
         # a polish that returns a value is the last one for its index
         values = [s for *_, s in calls if s is not None]
         assert len(values) == len(set(values)) == 19
+
+    def test_b_semidefinite_with_zero_rows(self):
+        # 31 of the 34 rows of B are zero between the atoms; their exact
+        # zero pivots count as negative, which the check of -B allows
+        atoms = [(0.2, 1.0), (0.45, 0.4), (0.7, 0.8)]
+        disc = assemble(1.0, 0.0, CompositeMeasure.from_atoms(atoms), DIRICHLET, depth=5)
+        assert np.count_nonzero(disc.b_diag == 0.0) == 31 and disc.n_free == 34
+        assert disc._b_semidefinite
+        assert not signed_pencil()._b_semidefinite
 
     def test_indefinite_b_keeps_the_two_quotient_stop(self, monkeypatch):
         # B of the signed p has the eigenvalue -0.4, so the Kato-Temple
