@@ -46,6 +46,7 @@ from .selfsim import (
     SelfSimilarParams,
     _children,
     _columns,
+    _require_same_cells,
     jump_atoms,
     junction_gaps,
     moments,
@@ -60,6 +61,13 @@ _MEMO_SIZE = 4096
 # A pair-route pencil builds its arrays only if its segment walk has at
 # most this many rows (2^25 - 1 at depth 24 of the Cantor pair).
 _MAX_NODES = 2**25
+# Mesh candidates within this distance of the first of their cluster merge.
+_MESH_MERGE = 1e-13
+# node_index finds a mesh node within this distance of the position asked for.
+_NODE_SLACK = 1e-9
+# The general stamping splits a straddling self-similar cell at most this
+# many levels below the mesh depth before it lumps the cell.
+_EXTRA_LEVELS = 30
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,8 @@ def boundary_data(u_matrix) -> BoundaryCondition:
     return BoundaryCondition(side(u[0, 0]), side(u[1, 1]))
 
 
-# Fields of a pair-route pencil that its segment walk builds on first read.
-_LAZY = ("nodes", "a_diag", "a_off", "b_diag", "b_off", "constrained")
+# The arrays of a pencil; a pair-route pencil's segment walk builds them on first read.
+_ARRAYS = ("nodes", "a_diag", "a_off", "b_diag", "b_off")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +126,10 @@ class PencilDiscretization:
     """Symmetric tridiagonal pencil (A, B) over hat functions.
 
     nodes lists the full mesh; the arrays hold the reduced pencil after
-    eliminating Dirichlet ends, and free_start tells how many leading
-    nodes were dropped (0 or 1).  The pencil's arrays are read-only
+    eliminating Dirichlet ends.  free_start is the one record of the
+    eliminated ends: it tells how many leading nodes were dropped (0 or
+    1), and the right end was dropped when the n_free free nodes from
+    free_start on stop short of it.  The pencil's arrays are read-only
     float64 arrays that nothing else can write to (copies where needed),
     so it never changes, and it remembers what the inertia kernel
     returned at each spectral parameter it was swept at.  The arrays
@@ -129,10 +139,10 @@ class PencilDiscretization:
 
     A pencil from assemble_selfsimilar_pair or assemble_iterated_pair
     also holds its level template: the kernel counts it from that, and
-    its arrays (and constrained) come from the segment walk when first
-    read, through this constructor and its finiteness check, for the
-    callers that need them, such as the Rayleigh-quotient polish of
-    eigenvalues and resolvent_sandwich.
+    its arrays come from the segment walk when first read, through this
+    constructor and its finiteness check, for the callers that need
+    them, such as the Rayleigh-quotient polish of eigenvalues and
+    resolvent_sandwich.
     """
 
     nodes: np.ndarray
@@ -141,7 +151,6 @@ class PencilDiscretization:
     b_diag: np.ndarray
     b_off: np.ndarray
     free_start: int
-    constrained: tuple[int, ...]
     # lam -> (negatives, near-zeros, min pivot ratio)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     # the _kernels.LevelTemplate of a pair-route pencil, and the call
@@ -150,7 +159,7 @@ class PencilDiscretization:
     _build: Callable[[], PencilDiscretization] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off"):
+        for name in _ARRAYS:
             arr = _frozen(getattr(self, name))
             if not np.isfinite(arr).all():
                 raise InvalidParametersError(f"pencil array {name} holds NaN or inf")
@@ -170,10 +179,10 @@ class PencilDiscretization:
         # reached only for attributes the instance lacks: the arrays of a
         # pair-route pencil before their first read
         build = self.__dict__.get("_build")
-        if build is None or name not in _LAZY:
+        if build is None or name not in _ARRAYS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         built = build()
-        for key in _LAZY:
+        for key in _ARRAYS:
             object.__setattr__(self, key, getattr(built, key))
         return getattr(self, name)
 
@@ -242,21 +251,20 @@ class PencilDiscretization:
 
     def free_index(self, node_idx: int) -> int | None:
         """Reduced index of a mesh node, None if it was eliminated."""
-        if node_idx in self.constrained:
-            return None
-        return node_idx - self.free_start
+        i = node_idx - self.free_start
+        return i if 0 <= i < self.n_free else None
 
-    def node_index(self, x: float, tol: float = 1e-9) -> int:
+    def node_index(self, x: float) -> int:
         j = int(np.searchsorted(self.nodes, x))
         for cand in (j - 1, j):
-            if 0 <= cand < self.nodes.size and abs(self.nodes[cand] - x) <= tol:
+            if 0 <= cand < self.nodes.size and abs(self.nodes[cand] - x) <= _NODE_SLACK:
                 return cand
         raise InvalidParametersError(f"no mesh node at {x}")
 
 
-def _dedupe(xs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def _dedupe(xs: np.ndarray) -> np.ndarray:
     xs = np.sort(xs)
-    keep = xs[_cluster_starts(xs, tol)]
+    keep = xs[_cluster_starts(xs, _MESH_MERGE)]
     keep[0] = 0.0
     keep[-1] = 1.0
     return keep
@@ -329,9 +337,7 @@ class _Accumulator:
         self.diag[1:] += vals * h / 3.0
         self.off += vals * h / 6.0
 
-    def add_selfsim(
-        self, params: SelfSimilarParams, scale: float, leaves: np.ndarray, depth: int, extra: int = 30
-    ):
+    def add_selfsim(self, params: SelfSimilarParams, scale: float, leaves: np.ndarray, depth: int):
         """Stamp scale * dP, exact per cell of the self-similar tree.
 
         leaves holds the live cells of level `depth` (support_cells rows),
@@ -340,10 +346,10 @@ class _Accumulator:
         above come from one jump_atoms call.  A cell that fits one mesh
         interval (1e-12 slack) is stamped through the copy moments; a
         straddling cell emits its junction atoms and splits into its live
-        children.  What still straddles at level depth + extra is lumped
-        at its midpoint.  Each stamp is the value a depth-first walk from
-        the root computes.  That walk stamps a cell above the leaves whole
-        where it fits within the slack or has one live letter; stamping
+        children.  What still straddles at level depth + _EXTRA_LEVELS is
+        lumped at its midpoint.  Each stamp is the value a depth-first walk
+        from the root computes.  That walk stamps a cell above the leaves
+        whole where it fits within the slack or has one live letter; stamping
         its leaves and junction atoms instead is exact per cell too.
         Within a level shared entries are summed left to right as that
         walk does; where cells of different levels or junction atoms share
@@ -358,7 +364,7 @@ class _Accumulator:
             pos, jump = jump_atoms(params, depth).T
             self.add_atoms(pos, scale * jump)
         left, width, weight, offset = leaves.T
-        for level in range(depth, depth + extra + 1):
+        for level in range(depth, depth + _EXTRA_LEVELS + 1):
             j = np.clip(np.searchsorted(nodes, left, side="right") - 1, 0, nodes.size - 2)
             xl, xr = nodes[j], nodes[j + 1]
             fits = (left >= xl - 1e-12) & (left + width <= xr + 1e-12)
@@ -377,7 +383,7 @@ class _Accumulator:
             np.add.at(self.off, jf, w * (al * ar * mu[0] + (al * br + ar * bl) * mu[1] + bl * br * mu[2]))
             straddle = ~fits
             left, width, weight, offset, j = (x[straddle] for x in (left, width, weight, offset, j))
-            if left.size == 0 or level == depth + extra:
+            if left.size == 0 or level == depth + _EXTRA_LEVELS:
                 break
             # splitting into copies loses the junction atoms between
             # neighbouring copy values; emit them explicitly
@@ -412,18 +418,15 @@ def _finalize(
     b_off: np.ndarray,
     bc: BoundaryCondition,
 ) -> PencilDiscretization:
-    n = nodes.size
-    constrained = []
+    lo, hi = 0, nodes.size
     if bc.left is None:
-        constrained.append(0)
+        lo = 1
     else:
         a_diag[0] += bc.left
     if bc.right is None:
-        constrained.append(n - 1)
+        hi -= 1
     else:
         a_diag[-1] += bc.right
-    lo = 1 if bc.left is None else 0
-    hi = n - 1 if bc.right is None else n
     if hi - lo < 1:
         raise InvalidParametersError("no free nodes left after constraints")
     for arr in (nodes, a_diag, a_off, b_diag, b_off):
@@ -435,7 +438,6 @@ def _finalize(
         b_diag=b_diag[lo:hi],
         b_off=b_off[lo : hi - 1],
         free_start=lo,
-        constrained=tuple(constrained),
     )
 
 
@@ -480,15 +482,12 @@ def assemble(
     return _finalize(nodes, a_diag, a_off, pa.diag, pa.off, bc)
 
 
-def _walk_segments(
-    p: SelfSimilarParams,
-    depth: int,
-    t_factor,
-) -> np.ndarray:
+def _walk_segments(p: SelfSimilarParams, factors) -> np.ndarray:
     """Leaves of the cell tree as (t_length, mass_weight) rows, left to right.
 
-    t_factor(level, i) is the horizontal shrink of letter i at a given
-    level (1-based).  Letters with zero shrink must carry no dP mass
+    factors holds one tuple per level, top level first, and the tree is
+    len(factors) levels deep: entry i is the horizontal shrink of letter
+    i at that level.  Letters with zero shrink must carry no dP mass
     (otherwise an atom would appear on the image axis); massless
     subtrees with positive shrink collapse to single resistor segments.
     The tree is expanded one level at a time: each cell with mass is
@@ -503,8 +502,8 @@ def _walk_segments(
     dprime = np.asarray(p.dprime)
     tprod = np.ones(1)
     mass = np.ones(1)
-    for level in range(1, depth + 1):
-        tf = np.array([t_factor(level, i) for i in range(p.n)])
+    for tf in factors:
+        tf = np.array(tf)
         for i in np.flatnonzero((tf == 0.0) & (dprime != 0.0)):
             if np.any(mass * dprime[i] != 0.0):
                 raise UnsupportedConfigurationError(f"cell letter {i}: dP mass sits on a plateau of R")
@@ -575,9 +574,8 @@ def _classes(values: list[float]) -> tuple[list[int], list[float]]:
 
 def _pair_pencil(
     p: SelfSimilarParams,
-    depth: int,
+    factors: tuple,
     chain_level: int,
-    t_factor,
     quad: np.ndarray,
     r_mass: float,
     bc: BoundaryCondition,
@@ -585,26 +583,27 @@ def _pair_pencil(
 ) -> PencilDiscretization:
     """A pair-route pencil counted by its level template, arrays built on first read.
 
-    The ports of the template's chain are the cells of chain_level, the
-    deepest level whose t-factors still depend on the level, and the
-    massless segments above them, from the segment walk down to that
-    level; it raises for junction atoms and for dP mass on a plateau of
-    R there.  Below it the letter tables give each level's classes and
-    raise for mass on a plateau as the walk does.  The arrays are those
-    of _assemble_from_segments over the full walk, bit for bit; reading
-    them raises UnsupportedConfigurationError, before the walk allocates
-    anything, when the walk would have more than _MAX_NODES rows.
+    factors holds the letter shrinks of each level, as _walk_segments
+    reads them.  The ports of the template's chain are the cells of
+    chain_level, the deepest level whose factors still depend on the
+    level, and the massless segments above them, from the segment walk
+    down to that level; it raises for junction atoms and for dP mass on
+    a plateau of R there.  Below it the letter tables give each level's
+    classes and raise for mass on a plateau as the walk does.  The
+    arrays are those of _assemble_from_segments over the full walk, bit
+    for bit; reading them raises UnsupportedConfigurationError, before
+    the walk allocates anything, when the walk would have more than
+    _MAX_NODES rows.
     """
     n = p.n
     dprime = p.dprime
-    rows = _walk_segments(p, chain_level, t_factor).tolist()
+    rows = _walk_segments(p, factors[:chain_level]).tolist()
     index, classes = _classes([t * m for t, m in rows if m != 0.0])
     slot = iter(index)
     ports = [(next(slot) if m != 0.0 else -1, 1.0 / t) for t, m in rows]
     chain = tuple((*port, len(list(run))) for port, run in itertools.groupby(ports))
     tables = []
-    for level in range(chain_level + 1, depth + 1):
-        tf = [t_factor(level, i) for i in range(n)]
+    for tf in factors[chain_level:]:
         flat = [i for i in range(n) if tf[i] == 0.0 and dprime[i] != 0.0]
         if classes and flat:
             raise UnsupportedConfigurationError(
@@ -620,7 +619,7 @@ def _pair_pencil(
         ))
         classes = below
     if bc.left is None and bc.right is None and (
-        not classes or (chain_level == depth and len(ports) == 1)
+        not classes or (chain_level == len(factors) and len(ports) == 1)
     ):
         # a single segment, as _finalize would find
         raise InvalidParametersError("no free nodes left after constraints")
@@ -638,16 +637,15 @@ def _pair_pencil(
         # the walk's rows, level by level: each live cell gives way to
         # its letters, a massless leaf stays
         rows = live = 1
-        for level in range(1, depth + 1):
-            tf = [t_factor(level, i) for i in range(n)]
+        for tf in factors:
             rows += live * (sum(t != 0.0 for t in tf) - 1)
             live *= sum(t != 0.0 and d != 0.0 for t, d in zip(tf, dprime))
         if rows > _MAX_NODES:
             raise UnsupportedConfigurationError(
-                f"depth {depth}: the segment walk for the pencil's arrays would make {rows} "
+                f"depth {len(factors)}: the segment walk for the pencil's arrays would make {rows} "
                 f"rows, over the cap of {_MAX_NODES}; counts need no arrays, eigenvalues do"
             )
-        segments = _walk_segments(p, depth, t_factor)
+        segments = _walk_segments(p, factors)
         return _assemble_from_segments(segments, quad, r_mass, bc, p_scale)
 
     return PencilDiscretization._from_template(levels, 0 if bc.left is not None else 1, build)
@@ -668,10 +666,9 @@ def assemble_selfsimilar_pair(
     coordinate, so dP integrates them through the mixed moments
     int R^l dP.
     """
-    rp = r.params
     m = pair_moments(r, p, 2)
     quad = np.array([m[0] - 2 * m[1] + m[2], m[1] - m[2], m[2]])
-    return _pair_pencil(p, depth, 0, lambda level, i: rp.dprime[i], quad, r_mass, bc, p_scale)
+    return _pair_pencil(p, (r.params.dprime,) * depth, 0, quad, r_mass, bc, p_scale)
 
 
 def assemble_iterated_pair(
@@ -694,20 +691,15 @@ def assemble_iterated_pair(
         raise InvalidParametersError("iteration count must be >= 0")
     if depth < k:
         raise InvalidParametersError("depth must be at least the iteration count")
+    _require_same_cells(r_base, p)
     rp = r_base.params
-    if rp.n != p.n or max(abs(x - y) for x, y in zip(rp.a, p.a)) > _TOL:
-        raise InvalidParametersError("cell widths of R and P differ")
     mu = moments(p, 2)
     quad = np.array([mu[0] - 2 * mu[1] + mu[2], mu[1] - mu[2], mu[2]])
-    return _pair_pencil(
-        p, depth, k, lambda level, i: rp.dprime[i] if level <= k else rp.a[i],
-        quad, r_mass, bc, p_scale,
-    )
+    factors = (rp.dprime,) * k + (rp.a,) * (depth - k)
+    return _pair_pencil(p, factors, k, quad, r_mass, bc, p_scale)
 
 
-def resolvent_sandwich(
-    disc: PencilDiscretization, positions, lam: float, weights=None
-) -> np.ndarray:
+def resolvent_sandwich(disc: PencilDiscretization, positions, lam: float) -> np.ndarray:
     """Matrix of the resolvent evaluated between atom sites.
 
     Entry (i, j) is e_i^T (A - lam B)^{-1} e_j over the hat coefficients
@@ -751,11 +743,7 @@ def resolvent_sandwich(
         for row, fj in enumerate(free):
             if fj is not None:
                 out[row, col] = sol[col, fj]
-    out = 0.5 * (out + out.T)
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        out = out * w[np.newaxis, :]
-    return out
+    return 0.5 * (out + out.T)
 
 
 def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:

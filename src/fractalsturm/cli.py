@@ -58,7 +58,6 @@ class Problem:
 
     r: MonotonePrimitive | None
     q: CompositeMeasure
-    p_params: SelfSimilarParams | None
     p_measure: CompositeMeasure
     bc: BoundaryCondition
     r_mass: float
@@ -103,11 +102,9 @@ def load_problem(path: str) -> Problem:
 
         p_obj = obj["p"]
         if isinstance(p_obj, dict) and _PARAM_KEYS <= set(p_obj):
-            p_params = SelfSimilarParams.from_json(p_obj)
-            p_measure = CompositeMeasure.from_selfsim(p_params)
+            p_measure = CompositeMeasure.from_selfsim(SelfSimilarParams.from_json(p_obj))
         else:
             p_measure = CompositeMeasure.from_json(p_obj)
-            p_params = p_measure.selfsim[0] if p_measure.selfsim is not None else None
 
         bc = _parse_bc(obj.get("bc", {"U": "neumann"}))
         r_mass = float(obj.get("r_mass", 1.0))
@@ -115,7 +112,7 @@ def load_problem(path: str) -> Problem:
         raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed problem entry: {exc}") from exc
-    return Problem(r, q, p_params, p_measure, bc, r_mass)
+    return Problem(r, q, p_measure, bc, r_mass)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -130,12 +127,12 @@ def _selfsim_p(problem: Problem, message: str) -> SelfSimilarParams:
     """p's parameters when p is purely self-similar, else UnsupportedConfigurationError.
 
     A composite p with atoms or a density next to its self-similar part
-    has p_params set too; routes that use p_params alone reject it here.
+    has parameters too; routes that use the parameters alone reject it here.
     """
     m = problem.p_measure
-    if problem.p_params is None or len(m.atoms) or m.density is not None:
+    if m.selfsim is None or len(m.atoms) or m.density is not None:
         raise UnsupportedConfigurationError(message)
-    return problem.p_params
+    return m.selfsim[0]
 
 
 def _build_discretization(problem: Problem, depth: int, k_iter: int | None) -> PencilDiscretization:
@@ -169,12 +166,12 @@ def _pair_weights(problem: Problem) -> tuple[tuple[float, ...], tuple[float, ...
 
 
 def cmd_eval(args) -> int:
-    problem = load_problem(args.problem)
-    if problem.p_params is None:
+    selfsim = load_problem(args.problem).p_measure.selfsim
+    if selfsim is None:
         raise UnsupportedConfigurationError("eval needs a self-similar p")
     rows = []
     for x in args.x:
-        value, bound = evaluate(problem.p_params, float(x), depth=args.depth)
+        value, bound = evaluate(selfsim[0], float(x), depth=args.depth)
         rows.append({"x": float(x), "value": value, "error_bound": bound})
     if args.json:
         text = json.dumps(rows, indent=2) + "\n"
@@ -210,10 +207,10 @@ def cmd_transform(args) -> int:
 
 def cmd_spectrum(args) -> int:
     problem = load_problem(args.problem)
-    disc = _build_discretization(problem, args.depth, args.k_iter)
-    xi = resolve_shift(disc)
     if args.n_eigs is None and args.lambda_max is None:
         raise InputError("spectrum needs --n-eigs or --lambda-max")
+    disc = _build_discretization(problem, args.depth, args.k_iter)
+    xi = resolve_shift(disc)
     # every eigenvalue of each side: a side lists at most what it has
     plus, minus = counting_function(disc, [1e30, -1e30], xi)
     rows: list[tuple[int, int, float]] = []
@@ -257,7 +254,7 @@ def cmd_asymptotics(args) -> int:
     products = [di * dpi for di, dpi in zip(d, dprime)]
     nonzero = [p for p in products if p != 0.0]
     if len(nonzero) == 1:
-        z_plus, z_minus = ladder_counts(problem.p_params)
+        z_plus, z_minus = ladder_counts(problem.p_measure.selfsim[0])
         report = geometric_asymptotics(disc, nonzero[0], args.k_max, z_plus, z_minus, xi).to_json()
         csv_text = None
     else:

@@ -15,9 +15,13 @@ import numpy as np
 
 from .errors import ParameterMismatchError, UnsupportedConfigurationError
 from .measures import CompositeMeasure, StepFunction, _atom_order, _cluster_starts, _run_sums
-from .selfsim import MonotonePrimitive, SelfSimilarParams, _evaluate_many, support_cells
-
-_TOL = 1e-12
+from .selfsim import (
+    MonotonePrimitive,
+    SelfSimilarParams,
+    _evaluate_many,
+    _require_same_cells,
+    support_cells,
+)
 
 
 def pushforward_params(r: MonotonePrimitive, p: SelfSimilarParams) -> SelfSimilarParams:
@@ -29,9 +33,7 @@ def pushforward_params(r: MonotonePrimitive, p: SelfSimilarParams) -> SelfSimila
     via explicit atoms.  The surviving cells keep their vertical data
     and acquire widths d_i.
     """
-    rp = r.params
-    if rp.n != p.n or max(abs(x - y) for x, y in zip(rp.a, p.a)) > _TOL:
-        raise ParameterMismatchError("cell widths of R and P differ")
+    _require_same_cells(r, p)
     d = r.weights
     for i in range(p.n):
         if d[i] == 0.0 and p.dprime[i] != 0.0:
@@ -76,11 +78,12 @@ def _density_through(r: MonotonePrimitive, density: StepFunction, depth: int):
 def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8) -> CompositeMeasure:
     """Image measure of f under t = R(x).
 
-    Atoms move to R(x0) keeping their weight.  A compatible self-similar
-    part (same cell widths as R, no mass on plateaus) maps exactly to
-    the pushforward parameter set; otherwise it is scattered cellwise at
-    the given depth.  Step densities map via plateau collapse (exact
-    atoms) and per-cell spreading (exact cell masses).
+    Atoms move to R(x0) keeping their weight.  A self-similar part with
+    R's cell widths maps exactly to the pushforward parameter set (mass
+    on a plateau of R raises UnsupportedConfigurationError); one with
+    other widths is scattered cellwise at the given depth.  Step
+    densities map via plateau collapse (exact atoms) and per-cell
+    spreading (exact cell masses).
     """
     x0, w = f.atoms[:, 0], f.atoms[:, 1]
     ends = np.zeros(0)
@@ -93,13 +96,9 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
 
     if f.selfsim is not None:
         params, scale = f.selfsim
-        rp = r.params
-        compatible = rp.n == params.n and max(
-            abs(x - y) for x, y in zip(rp.a, params.a)
-        ) <= _TOL
-        if compatible:
+        try:
             selfsim_out = (pushforward_params(r, params), scale)
-        else:
+        except ParameterMismatchError:
             # incompatible cell structure: scatter cell masses through R,
             # each to the midpoint of its cell's image
             left, width, weight, _ = support_cells(params, depth).T

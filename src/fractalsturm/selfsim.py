@@ -194,14 +194,19 @@ class MonotonePrimitive:
         return cls(SelfSimilarParams.from_json(obj))
 
 
+def _require_same_cells(r: MonotonePrimitive, p: SelfSimilarParams) -> None:
+    """ParameterMismatchError unless R and P have the same cell widths, within 1e-12."""
+    rp = r.params
+    if rp.n != p.n or max(abs(x - y) for x, y in zip(rp.a, p.a)) > _TOL:
+        raise ParameterMismatchError("cell widths of R and P differ")
+
+
 def validate_contraction(r: MonotonePrimitive, p: SelfSimilarParams) -> bool:
     """Existence test sum_i d_i |d'_i|^2 < 1 for the pair (R, P).
 
     Both parameter sets must share the horizontal cell structure.
     """
-    rp = r.params
-    if rp.n != p.n or max(abs(x - y) for x, y in zip(rp.a, p.a)) > _TOL:
-        raise ParameterMismatchError("cell widths of R and P differ")
+    _require_same_cells(r, p)
     s = sum(d * dp * dp for d, dp in zip(r.weights, p.dprime))
     return s < 1.0
 
@@ -346,12 +351,10 @@ def pair_moments(r: MonotonePrimitive, p: SelfSimilarParams, order: int = 2) -> 
     R and P must share cell widths.  Needed to integrate hat functions
     composed with R against dP on the original axis.
     """
-    rp = r.params
-    if rp.n != p.n or max(abs(x - y) for x, y in zip(rp.a, p.a)) > _TOL:
-        raise ParameterMismatchError("cell widths of R and P differ")
+    _require_same_cells(r, p)
     if order < 0:
         raise InvalidParametersError("order must be >= 0")
-    return _moments(p, r.weights, rp.betaprime, order)
+    return _moments(p, r.weights, r.params.betaprime, order)
 
 
 def _columns(x: np.ndarray, factors, base: np.ndarray | None = None, out: np.ndarray | None = None):

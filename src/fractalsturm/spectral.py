@@ -663,11 +663,14 @@ class SplittingCheck:
     lam: float
     lhs: int
     rhs_terms: tuple[int, ...]
-    holds: bool
 
     @property
     def rhs(self) -> int:
         return sum(self.rhs_terms)
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs
 
 
 def splitting_inequality(
@@ -676,7 +679,6 @@ def splitting_inequality(
     k: int,
     lam: float,
     depth: int,
-    bc: BoundaryCondition | None = None,
     reference_shift: float | None = None,
 ) -> SplittingCheck:
     """Check N(lam) <= sum_i N(d_i d'_i lam) on a substitution-iterate string.
@@ -689,15 +691,11 @@ def splitting_inequality(
     evaluates both sides of the claimed inequality on the same string;
     a false result at some lam refutes the general claim.
     """
-    if bc is None:
-        bc = BoundaryCondition.neumann()
-    if bc.left is None or bc.right is None or bc.left != 0.0 or bc.right != 0.0:
-        raise InvalidParametersError("the splitting check is stated for Neumann conditions")
     if lam < 0.0:
         raise InvalidParametersError("lam must be nonnegative")
     if any(dp < 0.0 for dp in p.dprime):
         raise InvalidParametersError("the splitting check needs a nondecreasing P")
-    disc = assemble_iterated_pair(r_base, k, p, bc, depth)
+    disc = assemble_iterated_pair(r_base, k, p, BoundaryCondition.neumann(), depth)
     rp = r_base.params
     if k == 0:
         d = list(rp.a)
@@ -705,7 +703,7 @@ def splitting_inequality(
         d = [a if dp != 0.0 else 0.0 for a, dp in zip(rp.a, rp.dprime)]
     args = [lam] + [d[i] * p.dprime[i] * lam for i in range(p.n)]
     lhs, *terms = (r.n_plus for r in counting_function(disc, args, reference_shift))
-    return SplittingCheck(float(lam), lhs, tuple(terms), lhs <= sum(terms))
+    return SplittingCheck(float(lam), lhs, tuple(terms))
 
 
 def write_counting_csv(fileobj, results, dimension: float) -> None:

@@ -37,13 +37,24 @@ def pencil_eigenvalues(disc, reference_shift=None):
 
     Uses the congruence C = A - xi B > 0: the pencil eigenvalues are
     xi + 1/theta over nonzero eigenvalues theta of C^{-1/2} B C^{-1/2}.
+    A given reference shift is resolved as the library does.  Without
+    one, xi is the first of -1, -10, ..., -1e8 that makes C positive
+    definite, and the library's resolve_shift only when none does: the
+    shift it finds may sit next to an eigenvalue (-1e-6 next to the
+    Neumann zero mode), where theta reaches 1e6 and xi + 1/theta loses
+    digits.
     """
-    xi = resolve_shift(disc, reference_shift)
     a, b = dense(disc)
-    c = a - xi * b
-    w, v = np.linalg.eigh(c)
-    if w.min() <= 0.0:
-        raise AssertionError("reference shift did not make A - xi B positive definite")
+    shifts = [] if reference_shift is not None else [-(10.0**j) for j in range(9)]
+    for xi in shifts:
+        w, v = np.linalg.eigh(a - xi * b)
+        if w.min() > 0.0:
+            break
+    else:
+        xi = resolve_shift(disc, reference_shift)
+        w, v = np.linalg.eigh(a - xi * b)
+        if w.min() <= 0.0:
+            raise AssertionError("reference shift did not make A - xi B positive definite")
     c_inv_half = (v / np.sqrt(w)) @ v.T
     m = c_inv_half @ b @ c_inv_half
     m = 0.5 * (m + m.T)

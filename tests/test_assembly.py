@@ -111,7 +111,7 @@ class TestAssemble:
     def test_free_node_bookkeeping(self):
         disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), DIRICHLET, depth=2)
         assert disc.n_free == len(disc.nodes) - 2
-        assert disc.constrained == (0, len(disc.nodes) - 1)
+        assert disc.free_index(len(disc.nodes) - 1) is None
         j = disc.node_index(0.5)
         assert disc.nodes[j] == pytest.approx(0.5)
         assert disc.free_index(j) == j - 1
@@ -120,7 +120,7 @@ class TestAssemble:
     def test_neumann_keeps_all_nodes(self):
         disc = assemble(1.0, 0.0, CompositeMeasure.lebesgue(), NEUMANN, depth=2)
         assert disc.n_free == len(disc.nodes)
-        assert disc.constrained == ()
+        assert [disc.free_index(j) for j in (0, len(disc.nodes) - 1)] == [0, len(disc.nodes) - 1]
 
     def test_mass_matrix_sums_to_measure_mass(self):
         p = CompositeMeasure(
@@ -164,7 +164,7 @@ class TestAssemble:
     def test_scaled_preserves_counts(self):
         disc = assemble(1.0, 0.0, TWO_ATOMS, DIRICHLET, depth=8)
         arrays = (3.0 * disc.a_diag, 3.0 * disc.a_off, 3.0 * disc.b_diag, 3.0 * disc.b_off)
-        scaled = PencilDiscretization(disc.nodes, *arrays, disc.free_start, disc.constrained)
+        scaled = PencilDiscretization(disc.nodes, *arrays, disc.free_start)
         assert count(disc, 100.0).n_plus == count(scaled, 100.0).n_plus
 
     def test_pencil_is_read_only(self):
@@ -172,7 +172,7 @@ class TestAssemble:
         off = np.array([-1.0, 7.0])
         view = off[:1]
         view.flags.writeable = False
-        disc = PencilDiscretization(np.array([0.0, 0.5, 1.0]), a_diag, view, np.ones(2), np.zeros(1), 0, ())
+        disc = PencilDiscretization(np.array([0.0, 0.5, 1.0]), a_diag, view, np.ones(2), np.zeros(1), 0)
         # writable inputs, and read-only views of writable memory, are copied
         a_diag[0] = 5.0
         off[0] = 5.0
@@ -198,7 +198,7 @@ class TestAssemble:
         }
         arrays[name][0] = bad
         with pytest.raises(InvalidParametersError, match=name):
-            PencilDiscretization(**arrays, free_start=0, constrained=())
+            PencilDiscretization(**arrays, free_start=0)
 
     def test_compares_and_hashes_by_identity(self):
         # the generated == compared the arrays and raised; on a pair-route
@@ -287,7 +287,7 @@ class TestPairRoutes:
         identity = MonotonePrimitive.identity(3)
         m = pair_moments(identity, cantor, 2)
         quad = np.array([m[0] - 2 * m[1] + m[2], m[1] - m[2], m[2]])
-        segs = _walk_segments(cantor, 15, lambda level, i: identity.params.dprime[i])
+        segs = _walk_segments(cantor, (identity.params.dprime,) * 15)
         got = assemble_selfsimilar_pair(identity, cantor, NEUMANN, 15)
         want = reference_from_segments(segs, quad, 1.0, NEUMANN)
         # the pair routes build their arrays on first read
@@ -299,7 +299,7 @@ class TestPairRoutes:
         r = MonotonePrimitive.cantor()
         mu = moments(cantor, 2)
         quad = np.array([mu[0] - 2 * mu[1] + mu[2], mu[1] - mu[2], mu[2]])
-        segs = _walk_segments(cantor, 9, lambda level, i: r.params.dprime[i] if level <= 6 else r.params.a[i])
+        segs = _walk_segments(cantor, (r.params.dprime,) * 6 + (r.params.a,) * 3)
         got = assemble_iterated_pair(r, 6, cantor, NEUMANN, 9)
         want = reference_from_segments(segs, quad, 1.0, NEUMANN)
         assert not any(field in vars(got) for field in PENCIL_FIELDS)
@@ -322,13 +322,14 @@ class TestPairRoutes:
         def t_factor(level, i):
             return 0.0 if i in flat and level <= 2 else shrink[i] / level
 
+        factors = [tuple(t_factor(level, i) for i in range(p.n)) for level in range(1, depth + 1)]
         try:
             want = walk_segments(p, depth, t_factor)
         except UnsupportedConfigurationError as exc:
             with pytest.raises(UnsupportedConfigurationError, match=re.escape(str(exc))):
-                _walk_segments(p, depth, t_factor)
+                _walk_segments(p, factors)
             return
-        got = _walk_segments(p, depth, t_factor)
+        got = _walk_segments(p, factors)
         assert got.tolist() == [list(seg) for seg in want]
         quad = np.array([0.3, 0.2, 0.5])
         got = _assemble_from_segments(got, quad, 1.3, NEUMANN, 0.7)
@@ -394,7 +395,7 @@ class TestResolventSandwich:
     def test_exactly_singular_shift_is_a_pole(self):
         # A - 2 B has a zero pivot that dgtsv reports as info > 0
         disc = PencilDiscretization(np.linspace(0.0, 1.0, 3), np.array([1.0, 2.0, 3.0]), np.zeros(2),
-                                    np.ones(3), np.zeros(2), 0, ())
+                                    np.ones(3), np.zeros(2), 0)
         with pytest.raises(ResolventPoleError):
             resolvent_sandwich(disc, [0.5], 2.0)
 

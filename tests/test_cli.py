@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fractalsturm import CompositeMeasure, MonotonePrimitive, SelfSimilarParams, assembly, identity_params
+from fractalsturm import CompositeMeasure, MonotonePrimitive, SelfSimilarParams, assembly, cli, identity_params
 from fractalsturm.cli import main
 
 CANTOR_PARAMS = {
@@ -68,6 +68,15 @@ def problems(tmp_path):
                     "density": {"breaks": [0.0, 0.5, 1.0], "values": [1.0, 2.0]},
                     "selfsim": dict(CANTOR_PARAMS, scale=2.0),
                 },
+                "bc": {"U": "neumann"},
+            },
+        ),
+        # r has three cells, p two: the pair routes cannot match them
+        "mismatch": write(
+            "mismatch.json",
+            {
+                "r": MonotonePrimitive.cantor().to_json(),
+                "p": {"a": [0.5, 0.5], "dprime": [0.5, 0.5], "betaprime": [0.0, 0.5]},
                 "bc": {"U": "neumann"},
             },
         ),
@@ -192,6 +201,20 @@ class TestSpectrum:
 
     def test_requires_a_range_option(self, problems, capsys):
         assert main(["spectrum", problems["lebesgue"]]) == 2
+
+    def test_range_option_checked_before_assembly(self, problems, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pencil assembled before the flags were checked")
+
+        monkeypatch.setattr(cli, "_build_discretization", refuse)
+        assert main(["spectrum", problems["lebesgue"]]) == 2
+        assert "spectrum needs --n-eigs or --lambda-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_iter", [[], ["--k-iter", "2"]])
+    def test_mismatched_cells_exit_3_on_both_pair_routes(self, problems, capsys, k_iter):
+        argv = ["spectrum", problems["mismatch"], "--n-eigs", "2", "--depth", "6", *k_iter]
+        assert main(argv) == 3
+        assert "cell widths of R and P differ" in capsys.readouterr().err
 
     def test_signed_measure_reports_both_sides(self, tmp_path, capsys):
         prob = {

@@ -145,7 +145,7 @@ def test_dpttrf_writes_into_views():
 def test_scalar_batch_and_counting_paths_agree_at_breakdown():
     # lambda = 2 zeroes the first pivot of A - lambda B exactly
     a_diag, a_off, b_diag, b_off = TWO_BY_TWO
-    disc = PencilDiscretization(np.array([0.0, 1.0]), a_diag, a_off, b_diag, b_off, 0, ())
+    disc = PencilDiscretization(np.array([0.0, 1.0]), a_diag, a_off, b_diag, b_off, 0)
     scalar, _, _ = kern.sturm_pivots(a_diag, a_off, b_diag, b_off, 2.0)
     ((batch, _, _),) = kern.sturm_pivots_many(a_diag, a_off, b_diag, b_off, np.array([2.0]))
     assert scalar == batch == 1

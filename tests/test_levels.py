@@ -64,7 +64,7 @@ GRID = np.unique(np.concatenate((
 def from_arrays(disc):
     """The same pencil, counted by the kernel over its arrays."""
     return PencilDiscretization(
-        disc.nodes, disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, disc.free_start, disc.constrained
+        disc.nodes, disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, disc.free_start
     )
 
 
@@ -245,13 +245,14 @@ def test_count_only_routes_build_no_arrays(monkeypatch):
     assert [r.n_plus for r in counting_function(disc, grid)] == rep.n_plus.tolist()
     chk = splitting_inequality(CANTOR_R, CANTOR, 6, 510.0, depth=9)
     assert (chk.lhs, chk.rhs_terms) == (8, (3, 1, 3))
-    assert not any(name in vars(disc) for name in ("nodes", "a_diag", "b_off", "constrained"))
+    assert not any(name in vars(disc) for name in ("nodes", "a_diag", "b_off"))
 
 
 def test_arrays_built_once_on_first_read():
     disc = iterate(BoundaryCondition(None, 0.0), 9)
     assert disc.free_start == 1 and "nodes" not in vars(disc)
-    assert disc.constrained == (0,)
+    # the left end is eliminated, the right end kept
+    assert disc.free_index(0) is None and disc.free_index(disc.nodes.size - 1) == disc.nodes.size - 2
     arrays = [vars(disc)[name] for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off")]
     assert disc.n_free == disc.nodes.size - 1
     assert all(getattr(disc, name) is arr for name, arr in zip(("nodes", "a_diag"), arrays))
