@@ -781,7 +781,16 @@ def positivity_scan(disc: PencilDiscretization, xi_grid) -> float | None:
     return None
 
 
+_SHIFT_GRID = np.concatenate(
+    ([0.0], -np.geomspace(1e-6, 1e8, 29), np.geomspace(1e-6, 1e8, 29))
+)
+_SHIFT_GRID.flags.writeable = False
+
+
 def default_shift_grid() -> np.ndarray:
-    """Shift candidates used when no reference shift is supplied."""
-    mags = np.geomspace(1e-6, 1e8, 29)
-    return np.concatenate(([0.0], -mags, mags))
+    """Shift candidates used when no reference shift is supplied.
+
+    The same read-only array on every call: 0, then -1e-6 down to -1e8
+    and 1e-6 up to 1e8, two points per decade.
+    """
+    return _SHIFT_GRID

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .assembly import (
     BoundaryCondition,
@@ -51,6 +50,8 @@ _POLISH_SOLVES = 8
 # a failed certificate widens its window around the polished value by
 # this factor per round until the window brackets the eigenvalue
 _WIDEN = 100.0
+# spectral_dimension refuses a root above this bound
+_MAX_DIMENSION = 2.0**19
 
 
 @dataclass(frozen=True)
@@ -397,7 +398,16 @@ def spectral_dimension(d, dprime) -> float:
 
     Needs at least two nonzero products, all < 1; with exactly one the
     regime is geometric and GeometricRegimeError points the caller to
-    geometric_asymptotics.
+    geometric_asymptotics.  A root above 2^19 raises
+    InvalidParametersError.
+
+    The root is found by Newton's method on f(D) = sum_i exp(D ln p_i) - 1.
+    Every ln p_i < 0, so f is strictly decreasing and convex with
+    f(0) = m - 1 > 0: started at D = 0, each Newton step lands at or below
+    the root, and the iterates climb to it without overshooting.  The
+    iteration stops at the first iterate that no longer increases, which
+    in floating point happens within a few ulps of the root, and the
+    result must still pass a residual check |f(D)| <= 1e-12.
     """
     products = [di * abs(dpi) for di, dpi in zip(d, dprime)]
     nz = [p for p in products if p > 0.0]
@@ -410,20 +420,21 @@ def spectral_dimension(d, dprime) -> float:
             "single nonzero scaling product: spectrum is a geometric ladder, "
             "use geometric_asymptotics"
         )
-    logs = np.log(nz)
-
-    def f(dim: float) -> float:
-        return np.exp(dim * logs).sum() - 1.0
-
-    hi = 1.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
+    logs = [math.log(p) for p in nz]
+    dim = 0.0
+    while True:
+        terms = [math.exp(dim * lg) for lg in logs]
+        residual = sum(terms) - 1.0
+        nxt = dim + residual / -sum(lg * t for lg, t in zip(logs, terms))
+        if not nxt > dim:
+            break
+        if nxt > _MAX_DIMENSION:
+            # every iterate is a lower bound on the root
             raise InvalidParametersError("dimension bracket exhausted")
-    dim = brentq(f, 1e-16, hi, xtol=1e-15, rtol=8.9e-16)
-    if abs(f(dim)) > 1e-12:
+        dim = nxt
+    if abs(residual) > 1e-12:
         raise InvalidParametersError("dimension solve failed its residual check")
-    return float(dim)
+    return dim
 
 
 def _real_gcd(values, tol: float) -> float | None:

@@ -24,6 +24,7 @@ from fractalsturm import (
     boundary_data,
     cantor_ladder,
     count,
+    default_shift_grid,
     eigenvalue,
     eigenvalues,
     moments,
@@ -410,3 +411,12 @@ class TestPositivityScan:
         disc = assemble(1.0, -7 * np.pi**2, TWO_ATOMS, DIRICHLET, depth=12)
         grid = np.r_[-np.geomspace(1e6, 1e-6, 100), 0.0, np.geomspace(1e-6, 1e6, 100)]
         assert positivity_scan(disc, grid) is None
+
+    def test_default_grid_is_one_read_only_array(self):
+        grid = default_shift_grid()
+        mags = np.geomspace(1e-6, 1e8, 29)
+        expected = np.concatenate(([0.0], -mags, mags))
+        assert grid.dtype == expected.dtype and grid.shape == (59,)
+        assert grid.tobytes() == expected.tobytes()
+        assert not grid.flags.writeable
+        assert default_shift_grid() is grid

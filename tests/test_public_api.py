@@ -5,12 +5,17 @@ classmethod and property of an exported class, must be used by the
 package itself (outside `__init__.py`), used by the benchmark, or
 documented in the README.  Submodules and exception classes are exempt:
 callers catch the exceptions, and the submodules hold the names.
+Importing the package and its CLI loads nothing of scipy that
+`import scipy.linalg` does not load itself.
 """
 
 import ast
 import functools
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fractalsturm
@@ -82,3 +87,23 @@ def test_every_public_member_has_a_user_besides_the_tests():
         for member in _members(getattr(fractalsturm, cls))
     )
     assert not orphans, f"public members used only by tests: {orphans}"
+
+
+def test_import_loads_nothing_of_scipy_beyond_linalg():
+    # Measured against `import scipy.linalg` alone, since what that loads
+    # depends on the scipy version (before gh-23420 it loads scipy.sparse).
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, scipy.linalg\n"
+        "before = set(sys.modules)\n"
+        "import fractalsturm, fractalsturm.cli\n"
+        "print(' '.join(m for m in set(sys.modules) - before if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

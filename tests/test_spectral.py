@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.optimize import brentq
 
 from fractalsturm import (
     BoundaryCondition,
@@ -407,10 +408,15 @@ class TestEigenvalues:
 class TestSpectralDimension:
     def test_cantor_string_dimension(self):
         d = spectral_dimension((1 / 3,) * 3, (0.5, 0.0, 0.5))
-        assert d == pytest.approx(math.log(2) / math.log(6), abs=1e-12)
+        assert d == pytest.approx(math.log(2) / math.log(6), abs=1e-15)
 
     def test_lebesgue_dimension(self):
         assert spectral_dimension((0.5, 0.5), (0.5, 0.5)) == pytest.approx(0.5, abs=1e-12)
+
+    def test_nonarithmetic_products(self):
+        d = spectral_dimension((1.0, 1.0), (0.25, 1 / 6))
+        assert 0.0 < d < 1.0
+        assert abs(4.0**-d + 6.0**-d - 1.0) <= 1e-14
 
     def test_single_product_is_geometric_regime(self):
         with pytest.raises(GeometricRegimeError):
@@ -419,6 +425,26 @@ class TestSpectralDimension:
     def test_no_products_rejected(self):
         with pytest.raises(InvalidParametersError):
             spectral_dimension((0.5, 0.5), (0.0, 0.0))
+
+    def test_product_of_one_rejected(self):
+        with pytest.raises(InvalidParametersError, match="must be < 1"):
+            spectral_dimension((1.0, 0.5), (1.0, 0.5))
+
+    def test_root_beyond_the_bound_rejected(self):
+        # (1 - 1e-7)^D = 1/2 at D = ln 2 / 1e-7, about 6.9e6
+        p = 1.0 - 1e-7
+        with pytest.raises(InvalidParametersError, match="bracket exhausted"):
+            spectral_dimension((1.0, 1.0), (p, p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-6, 0.99), min_size=2, max_size=6))
+    def test_root_of_random_products(self, products):
+        d = spectral_dimension([1.0] * len(products), products)
+        assert d > 0.0
+        assert abs(math.fsum(p**d for p in products) - 1.0) <= 1e-12
+        logs = np.log(products)
+        ref = brentq(lambda x: np.exp(x * logs).sum() - 1.0, 1e-16, 1e3, xtol=1e-15, rtol=8.9e-16)
+        assert d == pytest.approx(ref, rel=1e-12)
 
 
 class TestPeriodAndCase:
