@@ -40,7 +40,7 @@ from .errors import (
     ResolventPoleError,
     UnsupportedConfigurationError,
 )
-from .measures import CompositeMeasure, _cluster_starts, _frozen, _run_sums
+from .measures import CompositeMeasure, _cluster_starts, _frozen, _locate, _run_sums
 from .selfsim import (
     MonotonePrimitive,
     SelfSimilarParams,
@@ -263,7 +263,8 @@ class PencilDiscretization:
 
 
 def _dedupe(xs: np.ndarray) -> np.ndarray:
-    xs = np.sort(xs)
+    # the candidates come mostly as sorted runs, which the stable sort (timsort) merges
+    xs = np.sort(xs, kind="stable")
     keep = xs[_cluster_starts(xs, _MESH_MERGE)]
     keep[0] = 0.0
     keep[-1] = 1.0
@@ -279,8 +280,15 @@ def _mesh_nodes(parts, depth: int) -> np.ndarray:
         if mu.selfsim is not None:
             has_selfsim = True
             params = mu.selfsim[0]
-            cand.append(leaves[:, 0])
-            cand.append(leaves[:, 0] + leaves[:, 1])
+            left = leaves[:, 0]
+            right = left + leaves[:, 1]
+            cand.append(left)
+            # a right end equal to the next left end is dropped: an exact
+            # duplicate never opens a cluster of its own, and the copy that
+            # stays is the same float, so the mesh is unchanged
+            apart = np.ones(right.size, dtype=bool)
+            apart[:-1] = right[:-1] != left[1:]
+            cand.append(right[apart])
             branching = sum(1 for dp in params.dprime if dp != 0.0)
             if branching <= 1:
                 jump_depth = min(depth, 48)
@@ -310,24 +318,39 @@ class _Accumulator:
     def add_atoms(self, pos: np.ndarray, weight: np.ndarray):
         """Stamp point masses one after the other, in the order given.
 
-        A mass within 1e-12 of a node lands on that node (the left one
-        when two qualify); one between nodes gets the exact hat-function
-        products.
+        The positions need not be sorted.  A mass within 1e-12 of a node
+        lands on that node (the left one when two qualify).  A mass w
+        between nodes j and j + 1, at hat value
+        al = (x_{j+1} - x) / (x_{j+1} - x_j), adds w al^2 to diagonal entry
+        j, w (1 - al)^2 to entry j + 1 and w al (1 - al) to off-diagonal
+        entry j; only these masses form the products.  The diagonal entries
+        go to np.add.at as one sequence in input order, one entry per mass
+        on a node and two per mass between nodes, so shared entries add up
+        in the order the masses come.
         """
         nodes = self.nodes
         j = np.searchsorted(nodes, pos)
         on_left = (j >= 1) & (np.abs(nodes[np.maximum(j - 1, 0)] - pos) <= 1e-12)
         on_right = (j < nodes.size) & (np.abs(nodes[np.minimum(j, nodes.size - 1)] - pos) <= 1e-12)
         hit = on_left | on_right
-        jb = np.clip(j - 1, 0, nodes.size - 2)
-        al = (nodes[jb + 1] - pos) / (nodes[jb + 1] - nodes[jb])
-        # per mass one or two diagonal entries, flattened in input order
-        # so shared entries add up in the order the masses come
-        idx = np.stack((np.where(on_left, j - 1, np.where(hit, j, jb)), jb + 1), axis=1)
-        val = np.stack((np.where(hit, weight, weight * al * al), weight * (1.0 - al) * (1.0 - al)), axis=1)
-        used = np.stack((np.ones_like(hit), ~hit), axis=1)
-        np.add.at(self.diag, idx[used], val[used])
-        np.add.at(self.off, jb[~hit], (weight * al * (1.0 - al))[~hit])
+        k = np.flatnonzero(~hit)
+        if k.size == 0:
+            np.add.at(self.diag, j - on_left, weight)
+            return
+        jb = np.clip(j[k] - 1, 0, nodes.size - 2)
+        w = weight[k]
+        al = (nodes[jb + 1] - pos[k]) / (nodes[jb + 1] - nodes[jb])
+        flat_idx = np.stack((jb, jb + 1), axis=1).ravel()
+        flat_val = np.stack((w * al * al, w * (1.0 - al) * (1.0 - al)), axis=1).ravel()
+        h = np.flatnonzero(hit)
+        if h.size:
+            # the t-th mass on a node comes after the pairs of the h[t] - t
+            # masses between nodes before it
+            at = 2 * (h - np.arange(h.size))
+            flat_idx = np.insert(flat_idx, at, j[h] - on_left[h])
+            flat_val = np.insert(flat_val, at, weight[h])
+        np.add.at(self.diag, flat_idx, flat_val)
+        np.add.at(self.off, jb, w * al * (1.0 - al))
 
     def add_density(self, density):
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
@@ -363,27 +386,35 @@ class _Accumulator:
         if jumpy.size and depth > 0:
             pos, jump = jump_atoms(params, depth).T
             self.add_atoms(pos, scale * jump)
-        left, width, weight, offset = leaves.T
-        for level in range(depth, depth + _EXTRA_LEVELS + 1):
-            j = np.clip(np.searchsorted(nodes, left, side="right") - 1, 0, nodes.size - 2)
-            xl, xr = nodes[j], nodes[j + 1]
-            fits = (left >= xl - 1e-12) & (left + width <= xr + 1e-12)
-            # a cell inside one mesh interval: the copy moments carry its
-            # full Stieltjes content, interior jumps included
-            xl, xr, jf, lf, wf = xl[fits], xr[fits], j[fits], left[fits], width[fits]
+
+        def stamp(j, xl, xr, lf, wf, weight):
+            # cells inside one mesh interval each: the copy moments carry
+            # their full Stieltjes content, interior jumps included
             h = xr - xl
             al = (xr - lf) / h
             bl = -wf / h
             ar = (lf - xl) / h
             br = wf / h
-            w = scale * weight[fits]
+            w = scale * weight
             dl = w * (al * al * mu[0] + 2 * al * bl * mu[1] + bl * bl * mu[2])
             dr = w * (ar * ar * mu[0] + 2 * ar * br * mu[1] + br * br * mu[2])
-            np.add.at(self.diag, np.stack((jf, jf + 1), axis=1).ravel(), np.stack((dl, dr), axis=1).ravel())
-            np.add.at(self.off, jf, w * (al * ar * mu[0] + (al * br + ar * bl) * mu[1] + bl * br * mu[2]))
+            np.add.at(self.diag, np.stack((j, j + 1), axis=1).ravel(), np.stack((dl, dr), axis=1).ravel())
+            np.add.at(self.off, j, w * (al * ar * mu[0] + (al * br + ar * bl) * mu[1] + bl * br * mu[2]))
+
+        left, width, weight, offset = leaves.T
+        # the leaves run left to right, so one merge finds their intervals
+        # (the few children of straddling cells below use np.searchsorted)
+        j = np.clip(_locate(nodes, left, "right") - 1, 0, nodes.size - 2)
+        for level in range(depth, depth + _EXTRA_LEVELS + 1):
+            xl, xr = nodes[j], nodes[j + 1]
+            fits = (left >= xl - 1e-12) & (left + width <= xr + 1e-12)
+            if fits.all():
+                stamp(j, xl, xr, left, width, weight)
+                return
+            stamp(*(x[fits] for x in (j, xl, xr, left, width, weight)))
             straddle = ~fits
             left, width, weight, offset, j = (x[straddle] for x in (left, width, weight, offset, j))
-            if left.size == 0 or level == depth + _EXTRA_LEVELS:
+            if level == depth + _EXTRA_LEVELS:
                 break
             # splitting into copies loses the junction atoms between
             # neighbouring copy values; emit them explicitly
@@ -393,6 +424,7 @@ class _Accumulator:
                     _columns(scale * weight, gaps[jumpy - 1]).ravel(),
                 )
             left, width, weight, offset = _children(params, left, width, weight, offset).T
+            j = np.clip(np.searchsorted(nodes, left, side="right") - 1, 0, nodes.size - 2)
         # unresolvable straddles at the maximum depth: lump the remaining
         # (vanishingly small) cell mass at its midpoint
         mid = left + 0.5 * width

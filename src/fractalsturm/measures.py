@@ -83,6 +83,23 @@ def _cluster_starts(xs: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(np.concatenate((bounds[:-1], np.array(chained, dtype=np.int64))), kind="stable")
 
 
+def _locate(nodes: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(nodes, keys, side) for sorted nodes and keys, by one stable merge.
+
+    A stable argsort of both arrays, equal keys placed after the equal
+    nodes for side "right" and before them for side "left", puts the
+    k-th key after exactly searchsorted's count of nodes.  Keys that are
+    not sorted go to np.searchsorted.
+    """
+    if not np.all(keys[1:] >= keys[:-1]):
+        return np.searchsorted(nodes, keys, side=side)
+    if side == "right":
+        is_key = np.argsort(np.concatenate((nodes, keys)), kind="stable") >= nodes.size
+    else:
+        is_key = np.argsort(np.concatenate((keys, nodes)), kind="stable") < keys.size
+    return np.flatnonzero(is_key) - np.arange(keys.size)
+
+
 def _atom_order(pos: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     """np.lexsort((w, pos)) for atom rows, or None when they are in that order.
 
@@ -139,8 +156,9 @@ class StepFunction:
         return cls(np.array([0.0, 1.0]), np.array([float(c)]))
 
     def __call__(self, x):
-        idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, self.values.size - 1)
-        return self.values[idx]
+        x = np.asarray(x, dtype=float)
+        piece = _locate(self.breaks, x.ravel(), "right").reshape(x.shape)
+        return self.values[np.clip(piece - 1, 0, self.values.size - 1)]
 
     def integral(self, lo=0.0, hi=1.0):
         """Exact integral of the step function over [lo, hi].
@@ -162,8 +180,8 @@ class StepFunction:
         a = np.clip(np.where(flip, hi, lo), self.breaks[0], self.breaks[-1])
         b = np.clip(np.where(flip, lo, hi), self.breaks[0], self.breaks[-1])
         last = self.values.size - 1
-        ia = np.clip(np.searchsorted(self.breaks, a, side="right") - 1, 0, last)
-        ib = np.clip(np.searchsorted(self.breaks, b, side="left") - 1, 0, last)
+        ia = np.clip(_locate(self.breaks, a.ravel(), "right").reshape(a.shape) - 1, 0, last)
+        ib = np.clip(_locate(self.breaks, b.ravel(), "left").reshape(b.shape) - 1, 0, last)
         out = self.values[ia] * (b - a)
         spans = np.flatnonzero(ib > ia)
         step = max(1, 2**20 // self.breaks.size)

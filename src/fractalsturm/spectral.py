@@ -407,7 +407,10 @@ def spectral_dimension(d, dprime) -> float:
     the root, and the iterates climb to it without overshooting.  The
     iteration stops at the first iterate that no longer increases, which
     in floating point happens within a few ulps of the root, and the
-    result must still pass a residual check |f(D)| <= 1e-12.
+    result must still pass a residual check |f(D)| <= 1e-12.  f is
+    evaluated as sum_{i != k} p_i^D + expm1(D ln p_k), p_k the largest
+    product: a product within ~1e-15 of 1 gives p_k^D close to 1, and
+    subtracting 1 from it would keep only a few digits of f.
     """
     products = [di * abs(dpi) for di, dpi in zip(d, dprime)]
     nz = [p for p in products if p > 0.0]
@@ -421,10 +424,11 @@ def spectral_dimension(d, dprime) -> float:
             "use geometric_asymptotics"
         )
     logs = [math.log(p) for p in nz]
+    top = logs.index(max(logs))
     dim = 0.0
     while True:
         terms = [math.exp(dim * lg) for lg in logs]
-        residual = sum(terms) - 1.0
+        residual = sum(terms[:top] + terms[top + 1:]) + math.expm1(dim * logs[top])
         nxt = dim + residual / -sum(lg * t for lg, t in zip(logs, terms))
         if not nxt > dim:
             break

@@ -32,7 +32,7 @@ from fractalsturm import (
     positivity_scan,
     resolvent_sandwich,
 )
-from fractalsturm.assembly import _Accumulator, _assemble_from_segments, _walk_segments
+from fractalsturm.assembly import _Accumulator, _assemble_from_segments, _locate, _walk_segments
 from fractalsturm.selfsim import junction_gaps
 
 from _oracles import RecursiveAccumulator, reference_assemble, reference_from_segments, walk_segments
@@ -264,6 +264,69 @@ class TestAssemble:
             ref.add_atom(x, w)
         assert np.array_equal(acc.diag, ref.diag)
         assert np.array_equal(acc.off, ref.off)
+
+
+def _mixed_atoms(nodes, rng, size):
+    """size masses, about half on a node and half between nodes, unsorted."""
+    on = nodes[rng.integers(0, nodes.size, size)]
+    between = rng.uniform(0.0, 1.0, size)
+    return np.where(rng.random(size) < 0.5, on, between)
+
+
+NODES = np.concatenate(([0.0], np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 30)), [1.0]))
+ATOM_CASES = {
+    "every mass on a node": (NODES[[3, 0, 31, 3, 17, 16]], np.linspace(0.5, 1.5, 6)),
+    "no mass on a node": (0.5 * (NODES[[4, 0, 30, 4, 9]] + NODES[[5, 1, 31, 5, 10]]), np.linspace(0.5, 1.5, 5)),
+    "a mix": (
+        np.array([NODES[2], 0.5 * (NODES[2] + NODES[3]), NODES[3], NODES[3] - 5e-13, 0.5 * (NODES[2] + NODES[3])]),
+        np.array([0.3, 1.1, -0.4, 2.0, 0.7]),
+    ),
+    "no masses": (np.zeros(0), np.zeros(0)),
+    "a zero weight": (np.array([NODES[5], 0.5 * (NODES[5] + NODES[6]), NODES[6]]), np.array([0.0, 0.0, 1.0])),
+    "unsorted, more than 64 masses": (
+        _mixed_atoms(NODES, np.random.default_rng(3), 100),
+        np.random.default_rng(4).uniform(-1.0, 2.0, 100),
+    ),
+}
+
+
+class TestAccumulator:
+    @pytest.mark.parametrize("case", list(ATOM_CASES))
+    def test_atoms_match_one_call_per_mass_bit_for_bit(self, case):
+        pos, weight = ATOM_CASES[case]
+        acc = _Accumulator(NODES)
+        acc.add_atoms(pos, weight)
+        ref = RecursiveAccumulator(NODES)
+        for x, w in zip(pos, weight):
+            ref.add_atom(x, w)
+        assert np.array_equal(acc.diag, ref.diag)
+        assert np.array_equal(acc.off, ref.off)
+
+    def test_atom_near_two_nodes_lands_on_the_left_one(self):
+        # both nodes are within 1e-12 of the mass; the left one takes it
+        nodes = np.array([0.0, 0.4, 0.4 + 1e-13, 1.0])
+        pos = np.array([0.4 + 0.5e-13, 0.4 + 1e-13, 0.7])
+        weight = np.array([1.0, 2.0, 3.0])
+        acc = _Accumulator(nodes)
+        acc.add_atoms(pos, weight)
+        ref = RecursiveAccumulator(nodes)
+        for x, w in zip(pos, weight):
+            ref.add_atom(x, w)
+        assert np.array_equal(acc.diag, ref.diag)
+        assert np.array_equal(acc.off, ref.off)
+        assert acc.diag[1] == 3.0  # the first two masses
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_locate_matches_searchsorted(self, side):
+        nodes = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 1.0])
+        for keys in (
+            np.array([-1.0, 0.0, 0.0, 0.25, 0.3, 0.5, 0.5, 1.0, 2.0]),  # ties with nodes and with keys
+            np.zeros(0),
+            np.sort(np.random.default_rng(5).choice(nodes, 40)),
+            np.array([0.5, 0.25, 1.0, 0.0]),  # not sorted
+        ):
+            got = _locate(nodes, keys, side)
+            assert np.array_equal(got, np.searchsorted(nodes, keys, side=side))
 
 
 class TestPairRoutes:

@@ -53,6 +53,18 @@ class TestStepFunction:
         got = f.integral(lo, hi)
         assert np.array_equal(got, [f.integral(float(x), float(y)) for x, y in zip(lo, hi)])
         assert np.array_equal(f.integral(lo[0], hi), [f.integral(float(lo[0]), float(y)) for y in hi])
+        # sorted bounds, as the reduction passes them, are located by one merge
+        lo, hi = np.sort(lo), np.sort(hi)
+        assert np.array_equal(f.integral(lo, hi), [f.integral(float(x), float(y)) for x, y in zip(lo, hi)])
+
+    def test_array_values_match_scalar_calls(self):
+        f = StepFunction(np.array([0.0, 0.25, 0.5, 1.0]), np.array([2.0, -1.0, 3.0]))
+        for x in (
+            np.array([-0.1, 0.0, 0.25, 0.25, 0.3, 0.5, 1.0, 1.2]),  # sorted, ties with the breaks
+            np.array([0.5, 0.1, 1.0, 0.25]),
+            np.zeros(0),
+        ):
+            assert np.array_equal(f(x), [f(float(v)) for v in x])
 
     def test_keeps_read_only_copies(self):
         b = np.array([0.0, 0.5, 1.0])

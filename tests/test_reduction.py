@@ -234,15 +234,26 @@ class TestMergeRules:
         assert calls == [2**k for k in range(14)]
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_benchmark_sized_general_pencil_matches_depth_first_reference(seed):
     # the general route at the depth and on the problems the benchmark runs:
-    # every array of the pencil bit for bit against the depth-first walk
+    # the pencil against the depth-first walk, bit for bit where every leaf fits
     p, q = general_problem(np.random.default_rng(seed))
     r = MonotonePrimitive.cantor()
     p_t, q_t = (transform_measure(mu, r, depth=14) for mu in (p, q))
     bc = BoundaryCondition.neumann()
     got = assembly.assemble(1.0, q_t, p_t, bc, 14)
     want = reference_assemble(1.0, q_t, p_t, bc, 14)
-    for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off"):
+    for name in ("nodes", "a_diag", "a_off"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    left, width = support_cells(p_t.selfsim[0], 14)[:, :2].T
+    j = np.searchsorted(got.nodes, left, side="right") - 1
+    if np.all(left + width <= got.nodes[j + 1] + 1e-12):
+        # every leaf fits one mesh interval and is stamped as the walk does
+        for name in ("b_diag", "b_off"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    else:
+        # an atom cuts a leaf (seed 4): the leaf's descendants reach shared
+        # entries level by level, not depth first, which can move the last bit
+        for name in ("b_diag", "b_off"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-13, atol=0.0)

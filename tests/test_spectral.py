@@ -418,6 +418,12 @@ class TestSpectralDimension:
         assert 0.0 < d < 1.0
         assert abs(4.0**-d + 6.0**-d - 1.0) <= 1e-14
 
+    def test_product_next_to_one_keeps_its_digits(self):
+        # 0.9999999999999998^D is 1 - 1.6e-14 at the root; a 50-digit
+        # bisection of sum p_i^D = 1 gives 73.23897726023927
+        d = spectral_dimension((1.0, 1.0), (0.648228955276441, 0.9999999999999998))
+        assert d == pytest.approx(73.23897726023927, rel=1e-14)
+
     def test_single_product_is_geometric_regime(self):
         with pytest.raises(GeometricRegimeError):
             spectral_dimension((0.5, 0.5), (0.5, 0.0))
