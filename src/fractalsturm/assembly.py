@@ -18,14 +18,14 @@ int R^l dP) and one for R a finite substitution iterate (hat pullbacks
 are affine on cells of depth >= k and integrate via plain moments).
 Every cell of one level of such a pencil is a scaled copy of one
 template, so these two routes build per-level letter tables (a
-_kernels.LevelTemplate) in O(depth) and count from them; the 2^depth
-arrays come from the segment walk on first read, for the callers that
-need them.
+_kernels.LevelTemplate) in O(depth) and count from them.  The cells
+above the tables come from a walk over runs of equal cells in plain
+floats; the 2^depth arrays come from the numpy segment walk of the
+levels below those cells on first read, for the callers that need them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -482,8 +482,11 @@ def assemble(
 ) -> PencilDiscretization:
     """Assemble the pencil for -(1/r_mass) u'' + q u = lam p u on [0,1].
 
-    q may be a plain number c, read as c * Lebesgue.  p must be nonzero.
+    q may be a plain number c, read as c * Lebesgue.  p must be nonzero,
+    and depth >= 0.
     """
+    if depth < 0:
+        raise InvalidParametersError("depth must be >= 0")
     if isinstance(q, (int, float)):
         q = CompositeMeasure.lebesgue(float(q)) if q else CompositeMeasure()
     if r_mass <= 0.0:
@@ -514,26 +517,73 @@ def assemble(
     return _finalize(nodes, a_diag, a_off, pa.diag, pa.off, bc)
 
 
-def _walk_segments(p: SelfSimilarParams, factors) -> np.ndarray:
-    """Leaves of the cell tree as (t_length, mass_weight) rows, left to right.
+def _merged(runs):
+    """The runs (x, y, count) of a nonempty sequence, neighbours with equal (x, y) merged."""
+    # NaN equals nothing, so the first run opens
+    last_x = last_y = math.nan
+    last_count = 0
+    for x, y, count in runs:
+        if x == last_x and y == last_y:
+            last_count += count
+        else:
+            if last_count:
+                yield last_x, last_y, last_count
+            last_x, last_y, last_count = x, y, count
+    yield last_x, last_y, last_count
 
-    factors holds one tuple per level, top level first, and the tree is
-    len(factors) levels deep: entry i is the horizontal shrink of letter
-    i at that level.  Letters with zero shrink must carry no dP mass
-    (otherwise an atom would appear on the image axis); massless
-    subtrees with positive shrink collapse to single resistor segments.
-    The tree is expanded one level at a time: each cell with mass is
-    replaced, in place, by its children in letter order, so the rows keep
-    the depth-first order, and each t_length is the product a depth-first
-    walk forms.
+
+def _walk_runs(p: SelfSimilarParams, factors) -> list[tuple[float, float, int]]:
+    """The rows _walk_segments makes from the root over `factors`, as runs of equal neighbours.
+
+    Each run is (t_length, mass_weight, count), left to right, in Python
+    floats with the products the numpy walk forms, so the rows it stands
+    for are that walk's rows bit for bit.  A run of cells with mass gives
+    way to its letters' children: one run of count x letters when the
+    children are all equal (the Cantor iterate's 2^k chain cells are one
+    run), else the children count times over; a massless run stays.
+    Raises what _walk_segments raises, at the same level, and first for
+    atoms of dP at cell junctions, which no pair route takes.
     """
     if any(abs(g) > _TOL for g in junction_gaps(p)):
         raise UnsupportedConfigurationError(
             "dP carries atoms at cell junctions; assemble from the composite measure instead"
         )
+    dprime = p.dprime
+    runs = [(1.0, 1.0, 1)]
+    for tf in factors:
+        for i, (t, d) in enumerate(zip(tf, dprime)):
+            if t == 0.0 and d != 0.0 and any(m * d != 0.0 for _, m, _ in runs):
+                raise UnsupportedConfigurationError(f"cell letter {i}: dP mass sits on a plateau of R")
+        letters = [(t, d) for t, d in zip(tf, dprime) if t != 0.0]
+        cells = []
+        for t, m, count in runs:
+            if m == 0.0:
+                cells.append((t, m, count))
+                continue
+            kids = [(t * f, m * d, 1) for f, d in letters]
+            if kids.count(kids[0]) == len(kids):
+                cells.append((*kids[0][:2], count * len(kids)))
+            else:
+                cells += kids * count
+        runs = list(_merged(cells))
+    return runs
+
+
+def _walk_segments(p: SelfSimilarParams, factors, tprod: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Leaves of the cell tree below the given cells as (t_length, mass_weight) rows, left to right.
+
+    tprod and mass hold the cells the walk starts from, left to right
+    (the root is one cell of ones), and factors one tuple per level
+    below them, top level first: entry i is the horizontal shrink of
+    letter i at that level.  Letters with zero shrink must carry no dP
+    mass (otherwise an atom would appear on the image axis); massless
+    subtrees with positive shrink collapse to single resistor segments.
+    The tree is expanded one level at a time: each cell with mass is
+    replaced, in place, by its children in letter order, so the rows
+    keep the depth-first order, and each t_length is the product a
+    depth-first walk forms.
+    """
     dprime = np.asarray(p.dprime)
-    tprod = np.ones(1)
-    mass = np.ones(1)
     for tf in factors:
         tf = np.array(tf)
         for i in np.flatnonzero((tf == 0.0) & (dprime != 0.0)):
@@ -593,15 +643,16 @@ def _classes(values: list[float]) -> tuple[list[int], list[float]]:
 
     A class opens at its smallest value, so no class spans more than
     1e-12 relative; rounding in the products of t_i m_i along different
-    paths stays far below that.
+    paths stays far below that.  Equal values share a class, so only the
+    distinct ones are sorted.
     """
-    index = [0] * len(values)
+    opened: dict[float, int] = {}
     classes: list[float] = []
-    for i in sorted(range(len(values)), key=values.__getitem__):
-        if not classes or values[i] - classes[-1] > 1e-12 * abs(classes[-1]):
-            classes.append(values[i])
-        index[i] = len(classes) - 1
-    return index, classes
+    for v in sorted(set(values)):
+        if not classes or v - classes[-1] > 1e-12 * abs(classes[-1]):
+            classes.append(v)
+        opened[v] = len(classes) - 1
+    return [opened[v] for v in values], classes
 
 
 def _pair_pencil(
@@ -618,40 +669,48 @@ def _pair_pencil(
     factors holds the letter shrinks of each level, as _walk_segments
     reads them.  The ports of the template's chain are the cells of
     chain_level, the deepest level whose factors still depend on the
-    level, and the massless segments above them, from the segment walk
-    down to that level; it raises for junction atoms and for dP mass on
-    a plateau of R there.  Below it the letter tables give each level's
-    classes and raise for mass on a plateau as the walk does.  The
-    arrays are those of _assemble_from_segments over the full walk, bit
-    for bit; reading them raises UnsupportedConfigurationError, before
-    the walk allocates anything, when the walk would have more than
-    _MAX_NODES rows.
+    level, and the massless segments above them: _walk_runs gives them
+    as runs of equal cells, which raises for junction atoms and for dP
+    mass on a plateau of R there, and neighbouring equal ports merge
+    into one run of the chain.  Below it the letter tables give each
+    level's classes and raise for mass on a plateau as the walk does.
+    The arrays are those of _assemble_from_segments over the full walk,
+    bit for bit: _walk_segments walks only the levels below the chain,
+    from its runs.  Reading them raises UnsupportedConfigurationError,
+    before the walk allocates anything, when the walk would have more
+    than _MAX_NODES rows.
     """
     n = p.n
     dprime = p.dprime
-    rows = _walk_segments(p, factors[:chain_level]).tolist()
-    index, classes = _classes([t * m for t, m in rows if m != 0.0])
+    runs = _walk_runs(p, factors[:chain_level])
+    index, classes = _classes([t * m for t, m, _ in runs if m != 0.0])
     slot = iter(index)
-    ports = [(next(slot) if m != 0.0 else -1, 1.0 / t) for t, m in rows]
-    chain = tuple((*port, len(list(run))) for port, run in itertools.groupby(ports))
+    chain = tuple(_merged((next(slot) if m != 0.0 else -1, 1.0 / t, count) for t, m, count in runs))
     tables = []
+    # per distinct factor tuple: a plateau letter with mass, the live
+    # letters' products, and each letter's port
+    letter_lists = {}
     for tf in factors[chain_level:]:
-        flat = [i for i in range(n) if tf[i] == 0.0 and dprime[i] != 0.0]
+        if tf not in letter_lists:
+            letter_lists[tf] = (
+                [i for i in range(n) if tf[i] == 0.0 and dprime[i] != 0.0],
+                [(tf[i], dprime[i]) for i in range(n) if tf[i] != 0.0 and dprime[i] != 0.0],
+                [(dprime[i] != 0.0, 1.0 / tf[i]) for i in range(n) if tf[i] != 0.0],
+            )
+        flat, live, ports = letter_lists[tf]
         if classes and flat:
             raise UnsupportedConfigurationError(
                 f"cell letter {flat[0]}: dP mass sits on a plateau of R"
             )
-        letters = [i for i in range(n) if tf[i] != 0.0]
-        live = [i for i in letters if dprime[i] != 0.0]
-        index, below = _classes([scale * tf[i] * dprime[i] for scale in classes for i in live])
+        index, below = _classes([scale * f * d for scale in classes for f, d in live])
         slot = iter(index)
         tables.append(tuple(
-            tuple((next(slot) if dprime[i] != 0.0 else -1, 1.0 / tf[i]) for i in letters)
+            tuple((next(slot) if massive else -1, inv) for massive, inv in ports)
             for _ in classes
         ))
         classes = below
     if bc.left is None and bc.right is None and (
-        not classes or (chain_level == len(factors) and len(ports) == 1)
+        not classes or (chain_level == len(factors) and sum(run[2] for run in chain) == 1)
     ):
         # a single segment, as _finalize would find
         raise InvalidParametersError("no free nodes left after constraints")
@@ -666,10 +725,12 @@ def _pair_pencil(
     )
 
     def build() -> PencilDiscretization:
-        # the walk's rows, level by level: each live cell gives way to
-        # its letters, a massless leaf stays
-        rows = live = 1
-        for tf in factors:
+        # the walk's rows, level by level from the chain's: each live
+        # cell gives way to its letters, a massless leaf stays
+        lengths, masses, counts = zip(*runs)
+        rows = sum(counts)
+        live = sum(c for c, m in zip(counts, masses) if m != 0.0)
+        for tf in factors[chain_level:]:
             rows += live * (sum(t != 0.0 for t in tf) - 1)
             live *= sum(t != 0.0 and d != 0.0 for t, d in zip(tf, dprime))
         if rows > _MAX_NODES:
@@ -677,7 +738,10 @@ def _pair_pencil(
                 f"depth {len(factors)}: the segment walk for the pencil's arrays would make {rows} "
                 f"rows, over the cap of {_MAX_NODES}; counts need no arrays, eigenvalues do"
             )
-        segments = _walk_segments(p, factors)
+        counts = np.array(counts)
+        segments = _walk_segments(
+            p, factors[chain_level:], np.repeat(lengths, counts), np.repeat(masses, counts)
+        )
         return _assemble_from_segments(segments, quad, r_mass, bc, p_scale)
 
     return PencilDiscretization._from_template(levels, 0 if bc.left is not None else 1, build)
@@ -696,8 +760,10 @@ def assemble_selfsimilar_pair(
     Works on the t = R(x) axis without forming the image measure: on
     every depth-m cell the pulled-back hats are (1 - R, R) in the local
     coordinate, so dP integrates them through the mixed moments
-    int R^l dP.
+    int R^l dP.  Requires depth >= 0.
     """
+    if depth < 0:
+        raise InvalidParametersError("depth must be >= 0")
     m = pair_moments(r, p, 2)
     quad = np.array([m[0] - 2 * m[1] + m[2], m[1] - m[2], m[2]])
     return _pair_pencil(p, (r.params.dprime,) * depth, 0, quad, r_mass, bc, p_scale)

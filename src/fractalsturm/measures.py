@@ -177,11 +177,12 @@ class StepFunction:
             return float(np.sum(self.values * np.diff(cuts)))
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         flip = hi < lo
-        a = np.clip(np.where(flip, hi, lo), self.breaks[0], self.breaks[-1])
-        b = np.clip(np.where(flip, lo, hi), self.breaks[0], self.breaks[-1])
+        # raveled, so that the flat indices of the spans loop address them
+        a = np.clip(np.where(flip, hi, lo), self.breaks[0], self.breaks[-1]).ravel()
+        b = np.clip(np.where(flip, lo, hi), self.breaks[0], self.breaks[-1]).ravel()
         last = self.values.size - 1
-        ia = np.clip(_locate(self.breaks, a.ravel(), "right").reshape(a.shape) - 1, 0, last)
-        ib = np.clip(_locate(self.breaks, b.ravel(), "left").reshape(b.shape) - 1, 0, last)
+        ia = np.clip(_locate(self.breaks, a, "right") - 1, 0, last)
+        ib = np.clip(_locate(self.breaks, b, "left") - 1, 0, last)
         out = self.values[ia] * (b - a)
         spans = np.flatnonzero(ib > ia)
         step = max(1, 2**20 // self.breaks.size)
@@ -189,6 +190,7 @@ class StepFunction:
             chunk = spans[k : k + step]
             cuts = np.clip(self.breaks, a[chunk, None], b[chunk, None])
             out[chunk] = np.sum(self.values * np.diff(cuts, axis=1), axis=1)
+        out = out.reshape(flip.shape)
         return np.where(flip, -out, out)
 
     def to_json(self) -> dict:

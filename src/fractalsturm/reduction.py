@@ -119,5 +119,10 @@ def transform_measure(f: CompositeMeasure, r: MonotonePrimitive, depth: int = 8)
         pos, w = pos[order], w[order]
     starts = _cluster_starts(pos, 1e-12)
     pos, w = pos[starts], _run_sums(w, starts)
-    atoms = np.column_stack((pos, w))[w != 0.0]
+    # the table filled column by column: a row mask on an (m, 2) array
+    # is a slow path of numpy
+    keep = w != 0.0
+    atoms = np.empty((np.count_nonzero(keep), 2))
+    atoms[:, 0] = pos[keep]
+    atoms[:, 1] = w[keep]
     return CompositeMeasure(atoms=atoms, density=density_out, selfsim=selfsim_out)

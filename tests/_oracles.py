@@ -6,11 +6,11 @@ that the banded inertia code is checked against an independent
 formulation, and `integrate_against` checks exact moments
 against brute-force quadrature.  `cdf` reads a measure's distribution
 function off its parts, for comparing measures.  The cell walks, the
-general accumulator, the pair-route stamping and the merge rules of the
-mesh and atom lists are the one-call-per-item loops that the vectorised
-library code must reproduce, and `reference_level_inertia` is the level
-recursion with one call per cell whose records the one-loop kernel must
-give bit for bit.
+general accumulator, the pair-route stamping, the merge rules of the
+mesh and atom lists and the scale classes of the pair routes are the
+one-call-per-item loops that the library code must reproduce, and
+`reference_level_inertia` is the level recursion with one call per
+cell whose records the one-loop kernel must give bit for bit.
 """
 
 import numpy as np
@@ -407,6 +407,19 @@ def reference_from_segments(segments, quad, r_mass, bc, mass_scale=1.0):
             b_diag[j + 1] += w * quad[2]
             b_off[j] += w * quad[1]
     return _finalize(nodes, a_diag, a_off, b_diag, b_off, bc)
+
+
+def classes_loop(values):
+    """Loop reference for `assembly._classes`: the values in sorted order,
+    each opening a class when it lies more than 1e-12 relative above the
+    smallest value of the current class."""
+    index = [0] * len(values)
+    classes = []
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        if not classes or values[i] - classes[-1] > 1e-12 * abs(classes[-1]):
+            classes.append(values[i])
+        index[i] = len(classes) - 1
+    return index, classes
 
 
 def dedupe_loop(xs, tol=1e-13):

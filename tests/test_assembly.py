@@ -32,7 +32,7 @@ from fractalsturm import (
     positivity_scan,
     resolvent_sandwich,
 )
-from fractalsturm.assembly import _Accumulator, _assemble_from_segments, _locate, _walk_segments
+from fractalsturm.assembly import _Accumulator, _assemble_from_segments, _locate, _walk_runs, _walk_segments
 from fractalsturm.selfsim import junction_gaps
 
 from _oracles import RecursiveAccumulator, reference_assemble, reference_from_segments, walk_segments
@@ -351,7 +351,7 @@ class TestPairRoutes:
         identity = MonotonePrimitive.identity(3)
         m = pair_moments(identity, cantor, 2)
         quad = np.array([m[0] - 2 * m[1] + m[2], m[1] - m[2], m[2]])
-        segs = _walk_segments(cantor, (identity.params.dprime,) * 15)
+        segs = _walk_segments(cantor, (identity.params.dprime,) * 15, np.ones(1), np.ones(1))
         got = assemble_selfsimilar_pair(identity, cantor, NEUMANN, 15)
         want = reference_from_segments(segs, quad, 1.0, NEUMANN)
         # the pair routes build their arrays on first read
@@ -363,7 +363,7 @@ class TestPairRoutes:
         r = MonotonePrimitive.cantor()
         mu = moments(cantor, 2)
         quad = np.array([mu[0] - 2 * mu[1] + mu[2], mu[1] - mu[2], mu[2]])
-        segs = _walk_segments(cantor, (r.params.dprime,) * 6 + (r.params.a,) * 3)
+        segs = _walk_segments(cantor, (r.params.dprime,) * 6 + (r.params.a,) * 3, np.ones(1), np.ones(1))
         got = assemble_iterated_pair(r, 6, cantor, NEUMANN, 9)
         want = reference_from_segments(segs, quad, 1.0, NEUMANN)
         assert not any(field in vars(got) for field in PENCIL_FIELDS)
@@ -391,10 +391,16 @@ class TestPairRoutes:
             want = walk_segments(p, depth, t_factor)
         except UnsupportedConfigurationError as exc:
             with pytest.raises(UnsupportedConfigurationError, match=re.escape(str(exc))):
-                _walk_segments(p, factors)
+                _walk_segments(p, factors, np.ones(1), np.ones(1))
+            with pytest.raises(UnsupportedConfigurationError, match=re.escape(str(exc))):
+                _walk_runs(p, factors)
             return
-        got = _walk_segments(p, factors)
+        got = _walk_segments(p, factors, np.ones(1), np.ones(1))
         assert got.tolist() == [list(seg) for seg in want]
+        # the same rows as runs of equal neighbours, each run maximal
+        runs = _walk_runs(p, factors)
+        assert [(t, m) for t, m, count in runs for _ in range(count)] == want
+        assert all(a[:2] != b[:2] for a, b in zip(runs, runs[1:]))
         quad = np.array([0.3, 0.2, 0.5])
         got = _assemble_from_segments(got, quad, 1.3, NEUMANN, 0.7)
         want = reference_from_segments(want, quad, 1.3, NEUMANN, 0.7)
@@ -404,6 +410,19 @@ class TestPairRoutes:
     def test_iteration_count_validation(self):
         with pytest.raises(InvalidParametersError):
             assemble_iterated_pair(MonotonePrimitive.cantor(), -1, cantor_ladder(), NEUMANN, depth=3)
+
+    @pytest.mark.parametrize("depth", [-1, -2])
+    def test_negative_depth_rejected_on_every_route(self, depth):
+        # the self-similar pair gave the depth-0 pencil, and an atoms-only
+        # p a TypeError from the uniform mesh
+        cantor = cantor_ladder()
+        with pytest.raises(InvalidParametersError, match="depth"):
+            assemble_selfsimilar_pair(MonotonePrimitive.identity(3), cantor, NEUMANN, depth)
+        with pytest.raises(InvalidParametersError, match="depth"):
+            assemble_iterated_pair(MonotonePrimitive.cantor(), 0, cantor, NEUMANN, depth)
+        for p in (TWO_ATOMS, CompositeMeasure.from_selfsim(cantor)):
+            with pytest.raises(InvalidParametersError, match="depth"):
+                assemble(1.0, 0.0, p, DIRICHLET, depth)
 
     def test_mass_on_plateau_rejected(self):
         full = SelfSimilarParams(a=(1 / 3,) * 3, dprime=(0.25, 0.5, 0.25), betaprime=(0.0, 0.25, 0.75))

@@ -80,6 +80,12 @@ def problems(tmp_path):
                 "bc": {"U": "neumann"},
             },
         ),
+        # the CI pair problem: r the identity primitive on three cells, p the Cantor ladder
+        "cantor_pair": write(
+            "cantor_pair.json",
+            {"r": MonotonePrimitive.identity(3).to_json(), "p": CANTOR_PARAMS, "bc": {"U": "neumann"}},
+        ),
+        "atoms": write("atoms.json", {"p": {"atoms": [[0.3, 1.0], [0.6, 0.5]]}, "bc": {"U": "dirichlet"}}),
         "composite": write(
             "composite.json",
             {"p": {"atoms": [[0.5, 1.0]], "selfsim": CANTOR_PARAMS}, "bc": {"U": "neumann"}},
@@ -332,6 +338,15 @@ def test_non_finite_lambda_exit_2(problems, capsys, argv):
     assert main([command, problems["cantor"], "--depth", "6", *flags]) == 2
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem, depth", [("cantor_pair", "-2"), ("atoms", "-1")])
+def test_negative_depth_exit_2(problems, capsys, problem, depth):
+    # the pair problem printed its depth-0 eigenvalues 0 and 8 and exited 0;
+    # the atoms-only p died with a TypeError from the uniform mesh, exit 1
+    assert main(["spectrum", problems[problem], "--depth", depth, "--n-eigs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "depth" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("tol", ["1", "2", "-1", "nan", "inf"])

@@ -7,6 +7,7 @@ themselves are pinned bit for bit to a recursion that evaluates one cell
 per call (_oracles.reference_level_inertia).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -31,9 +32,10 @@ from fractalsturm import (
     splitting_inequality,
 )
 from fractalsturm import _kernels, assembly
+from fractalsturm.selfsim import moments, pair_moments
 from fractalsturm.spectral import zero_tolerance
 
-from _oracles import reference_level_inertia
+from _oracles import classes_loop, reference_from_segments, reference_level_inertia, walk_segments
 
 NEUMANN = BoundaryCondition.neumann()
 DIRICHLET = BoundaryCondition.dirichlet()
@@ -102,19 +104,20 @@ def test_counts_equal_kernel_sweep(build, depth):
 
 
 @st.composite
-def pair_problems(draw):
+def pair_problems(draw, signed=False):
     """(R, P) sharing cell widths: R's weights positive or zero (a plateau),
-    P's zero on R's plateaus and on some other letters, no junction atoms."""
+    P's zero on R's plateaus and on some other letters, no junction atoms;
+    signed P's weights may be negative too."""
     n = draw(st.integers(2, 4))
     a = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
     a = tuple(a / a.sum())
     r_d = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
     r_d[list(draw(st.sets(st.integers(0, n - 1), max_size=n - 2)))] = 0.0
     r_d /= r_d.sum()
-    p_d = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    p_d = np.asarray(draw(st.lists(st.floats(-1.0 if signed else 0.1, 1.0), min_size=n, max_size=n)))
     p_d[(r_d == 0.0) | np.isin(np.arange(n), list(draw(st.sets(st.integers(0, n - 1), max_size=n - 2))))] = 0.0
     # one live letter would make dP a point mass at an end
-    assume(np.count_nonzero(p_d) >= 2)
+    assume(np.count_nonzero(p_d) >= 2 and abs(p_d.sum()) > 0.1)
     p_d /= p_d.sum()
 
     def params(d):
@@ -140,6 +143,70 @@ def test_counts_equal_kernel_sweep_on_random_pairs(problem, depth, data, bc):
         disc = assemble_iterated_pair(r, k, p, bc, depth, r_mass=1.3, p_scale=0.7)
     grid = np.concatenate(([0.0], np.geomspace(1.0, 1e6, 40), -np.geomspace(1e-2, 1e3, 6)))
     assert counts(disc, grid) == counts(from_arrays(disc), grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair_problems(signed=True),
+    st.integers(1, 7),
+    st.data(),
+    st.sampled_from([NEUMANN, DIRICHLET, BoundaryCondition(0.7, None), BoundaryCondition(-0.5, 2.5)]),
+)
+def test_chain_and_arrays_equal_depth_first_walk(problem, depth, data, bc):
+    # the chain is the depth-first rows down to the chain level, classed by
+    # the sorted loop and grouped port by port; the arrays, walked on from
+    # the chain's runs, are the rows of the whole walk stamped one by one
+    r, p = problem
+    k = data.draw(st.none() | st.integers(0, depth))
+    if k is None:
+        disc = assemble_selfsimilar_pair(r, p, bc, depth, r_mass=1.3, p_scale=0.7)
+        factors, chain_level, mu = (r.params.dprime,) * depth, 0, pair_moments(r, p, 2)
+    else:
+        disc = assemble_iterated_pair(r, k, p, bc, depth, r_mass=1.3, p_scale=0.7)
+        factors, chain_level, mu = (r.params.dprime,) * k + (r.params.a,) * (depth - k), k, moments(p, 2)
+
+    def t_factor(level, i):
+        return factors[level - 1][i]
+
+    rows = walk_segments(p, chain_level, t_factor)
+    slot = iter(classes_loop([t * m for t, m in rows if m != 0.0])[0])
+    ports = [(next(slot) if m != 0.0 else -1, 1.0 / t) for t, m in rows]
+    assert disc._levels.chain == tuple((*port, len(list(run))) for port, run in itertools.groupby(ports))
+    quad = np.array([mu[0] - 2 * mu[1] + mu[2], mu[1] - mu[2], mu[2]])
+    want = reference_from_segments(walk_segments(p, depth, t_factor), quad, 1.3, bc, 0.7)
+    for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off"):
+        assert np.array_equal(getattr(disc, name), getattr(want, name)), name
+
+
+@st.composite
+def scale_lists(draw):
+    """Values as the pair routes class them: repeats, neighbours within and
+    just beyond 1e-12 relative, both signs and zeros of both signs."""
+    base = draw(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 5e-324]), min_size=1, max_size=8))
+    rel = st.sampled_from([0.0, 1e-13, -1e-13, 9e-13, 1e-12, -1e-12, 1.1e-12, 3e-12])
+    return draw(st.lists(st.tuples(st.sampled_from(base), rel).map(lambda x: x[0] * (1.0 + x[1])), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scale_lists())
+def test_classes_equal_sorted_loop(values):
+    index, classes = assembly._classes(values)
+    want_index, want_classes = classes_loop(values)
+    assert index == want_index
+    # bit for bit, the sign of a zero included
+    assert [x.hex() for x in classes] == [x.hex() for x in want_classes]
+
+
+def test_pair_templates_walk_no_numpy_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("numpy segment walk started")
+
+    monkeypatch.setattr(assembly, "_walk_segments", refuse)
+    assert len(cantor(NEUMANN, 15)._levels.levels) == 15
+    assert paired(NEUMANN, 7)._levels.chain[0] == (0, 16.0, 2)
+    # the k = 14 Cantor iterate's 2^14 chain cells are one run
+    disc = assemble_iterated_pair(CANTOR_R, 14, CANTOR, NEUMANN, 14)
+    assert disc._levels.chain == ((0, 16384.0, 16384),)
 
 
 def test_graded_arrays_pencil_keeps_small_eigenvalues():

@@ -57,6 +57,21 @@ class TestStepFunction:
         lo, hi = np.sort(lo), np.sort(hi)
         assert np.array_equal(f.integral(lo, hi), [f.integral(float(x), float(y)) for x, y in zip(lo, hi)])
 
+    def test_2d_integral_matches_scalar_calls(self):
+        # the spans loop once indexed 2-D bounds with flat indices and
+        # raised a broadcast ValueError as soon as a pair spanned a break
+        f = StepFunction(np.array([0.0, 0.25, 0.5, 1.0]), np.array([2.0, -1.0, 3.0]))
+        lo = np.array([[0.1, 0.3, 0.9], [0.2, -0.2, 0.6], [0.95, 0.55, -0.5]])
+        hi = np.array([[0.2, 0.45, 0.1], [0.8, 0.05, 1.3], [0.4, 0.6, 1.5]])
+        # inside one piece, spanning breaks, flipped, beyond [0, 1]
+        got = f.integral(lo, hi)
+        assert got.shape == (3, 3)
+        want = [[f.integral(float(x), float(y)) for x, y in zip(*row)] for row in zip(lo, hi)]
+        assert np.array_equal(got, want)
+        # a scalar bound broadcast against a column
+        col = np.array([[0.1], [0.7], [1.2]])
+        assert np.array_equal(f.integral(0.3, col), [[f.integral(0.3, float(y))] for y in col[:, 0]])
+
     def test_array_values_match_scalar_calls(self):
         f = StepFunction(np.array([0.0, 0.25, 0.5, 1.0]), np.array([2.0, -1.0, 3.0]))
         for x in (
