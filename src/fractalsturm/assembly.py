@@ -18,10 +18,11 @@ int R^l dP) and one for R a finite substitution iterate (hat pullbacks
 are affine on cells of depth >= k and integrate via plain moments).
 Every cell of one level of such a pencil is a scaled copy of one
 template, so these two routes build per-level letter tables (a
-_kernels.LevelTemplate) in O(depth) and count from them.  The cells
-above the tables come from a walk over runs of equal cells in plain
-floats; the 2^depth arrays come from the numpy segment walk of the
-levels below those cells on first read, for the callers that need them.
+_kernels.LevelTemplate) in O(depth), and count and find eigenvalues
+from them.  The cells above the tables come from a walk over runs of
+equal cells in plain floats; the 2^depth arrays come from the numpy
+segment walk of the levels below those cells only when a caller reads
+them explicitly.
 """
 
 from __future__ import annotations
@@ -138,11 +139,14 @@ class PencilDiscretization:
     Pencils compare and hash by identity.
 
     A pencil from assemble_selfsimilar_pair or assemble_iterated_pair
-    also holds its level template: the kernel counts it from that, and
-    its arrays come from the segment walk when first read, through this
-    constructor and its finiteness check, for the callers that need
-    them, such as the Rayleigh-quotient polish of eigenvalues and
-    resolvent_sandwich.
+    also holds its level template, and every count, shift check and
+    eigenvalue search on it runs from that: the kernel counts it there,
+    and _slopes gives the Newton steps of its eigenvalue searches, so no
+    search reads its arrays.  Its arrays come from the segment walk only
+    when a caller reads them explicitly (the fields below, n_free, or
+    resolvent_sandwich), through this constructor and its finiteness
+    check; over the node cap that read raises
+    UnsupportedConfigurationError.
     """
 
     nodes: np.ndarray
@@ -248,6 +252,26 @@ class PencilDiscretization:
                     memo.clear()
                 got[lam] = memo[lam] = value
         return [got[lam] for lam in lams]
+
+    def _slopes(self, lams) -> list[float]:
+        """(log |det(A - lam B)|)' at each lam, from the level template.
+
+        One level_slopes_many call; each lam's record goes into the memo,
+        so that counts and shift checks read it as if _sweeps had swept
+        it.  Only a pencil with a level template has this entry.
+        """
+        lams = [float(x) for x in lams]
+        bad = [lam for lam in lams if not math.isfinite(lam)]
+        if bad:
+            raise InvalidParametersError(f"spectral parameter {bad[0]} is not finite")
+        memo = self._memo
+        slopes = []
+        for lam, (record, slope) in zip(lams, _kernels.level_slopes_many(self._levels, np.array(lams))):
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            memo[lam] = record
+            slopes.append(slope)
+        return slopes
 
     def free_index(self, node_idx: int) -> int | None:
         """Reduced index of a mesh node, None if it was eliminated."""
@@ -736,7 +760,7 @@ def _pair_pencil(
         if rows > _MAX_NODES:
             raise UnsupportedConfigurationError(
                 f"depth {len(factors)}: the segment walk for the pencil's arrays would make {rows} "
-                f"rows, over the cap of {_MAX_NODES}; counts need no arrays, eigenvalues do"
+                f"rows, over the cap of {_MAX_NODES}; counts and eigenvalues need no arrays"
             )
         counts = np.array(counts)
         segments = _walk_segments(

@@ -234,8 +234,10 @@ def evaluate(
     propagated drift could flip a digit, and boundary hits reached after
     noticeable drift are not reported as exact.  `side` selects the cell
     taken at exact junction hits, i.e. which one-sided limit a jump
-    evaluates to.
+    evaluates to.  A negative depth raises InvalidParametersError.
     """
+    if depth < 0:
+        raise InvalidParametersError("depth must be >= 0")
     x = float(x)
     if x < -_TOL or x > 1.0 + _TOL:
         raise DomainError(f"point {x} outside [0, 1]")
@@ -272,6 +274,8 @@ def _evaluate_many(params: SelfSimilarParams, xs, depth: int = 48) -> np.ndarray
     the points still expanding through the operations `evaluate` makes
     on one, in the same order, and finishes those it would return from.
     """
+    if depth < 0:
+        raise InvalidParametersError("depth must be >= 0")
     x = np.asarray(xs, dtype=float)
     outside = (x < -_TOL) | (x > 1.0 + _TOL)
     if outside.any():

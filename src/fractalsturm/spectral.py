@@ -11,8 +11,10 @@ it: each query resolves its shift and the zero band's edge from that
 memo, and a lam that any count, shift check or eigenvalue search has
 already swept on a pencil costs no sweep again.
 On top of that sit eigenvalues by multisection on the same counts, with
-each isolated eigenvalue polished by Rayleigh-quotient inverse iteration
-and certified by two counts, power-law counting reports (dimension,
+each isolated eigenvalue refined (by Newton steps on det(A - lam B)
+through the level recursion on a pair-route pencil, by Rayleigh-quotient
+inverse iteration on the stored arrays otherwise) and certified by two
+counts, power-law counting reports (dimension,
 log-period, case classification), the geometric-progression regime, and
 the splitting-inequality check N(lam) <= sum_i N(d_i d'_i lam) together
 with its refutation data.
@@ -47,6 +49,11 @@ _NUDGE_REL = 1e-9
 _MAX_LAMBDA = 1e30
 # Rayleigh-quotient inverse iteration stops after this many solves
 _POLISH_SOLVES = 8
+# a template pencil's Newton iteration gives up on an index after this many steps
+_NEWTON_STEPS = 12
+_NAN = float("nan")
+# the Newton state of an index not yet stepped: no point, no steps, no evaluations
+_FRESH = (_NAN, 0.0, 0.0, 0)
 # a failed certificate widens its window around the polished value by
 # this factor per round until the window brackets the eigenvalue
 _WIDEN = 100.0
@@ -244,19 +251,35 @@ def _eigenvalues(
     interval, or one with no float left inside, reports its midpoint,
     which lies within rtol / 2 of the eigenvalue (plus 5e-15).  rtol must
     be finite with 0 <= rtol < 1; 0 bisects to the last float.
+
     An interval (l, h) that holds exactly one eigenvalue, a wanted one,
-    is polished by Rayleigh-quotient inverse iteration to s (see
-    _polish; every polish starts from the same seeded random vector),
-    unless rtol * l is below the rounding floor eps * |A| / |B|, where
-    no certificate can hold.  A polish that returns no value (its
-    quotients ended outside (l, h), drawn to a neighbour that dominates
-    the start vector) is tried again in the next round that finds the
-    index alone, on an interval at most half as wide, since the round
-    bisected it.  s is reported only if the counts at s (1 -+ rtol),
-    swept in the round's call, put the index between them.  Otherwise
-    the index is never polished again: the window around s widens x100
-    per round until it brackets the index, and bisection goes on inside
-    it.
+    is refined to a value s:
+    - On a pencil with a level template, by Newton's method on det(A -
+      lam B): each round evaluates, in one batched call before the
+      counts, the recursion with its derivative (disc._slopes) at the
+      index's last Newton point, or at the midpoint when it has none
+      inside (l, h), and steps t <- t - 1 / (log |det|)'.  The record
+      of that evaluation goes into the pencil's memo, so the point also
+      cuts (l, h).  The next point is taken as s once its step is at
+      most rtol / 2 relative, or once quadratic convergence, read off
+      the last two steps (error ~ step^3 / last^2), puts its error below
+      rtol / 100.  An index gives up Newton after _NEWTON_STEPS
+      evaluations and is bisected.  No array is read: this path takes
+      no rounding floor, and no start vector.
+    - On a pencil of arrays alone, by Rayleigh-quotient inverse iteration
+      (see _polish; every polish starts from the same seeded random
+      vector), unless rtol * l is below the rounding floor eps * |A| /
+      |B|, where no certificate can hold.  A polish that returns no
+      value (its quotients ended outside (l, h), drawn to a neighbour
+      that dominates the start vector) is tried again in the next round
+      that finds the index alone, on an interval at most half as wide,
+      since the round bisected it.
+    s is reported only if counts at points within s (1 -+ rtol), swept
+    in the round's call, put the index between them: those at s (1 -+
+    rtol), of which the last Newton point, when it lies inside that
+    window on its side of the eigenvalue, replaces one.  Otherwise the
+    index is never refined again: the window around s widens x100 per
+    round until it brackets the index, and bisection goes on inside it.
     """
     if side not in (1, -1):
         raise InvalidParametersError("side must be +1 or -1")
@@ -296,10 +319,29 @@ def _eigenvalues(
     # intervals (l, c(l), h, c(h), indices, probe); a probe (s, step)
     # cuts at s + step for an index whose certificate at s failed
     active = [(*piece, None) for piece in _split(points, rest)]
-    floor = np.finfo(float).eps * disc._norm_ratio
+    template = disc._levels is not None
+    floor = 0.0 if template else np.finfo(float).eps * disc._norm_ratio
     x0 = None
     polished = set()
+    # on a template pencil, per index: the next Newton point, the step
+    # that gave it, the step before, and the Newton evaluations spent
+    newton = {}
     while active:
+        # the Newton points of the isolated indices, evaluated with their
+        # slopes in one call before the round's counts, which read them
+        points = {}
+        for l, c_l, h, c_h, ks, probe in active if template else ():
+            mid = 0.5 * (l + h)
+            if (len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished
+                    and newton.get(ks[0], _FRESH)[3] < _NEWTON_STEPS
+                    and h - l > rtol * l + 1e-14 and l < mid < h):
+                t = newton.get(ks[0], _FRESH)[0]
+                points[ks[0]] = t if l < t < h else mid
+        if points:
+            for (k, t), slope in zip(points.items(), disc._slopes([side * t for t in points.values()])):
+                nxt = t - side / slope if slope != 0.0 else _NAN
+                _, last, _, tries = newton.get(k, _FRESH)
+                newton[k] = (nxt, abs(nxt - t), last, tries + 1)
         plans = []
         for l, c_l, h, c_h, ks, probe in active:
             mid = 0.5 * (l + h)
@@ -307,8 +349,18 @@ def _eigenvalues(
             if h - l <= rtol * l + 1e-14 or not l < mid < h:
                 found.update(dict.fromkeys(ks, mid))
                 continue
-            s = None
-            if len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished and rtol * l >= floor:
+            s, cut = None, []
+            if ks[0] in points:
+                cut = [points[ks[0]]]
+                nxt, step, last, _ = newton[ks[0]]
+                # converged: the step, or the error that quadratic convergence
+                # predicts for nxt from the last two steps, is well within rtol
+                if l < nxt < h and (step <= 0.5 * rtol * nxt or (
+                        step < 0.1 * last and step**3 <= 0.01 * rtol * nxt * last**2)):
+                    polished.add(ks[0])
+                    s = nxt
+            elif (not template and len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished
+                    and rtol * l >= floor):
                 if x0 is None:
                     x0 = np.random.default_rng(0).standard_normal(disc.n_free)
                 s = _polish(disc, *sorted((side * l, side * h)), rtol, x0)
@@ -316,11 +368,16 @@ def _eigenvalues(
                     polished.add(ks[0])
                     s = side * s
             if s is not None:
-                cut = [t for t in (s * (1.0 - rtol), s * (1.0 + rtol)) if l < t < h]
-            elif probe is not None and l < probe[0] + probe[1] < h:
-                cut = [probe[0] + probe[1]]
-            else:
-                cut = [mid]
+                bounds = [s * (1.0 - rtol), s * (1.0 + rtol)]
+                if cut:
+                    # the Newton point bounds the eigenvalue from its side
+                    below = counts(cut)[cut[0]] < ks[0]
+                    if (cut[0] >= bounds[0]) if below else (cut[0] <= bounds[1]):
+                        bounds.pop(0 if below else 1)
+                cut = sorted({*cut, *(t for t in bounds if l < t < h)})
+            elif not cut:
+                probed = probe is not None and l < probe[0] + probe[1] < h
+                cut = [probe[0] + probe[1]] if probed else [mid]
             plans.append((l, c_l, h, c_h, ks, probe, s, cut))
         swept = counts([t for plan in plans for t in plan[-1]])
         active = []

@@ -10,8 +10,14 @@ general accumulator, the pair-route stamping, the merge rules of the
 mesh and atom lists and the scale classes of the pair routes are the
 one-call-per-item loops that the library code must reproduce, and
 `reference_level_inertia` is the level recursion with one call per
-cell whose records the one-loop kernel must give bit for bit.
+cell and one junction per chain port, whose records the kernel must
+give bit for bit wherever it counts no run of equal ports in closed
+form.  `exact_negatives` is that recursion in 50-digit decimal, the
+exact reference for counts and eigenvalues of template pencils, whose
+float recursions differ from each other only in rounding.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 import scipy.sparse as sp
@@ -575,3 +581,95 @@ def reference_level_inertia(template, lam):
     for table in template.levels:
         below = [_cell(children, below) for children in table]
     return _chain(template, below)
+
+
+# The level recursion of a template pencil in 50-digit decimal arithmetic,
+# one port at a time, taking the template's floats as exact: the reference
+# that the float kernels' counts and eigenvalues are checked against where
+# their rounding could decide a count.
+_DIGITS = 50
+
+
+def _exact_ports(children, below):
+    neg = 0
+    ports = []
+    for index, inv_t in children:
+        inv_t = Decimal(inv_t)
+        if index < 0:
+            ports.append((inv_t, Decimal(0), Decimal(0)))
+            continue
+        n, c, l, r = below[index]
+        neg += n
+        ports.append((c * inv_t, l * inv_t, r * inv_t))
+    return neg, ports
+
+
+def _exact_pivot(d, size):
+    """A pivot carried on: one that is 0 to 45 digits of its terms (an exact
+    zero that the divisions did not keep) as a negative far below them."""
+    return d if abs(d) > size * Decimal(10) ** (5 - _DIGITS) else -(size or 1) * Decimal(10) ** (-2 * _DIGITS)
+
+
+def exact_negatives(template, lam):
+    """The negative pivots of a level template's pencil at lam, in 50-digit decimal.
+
+    The per-port recursion of reference_level_inertia with its runs
+    expanded, in decimal.Decimal at 50 digits; a zero pivot counts as
+    negative, as in the kernels.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        s = Decimal(lam) * Decimal(template.s_unit)
+        m00, m01, m11 = (Decimal(x) for x in template.quad)
+        below = []
+        for scale in template.leaves:
+            x = s * Decimal(scale)
+            below.append((0, 1 + x * m01, -x * (m00 + m01), -x * (m11 + m01)))
+        for table in template.levels:
+            cells = []
+            for children in table:
+                neg, ports = _exact_ports(children, below)
+                c, l, r = ports[0]
+                for c2, l2, r2 in ports[1:]:
+                    sigma = r + l2
+                    d = _exact_pivot(c + c2 + sigma, abs(c) + abs(c2) + abs(sigma))
+                    neg += d < 0
+                    c, l, r = c * c2 / d, l + c * sigma / d, r2 + c2 * sigma / d
+                cells.append((neg, c, l, r))
+            below = cells
+        children = [(index, inv_t) for index, inv_t, count in template.chain for _ in range(count)]
+        neg, ports = _exact_ports(children, below)
+        zero = Decimal(0)
+        if template.left is not None:
+            ports.insert(0, (zero, zero, Decimal(template.left)))
+        if template.right is not None:
+            ports.append((zero, Decimal(template.right), zero))
+        pivot = row = None
+        for (c_in, _, r_in), (c_out, l_out, _) in zip(ports, ports[1:]):
+            sigma = r_in + l_out
+            through = c_in if pivot is None else c_in * row / pivot
+            row = sigma + through
+            pivot = _exact_pivot(row + c_out, abs(sigma) + abs(through) + abs(c_out))
+            neg += pivot < 0
+        return neg
+
+
+def exact_eigenvalue(template, k, guess, rel=1e-11):
+    """The k-th smallest eigenvalue (k from 1) of a template pencil whose
+    A - lam B is positive semidefinite at lam = 0, to about 1e-16 relative.
+
+    Bisects the decimal counts in a window of rel around a float guess,
+    which must bracket it.
+    """
+    lo, hi = guess * (1.0 - rel), guess * (1.0 + rel)
+    if not exact_negatives(template, lo) < k <= exact_negatives(template, hi):
+        raise AssertionError(f"eigenvalue {k} not within {rel} of {guess}")
+    while hi - lo > 1e-16 * hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if exact_negatives(template, mid) < k:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -8,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from fractalsturm import CompositeMeasure, MonotonePrimitive, SelfSimilarParams, assembly, cli, identity_params
+from fractalsturm import (
+    CompositeMeasure,
+    MonotonePrimitive,
+    SelfSimilarParams,
+    UnsupportedConfigurationError,
+    assembly,
+    cli,
+    identity_params,
+)
 from fractalsturm.cli import main
 
 CANTOR_PARAMS = {
@@ -120,6 +128,10 @@ class TestEval:
 
     def test_out_of_domain_exit_2(self, problems, capsys):
         assert main(["eval", problems["cantor"], "1.5"]) == 2
+
+    def test_negative_depth_exit_2(self, problems, capsys):
+        assert main(["eval", problems["cantor"], "0.3", "--depth", "-5"]) == 2
+        assert "depth" in capsys.readouterr().err
 
     def test_garbage_json_exit_2(self, problems, capsys):
         assert main(["eval", problems["garbage"], "0.5"]) == 2
@@ -274,11 +286,24 @@ class TestSpectrum:
         assert main([command[0], problems[problem], *command[1:]]) == 3
 
     def test_arrays_over_the_node_cap_exit_3(self, problems, capsys, monkeypatch):
-        # the depth-7 pair route walks 2^8 - 1 rows for its arrays
+        # the depth-7 pair route walks 2^8 - 1 rows for its arrays, over this
+        # cap; its eigenvalues come from the level template, so spectrum
+        # answers without the walk, and only an explicit read of the arrays
+        # raises the cap's error, which exits 3
         monkeypatch.setattr(assembly, "_MAX_NODES", 2**7)
-        assert main(["spectrum", problems["pair"], "--n-eigs", "2", "--k-iter", "0", "--depth", "7"]) == 3
-        assert "cap" in capsys.readouterr().err
+
+        def refuse(*args):
+            raise AssertionError("segment walk started")
+
+        monkeypatch.setattr(assembly, "_walk_segments", refuse)
+        assert main(["spectrum", problems["pair"], "--n-eigs", "2", "--k-iter", "0", "--depth", "7"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert float(lines[1].split(",")[2]) == pytest.approx(14.4352, rel=1e-3)
         assert main(["asymptotics", problems["pair"], "--depth", "7"]) == 0
+        disc = cli._build_discretization(cli.load_problem(problems["pair"]), 7, 0)
+        with pytest.raises(UnsupportedConfigurationError, match="cap") as raised:
+            disc.a_diag
+        assert raised.value.exit_code == 3
 
     def test_indefinite_pencil_exit_4(self, problems, capsys):
         rc = main(["spectrum", problems["indefinite"], "--n-eigs", "1", "--depth", "10"])

@@ -35,7 +35,15 @@ from fractalsturm import _kernels, assembly
 from fractalsturm.selfsim import moments, pair_moments
 from fractalsturm.spectral import zero_tolerance
 
-from _oracles import classes_loop, reference_from_segments, reference_level_inertia, walk_segments
+from _oracles import (
+    classes_loop,
+    dense,
+    exact_eigenvalue,
+    exact_negatives,
+    reference_from_segments,
+    reference_level_inertia,
+    walk_segments,
+)
 
 NEUMANN = BoundaryCondition.neumann()
 DIRICHLET = BoundaryCondition.dirichlet()
@@ -328,8 +336,9 @@ def test_arrays_built_once_on_first_read():
 
 
 def test_arrays_over_the_node_cap_raise_before_the_walk(monkeypatch):
-    # the depth-9 Cantor pair walks 2^10 - 1 rows; counts need no arrays
-    want = count(cantor(NEUMANN, 9), 1e3).n_plus
+    # the depth-9 Cantor pair walks 2^10 - 1 rows; counts and eigenvalues
+    # need no arrays, and only an explicit read of them meets the cap
+    want = count(cantor(NEUMANN, 9), 1e3).n_plus, eigenvalues(cantor(NEUMANN, 9), 3)
     monkeypatch.setattr(assembly, "_MAX_NODES", 2**10 - 2)
     disc = cantor(NEUMANN, 9)
 
@@ -337,10 +346,11 @@ def test_arrays_over_the_node_cap_raise_before_the_walk(monkeypatch):
         raise AssertionError("segment walk started")
 
     monkeypatch.setattr(assembly, "_walk_segments", refuse)
-    with pytest.raises(UnsupportedConfigurationError, match="cap"):
-        eigenvalues(disc, 3)
-    assert count(disc, 1e3).n_plus == want > 3
+    assert (count(disc, 1e3).n_plus, eigenvalues(disc, 3)) == want
+    assert want[0] > 3
     assert "a_diag" not in vars(disc)
+    with pytest.raises(UnsupportedConfigurationError, match="cap"):
+        disc.a_diag
 
 
 @pytest.mark.parametrize("depth, walks", [(24, True), (25, False)])
@@ -396,8 +406,29 @@ RECORD_LAMS = np.concatenate((
 
 
 def same_records(template, lams):
+    """The kernel's records against the per-port reference recursion.
+
+    Bit for bit when no run of the chain is counted in closed form (a run
+    of at most three ports is swept port by port).  Otherwise, at every
+    lam, the shift-check verdict (no negatives and a ratio above 1e-13)
+    and the near-zero count; and the negatives equal the reference's
+    where the decimal recursion finds no eigenvalue within 1e-13
+    relative, and lie between its counts at the window's ends inside.
+    """
     got = _kernels.level_pivots_many(template, lams)
-    return got == [reference_level_inertia(template, lam) for lam in lams.tolist()]
+    want = [reference_level_inertia(template, lam) for lam in lams.tolist()]
+    if all(count <= 3 for *_, count in template.chain):
+        return got == want
+    for lam, (neg, near, ratio), (ref_neg, ref_near, ref_ratio) in zip(lams.tolist(), got, want):
+        if (neg == 0 and ratio > 1e-13) != (ref_neg == 0 and ref_ratio > 1e-13) or near != ref_near:
+            return False
+        around = [exact_negatives(template, x) for x in (lam * (1.0 - 1e-13), lam * (1.0 + 1e-13))]
+        if len(set(around)) == 1:
+            if neg != ref_neg:
+                return False
+        elif not min(around) <= neg <= max(around):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("build", [cantor, iterate, uneven, iterate0])
@@ -494,3 +525,110 @@ def test_zero_weight_has_no_band():
     weightless = _kernels.LevelTemplate(1.0, (0.3, 0.2, 0.5), (), (), ((-1, 1.0, 1),), 0.0, 0.0)
     with pytest.raises(InvalidParametersError):
         weightless.zero_band
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair_problems(signed=True),
+    st.integers(1, 7),
+    st.data(),
+    st.sampled_from([NEUMANN, DIRICHLET, BoundaryCondition(0.7, None), BoundaryCondition(-0.5, 2.5)]),
+)
+def test_counts_equal_exact_reference_on_random_pairs(problem, depth, data, bc):
+    # closed-form runs against the 50-digit recursion, wherever no
+    # eigenvalue lies within 1e-13 relative of the grid point
+    r, p = problem
+    k = data.draw(st.none() | st.integers(0, depth))
+    if k is None:
+        template = assemble_selfsimilar_pair(r, p, bc, depth, r_mass=1.3, p_scale=0.7)._levels
+    else:
+        template = assemble_iterated_pair(r, k, p, bc, depth, r_mass=1.3, p_scale=0.7)._levels
+    grid = np.concatenate((np.geomspace(1.0, 1e6, 30), -np.geomspace(1e-2, 1e3, 6)))
+    for lam, (neg, _, _) in zip(grid.tolist(), _kernels.level_pivots_many(template, grid)):
+        around = {exact_negatives(template, x) for x in (lam * (1.0 - 1e-13), lam * (1.0 + 1e-13))}
+        if len(around) == 1:
+            assert around == {neg}, lam
+
+
+@pytest.mark.parametrize("build, depth", [(cantor, 5), (iterate, 7), (uneven, 5), (paired, 4)])
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET, BoundaryCondition(0.7, 2.5), BoundaryCondition(-1.0, None)])
+def test_slopes_carry_the_records_and_the_log_det_derivative(build, depth, bc):
+    # the records of the Newton evaluation are the counts' bit for bit, and
+    # its slope is (log |det(A - lam B)|)' = -tr((A - lam B)^-1 B)
+    disc = build(bc, depth, r_mass=1.3, p_scale=0.7)
+    lams = np.concatenate((RECORD_LAMS, np.geomspace(1.0, 1e4, 30)))
+    got = _kernels.level_slopes_many(disc._levels, lams)
+    assert [record for record, _ in got] == _kernels.level_pivots_many(disc._levels, lams)
+    a, b = dense(disc)
+    for lam, (_, slope) in list(zip(lams.tolist(), got))[::3]:
+        mat = a - lam * b
+        if np.min(np.abs(np.linalg.eigvalsh(mat))) > 1e-6 * np.max(np.abs(mat)):
+            want = -np.trace(np.linalg.solve(mat, b))
+            assert slope == pytest.approx(want, rel=1e-7, abs=1e-9 * np.abs(b).sum()), lam
+
+
+@pytest.mark.parametrize("k, depth", [(6, 9), (10, 12), (14, 16)])
+def test_counts_monotone_around_the_first_40_eigenvalues(k, depth):
+    # the iterate's chain is one run of 2^k ports, counted in closed form
+    disc = assemble_iterated_pair(CANTOR_R, k, CANTOR, NEUMANN, depth)
+    eigs = eigenvalues(disc, 41)[1:]
+    assert len(set(eigs)) == 40
+    for e in eigs:
+        window = np.linspace(e * (1.0 - 1e-10), e * (1.0 + 1e-10), 41)
+        got = [n for n, _ in counts(disc, window)]
+        assert got == sorted(got), e
+    assert "a_diag" not in vars(disc)
+
+
+@pytest.mark.parametrize("build", [cantor, iterate])
+def test_depth_60_eigenvalues_equal_the_exact_reference(build, monkeypatch):
+    # 2^60 nodes: every value comes from the level template, Newton steps
+    # included, and agrees with the 50-digit recursion to 1e-13
+    def refuse(*args):
+        raise AssertionError("segment walk started")
+
+    monkeypatch.setattr(assembly, "_walk_segments", refuse)
+    disc = build(NEUMANN, 60)
+    got = eigenvalues(disc, 20, rtol=1e-13)
+    assert got[0] == 0.0 and len(set(got)) == 20
+    for k, e in enumerate(got[1:], start=2):
+        assert abs(e - exact_eigenvalue(disc._levels, k, e)) <= 1e-13 * e
+    assert "a_diag" not in vars(disc)
+
+
+@pytest.mark.parametrize("depth", [9, 12, 16, 24, 30, 45, 60])
+def test_newton_evaluations_stay_flat_in_depth(depth, monkeypatch):
+    # 20 eigenvalues of the k = 6 iterate take at most 160 recursion
+    # evaluations, counts and Newton steps together, at every depth
+    spent = []
+    for name in ("level_pivots_many", "level_slopes_many"):
+        entry = getattr(_kernels, name)
+
+        def spy(template, lams, entry=entry):
+            spent.extend(lams.tolist())
+            return entry(template, lams)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    disc = iterate(NEUMANN, depth)
+    eigenvalues(disc, 20)
+    assert 0 < len(spent) <= 160
+
+
+@pytest.mark.parametrize("build, depth", [(iterate, 9), (iterate, 14), (cantor, 12), (cantor, 15), (uneven, 9), (paired, 7)])
+def test_template_eigenvalues_within_rtol_of_the_exact_reference(build, depth):
+    # the Newton values within rtol of the 50-digit recursion's, as the
+    # array polish (to depth 11) and bisection (from depth 12) gave them
+    disc = build(NEUMANN, depth)
+    rtol = 1e-10
+    got = eigenvalues(disc, 12, rtol=rtol)
+    assert got[0] == 0.0
+    for k, value in enumerate(got[1:], start=2):
+        exact = exact_eigenvalue(disc._levels, k, value, rel=1e-9)
+        assert abs(value - exact) <= rtol * exact
+
+
+def test_polished_values_within_rtol_of_newton():
+    # at depth 9 the array polish still runs on a pencil of the arrays alone
+    disc = iterate(NEUMANN, 9)
+    for got, polished in zip(eigenvalues(disc, 20), eigenvalues(from_arrays(disc), 20)):
+        assert abs(got - polished) <= 1e-10 * polished

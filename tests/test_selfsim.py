@@ -217,6 +217,15 @@ def test_array_evaluation_matches_evaluate_bit_for_bit(params, xs, depth):
         assert _bits(_evaluate_many(p, pts, depth)) == _bits(want)
 
 
+def test_negative_depth_raises():
+    # as every assembly route does, rather than expanding to depth 0
+    with pytest.raises(InvalidParametersError, match="depth"):
+        evaluate(CANTOR, 0.3, -5)
+    with pytest.raises(InvalidParametersError, match="depth"):
+        _evaluate_many(CANTOR, np.array([0.3]), -1)
+    assert evaluate(CANTOR, 0.3, 0)[0] == 0.5
+
+
 def test_array_evaluation_outside_domain_raises():
     assert _evaluate_many(CANTOR, np.zeros(0)).shape == (0,)
     with pytest.raises(DomainError):

@@ -50,6 +50,17 @@ DIRICHLET = BoundaryCondition(None, None)
 NEUMANN = BoundaryCondition(0.0, 0.0)
 
 
+def arrays_pencil(disc):
+    """The same pencil held as its arrays alone, which eigenvalue searches polish."""
+    return PencilDiscretization(disc.nodes, disc.a_diag, disc.a_off, disc.b_diag, disc.b_off, disc.free_start)
+
+
+def counterexample_arrays():
+    """The k = 6 iterate at depth 9 as a pencil of its arrays alone."""
+    r = MonotonePrimitive.cantor()
+    return arrays_pencil(assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9))
+
+
 def sample_problems():
     rng = np.random.default_rng(42)
     cl = cantor_ladder()
@@ -213,8 +224,7 @@ class TestEigenvalues:
         # raw counts of (-zt, x) put index k between e_k (1 -+ rtol);
         # the polishes stop on the Kato-Temple bound, where confirming
         # each converged quotient with one more solve took 99 solves
-        r = MonotonePrimitive.cantor()
-        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        disc = counterexample_arrays()
         xi = resolve_shift(disc)
         rtol = 1e-10
         solve = spectral._tri_solve
@@ -244,7 +254,7 @@ class TestEigenvalues:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: assemble_iterated_pair(MonotonePrimitive.cantor(), 6, cantor_ladder(), NEUMANN, depth=9),
+            counterexample_arrays,
             lambda: assemble(1.0, 0.0, CompositeMeasure.from_selfsim(cantor_ladder()), DIRICHLET, depth=6),
         ],
     )
@@ -315,8 +325,7 @@ class TestEigenvalues:
         # from the midpoint of (1184, 1408) the quotients head for the
         # neighbour 1417.13 above it; the round bisects the interval, and
         # the polish on (1184, 1296) finds eigenvalue 12
-        r = MonotonePrimitive.cantor()
-        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        disc = counterexample_arrays()
         x0 = np.random.default_rng(0).standard_normal(disc.n_free)
         assert spectral._polish(disc, 1184.0, 1408.0, 1e-10, x0) is None
         assert reference_polish(disc, 1184.0, 1408.0, 1e-10) is None
@@ -639,7 +648,7 @@ def spy_entries(monkeypatch, record):
     """Call record(lams) with the spectral parameters of every call of an
     inertia entry: the sweeps of a pencil's arrays, and the level
     recursion that counts a pair-route pencil."""
-    for name in ("sturm_pivots", "sturm_pivots_many", "level_pivots_many"):
+    for name in ("sturm_pivots", "sturm_pivots_many", "level_pivots_many", "level_slopes_many"):
         entry = getattr(_kernels, name)
 
         def spy(*args, entry=entry):
@@ -672,8 +681,7 @@ class TestSweepCounts:
 
     @pytest.mark.parametrize("how_many, most_lams, most_calls", [(20, 70, 12), (60, 200, 16)])
     def test_failed_polishes_are_retried_not_bisected(self, monkeypatch, how_many, most_lams, most_calls):
-        r = MonotonePrimitive.cantor()
-        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        disc = counterexample_arrays()
         xi = resolve_shift(disc)
         batches = []
         spy_entries(monkeypatch, batches.append)
@@ -697,8 +705,7 @@ class TestSweepCounts:
         assert len(lams) + 2 < len(swept) < 2 * len(lams) + 2
 
     def test_failed_certificate_falls_back_to_bisection(self, swept, monkeypatch):
-        r = MonotonePrimitive.cantor()
-        disc = assemble_iterated_pair(r, 6, r.params, NEUMANN, depth=9)
+        disc = counterexample_arrays()
         exact = eigenvalues(disc, 12)
         polish = spectral._polish
         polished = []
@@ -780,6 +787,7 @@ def reference_polish(disc, lo, hi, rtol):
 
 def cantor_pencil():
     return assemble_iterated_pair(MonotonePrimitive.cantor(), 2, cantor_ladder(), NEUMANN, depth=6)
+
 
 
 def signed_pencil():
