@@ -627,7 +627,7 @@ def _run(c, inner, row, pivot, m, slope=None):
         cosh_t = ch * ch + sh * sh
         dtheta = (-2.0 if g <= 0.0 else 2.0) * dg / sinh_t
         dk = e * (dx_half - x_half * dc / c) / a_c
-        grow_end = _scaled_slope(m + 1, theta, sinh_t, cosh_t, k, dtheta, dk) / w_end
+        grow_end = _scaled_slope(m + 1, theta, sinh_t, cosh_t, k, dtheta, dk) / w_end if w_end else _NAN
         total = (m + 1) * (dc / c + dtheta) + grow_end - dpivot / pivot
         if m > 1:
             grow_m = _scaled_slope(m, theta, sinh_t, cosh_t, k, dtheta, dk) / w_m
@@ -638,9 +638,10 @@ def _run(c, inner, row, pivot, m, slope=None):
         w_1 = 1.0 + k  # e pivot / |c|
         dw_1 = w_1 * (dpivot / pivot - dc / c)
         db = (-4.0 if g <= 0.0 else 4.0) * dg
-        grow_end = _parabolic_slope(m + 1, w_1, dw_1, db) / (1.0 + (m + 1) * k)
+        w_end = 1.0 + (m + 1) * k
+        grow_end = _parabolic_slope(m + 1, w_1, dw_1, db) / w_end if w_end else _NAN
         total = (m + 1) * dc / c + grow_end - dpivot / pivot
-        log_x = dc / c + grow_end - _parabolic_slope(m, w_1, dw_1, db) / (1.0 + m * k)
+        log_x = dc / c + grow_end - _parabolic_slope(m, w_1, dw_1, db) / (0.5 * w_m)
     return (*record, total, x * log_x - dc, x * log_x)
 
 

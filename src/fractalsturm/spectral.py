@@ -54,7 +54,7 @@ _NEWTON_STEPS = 12
 _NAN = float("nan")
 # the Newton state of an index not yet stepped: no point, no steps, no evaluations
 _FRESH = (_NAN, 0.0, 0.0, 0)
-# a failed certificate widens its window around the polished value by
+# a failed certificate widens its window around the refined value by
 # this factor per round until the window brackets the eigenvalue
 _WIDEN = 100.0
 # spectral_dimension refuses a root above this bound
@@ -322,7 +322,7 @@ def _eigenvalues(
     template = disc._levels is not None
     floor = 0.0 if template else np.finfo(float).eps * disc._norm_ratio
     x0 = None
-    polished = set()
+    refined = set()
     # on a template pencil, per index: the next Newton point, the step
     # that gave it, the step before, and the Newton evaluations spent
     newton = {}
@@ -332,7 +332,7 @@ def _eigenvalues(
         points = {}
         for l, c_l, h, c_h, ks, probe in active if template else ():
             mid = 0.5 * (l + h)
-            if (len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished
+            if (len(ks) == 1 and c_h - c_l == 1 and ks[0] not in refined
                     and newton.get(ks[0], _FRESH)[3] < _NEWTON_STEPS
                     and h - l > rtol * l + 1e-14 and l < mid < h):
                 t = newton.get(ks[0], _FRESH)[0]
@@ -357,15 +357,15 @@ def _eigenvalues(
                 # predicts for nxt from the last two steps, is well within rtol
                 if l < nxt < h and (step <= 0.5 * rtol * nxt or (
                         step < 0.1 * last and step**3 <= 0.01 * rtol * nxt * last**2)):
-                    polished.add(ks[0])
+                    refined.add(ks[0])
                     s = nxt
-            elif (not template and len(ks) == 1 and c_h - c_l == 1 and ks[0] not in polished
+            elif (not template and len(ks) == 1 and c_h - c_l == 1 and ks[0] not in refined
                     and rtol * l >= floor):
                 if x0 is None:
                     x0 = np.random.default_rng(0).standard_normal(disc.n_free)
                 s = _polish(disc, *sorted((side * l, side * h)), rtol, x0)
                 if s is not None:
-                    polished.add(ks[0])
+                    refined.add(ks[0])
                     s = side * s
             if s is not None:
                 bounds = [s * (1.0 - rtol), s * (1.0 + rtol)]

@@ -632,3 +632,59 @@ def test_polished_values_within_rtol_of_newton():
     disc = iterate(NEUMANN, 9)
     for got, polished in zip(eigenvalues(disc, 20), eigenvalues(from_arrays(disc), 20)):
         assert abs(got - polished) <= 1e-10 * polished
+
+
+def port_by_port(c, inner, row, pivot, m, slope):
+    """m junctions of a run swept one by one, with the lam-derivatives.
+
+    (negatives, smallest pivot ratio, row, pivot, sum of pivot' / pivot,
+    row', pivot') for a run whose c, inner and the start's row and pivot
+    have the derivatives slope = (c', inner', row', pivot').
+    """
+    dc, dinner, drow, dpivot = slope
+    neg, low, total = 0, math.inf, 0.0
+    for _ in range(m):
+        through = c * row / pivot
+        dthrough = (dc * row + c * drow - through * dpivot) / pivot
+        row, drow = inner + through, dinner + dthrough
+        pivot, dpivot = row + c, drow + dc
+        low = min(low, abs(pivot) / (abs(inner) + abs(through) + abs(c)))
+        if pivot == 0.0:
+            return neg, 0.0, row, pivot, math.nan, drow, dpivot
+        neg += pivot < 0.0
+        total += dpivot / pivot
+    return neg, low, row, pivot, total, drow, dpivot
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.floats(1e-3, 1.0 - 1e-3), st.floats(-50.0, -1e-3), st.floats(1.0 + 1e-3, 50.0), st.sampled_from([0.0, 1.0])),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([1, 2, 5, 61, 300]),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+)
+def test_run_closed_form_equals_the_port_recurrence(log_c, sign, g, start, m, slopes):
+    # elliptic (0 < g < 1), hyperbolic and parabolic (g = 0 or 1) runs of
+    # either sign of c, from a junction before them with pivot = row + c;
+    # within theta ~ sqrt(g) or sqrt(|1 - g|) of a parabolic end the slope
+    # loses about eps / theta^2 (which slows Newton, and moves no count),
+    # so g keeps 1e-3 from those ends unless it is at one
+    c = sign * 10.0**log_c
+    inner = -4.0 * c * g
+    row = c * start
+    pivot = row + c
+    dc, dinner, drow = slopes
+    slope = (dc, dinner, drow, drow + dc)
+    assume(abs(pivot) > 1e-3 * abs(c))
+    neg, low, want_row, want_pivot, total, drow, dpivot = port_by_port(c, inner, row, pivot, m, slope)
+    assume(low > 1e-6)  # no pivot on the way close enough to 0 for rounding to decide its sign
+    got = _kernels._run(c, inner, row, pivot, m, slope)
+    assert got[:2] == (neg, 0)
+    scale = abs(c) + abs(inner)
+    assert got[3] == pytest.approx(want_row, rel=1e-6, abs=1e-9 * scale)
+    assert got[4] == pytest.approx(want_pivot, rel=1e-6, abs=1e-9 * scale)
+    assert got[:5] == _kernels._run(c, inner, row, pivot, m)
+    assert got[5] == pytest.approx(total, rel=1e-5, abs=1e-7 * m * (1 + abs(total)))
+    assert got[7] == pytest.approx(dpivot, rel=1e-5, abs=1e-7 * (1 + abs(dpivot)))
