@@ -340,30 +340,29 @@ def _level_slope(template, lam):
     c' = (c1' c2 + c1 c2' - c d') / d, and rho_l' and rho_r' alike.  det
     is the product of the pivots, so its log-derivative is the sum of
     d' / d over them, taken once per class and times its multiplicity as
-    the negatives are; a clamped pivot enters as carried.
+    the negatives are; a clamped pivot enters as carried.  A class's
+    record is _level_inertia's followed by the log-derivative of its
+    interior and c', rho_l', rho_r'.
     """
     s, ds = lam * template.s_unit, template.s_unit
     m00, m01, m11 = template.quad
     m0, m1 = m00 + m01, m11 + m01
-    below, slopes = [], []
+    below = []
     for scale in template.leaves:
         x, dx = s * scale, ds * scale
-        below.append((0, 0, 1.0 + x * m01, -x * m0, -x * m1))
-        slopes.append((0.0, dx * m01, -dx * m0, -dx * m1))
+        below.append((0, 0, 1.0 + x * m01, -x * m0, -x * m1, 0.0, dx * m01, -dx * m0, -dx * m1))
     low = _INF
     for table in template.levels:
-        cells, cell_slopes = [], []
+        cells = []
         for children in table:
             neg = near = 0
             slope = 0.0
             c = None
             for index, inv_t in children:
                 if index < 0:
-                    c2, l2, r2 = inv_t, 0.0, 0.0
-                    dc2 = dl2 = dr2 = 0.0
+                    c2, l2, r2, dc2, dl2, dr2 = inv_t, 0.0, 0.0, 0.0, 0.0, 0.0
                 else:
-                    n, z, c2, l2, r2 = below[index]
-                    g, dc2, dl2, dr2 = slopes[index]
+                    n, z, c2, l2, r2, g, dc2, dl2, dr2 = below[index]
                     neg, near, slope = neg + n, near + z, slope + g
                     c2, l2, r2 = c2 * inv_t, l2 * inv_t, r2 * inv_t
                     dc2, dl2, dr2 = dc2 * inv_t, dl2 * inv_t, dr2 * inv_t
@@ -388,13 +387,12 @@ def _level_slope(template, lam):
                     dr2 + (dc2 * sigma + c2 * dsigma - step_r * dd) / d,
                 )
                 c, l, r = joined, l + step_l, r2 + step_r
-            cells.append((neg, near, c, l, r))
-            cell_slopes.append((slope, dc, dl, dr))
-        below, slopes = cells, cell_slopes
-    return _chain(template, below, low, slopes)
+            cells.append((neg, near, c, l, r, slope, dc, dl, dr))
+        below = cells
+    return _chain(template, below, low, slopes=True)
 
 
-def _chain(template, cells, low, slopes=None):
+def _chain(template, cells, low, slopes=False):
     """The record of the top cell: template.chain's ports swept left to right.
 
     The sweep runs in row-sum form, in which counts stay monotone in lam
@@ -410,10 +408,10 @@ def _chain(template, cells, low, slopes=None):
     was clamped, so that _run starts from a pivot formed inside the run
     that carries no clamp; _run counts the rest in closed form.
 
-    With slopes (per class (log-derivative of its interior, c', rho_l',
-    rho_r'), from _level_slope), the lam-derivatives of row and pivot
-    are carried too, and the record gets a fourth field,
-    (log |det(A - lam B)|)'.
+    With slopes, each class's record goes on with the log-derivative of
+    its interior and c', rho_l' and rho_r' (from _level_slope); the
+    lam-derivatives of row and pivot are carried too, and the record
+    gets a fourth field, (log |det(A - lam B)|)'.
     """
     neg = near = 0
     total = dc2 = dl2 = dr2 = dc_in = dr_in = drow = dpivot = 0.0
@@ -424,13 +422,14 @@ def _chain(template, cells, low, slopes=None):
             c2, l2, r2 = inv_t, 0.0, 0.0
             dc2 = dl2 = dr2 = 0.0
         else:
-            n, z, c2, l2, r2 = cells[index]
-            neg, near = neg + n * count, near + z * count
-            c2, l2, r2 = c2 * inv_t, l2 * inv_t, r2 * inv_t
-            if slopes is not None:
-                g, dc2, dl2, dr2 = slopes[index]
+            if slopes:
+                n, z, c2, l2, r2, g, dc2, dl2, dr2 = cells[index]
                 total += g * count
                 dc2, dl2, dr2 = dc2 * inv_t, dl2 * inv_t, dr2 * inv_t
+            else:
+                n, z, c2, l2, r2 = cells[index]
+            neg, near = neg + n * count, near + z * count
+            c2, l2, r2 = c2 * inv_t, l2 * inv_t, r2 * inv_t
         if c_in is None:  # the first port after a Dirichlet end: no node before it
             c_in, r_in, dc_in, dr_in, count = c2, r2, dc2, dr2, count - 1
         sigma, inner = r_in + l2, r2 + l2
@@ -439,7 +438,7 @@ def _chain(template, cells, low, slopes=None):
         while swept < count:
             if swept >= 2 and not clamped and count - swept > 1:
                 # all but the run's last junction in closed form
-                if slopes is None:
+                if not slopes:
                     n, z, ratio, row, pivot = _run(c2, inner, row, pivot, count - swept - 1)
                 else:
                     n, z, ratio, row, pivot, g, drow, dpivot = _run(
@@ -449,7 +448,7 @@ def _chain(template, cells, low, slopes=None):
                 neg, near, low = neg + n, near + z, min(low, ratio)
                 swept = count - 1
             through = c_in * row / pivot
-            if slopes is not None:
+            if slopes:
                 dthrough = (dc_in * row + c_in * drow - through * dpivot) / pivot
             row = sigma + through
             pivot = row + c2
@@ -464,7 +463,7 @@ def _chain(template, cells, low, slopes=None):
             else:
                 clamped = False
             neg += pivot < 0.0
-            if slopes is not None:
+            if slopes:
                 drow = dsigma + dthrough
                 dpivot = drow + dc2
                 total += dpivot / pivot
@@ -473,15 +472,15 @@ def _chain(template, cells, low, slopes=None):
         c_in, r_in, dc_in, dr_in = c2, r2, dc2, dr2
     if template.right is not None:  # the last node: c_out = 0, no pivot after it
         sigma, through = r_in + template.right, c_in * row / pivot
-        if slopes is not None:
+        if slopes:
             dthrough = (dc_in * row + c_in * drow - through * dpivot) / pivot
         pivot, size = sigma + through, abs(sigma) + abs(through)
         ratio = abs(pivot) / size if size > 0.0 else 0.0
         low = min(low, ratio)
         near, neg = near + (ratio < _NEAR), neg + (pivot <= 0.0)
-        if slopes is not None:
+        if slopes:
             total += (dr_in + dthrough) / pivot if pivot != 0.0 else _NAN
-    if slopes is None:
+    if not slopes:
         return neg, near, min(low, 1e308)
     return neg, near, min(low, 1e308), total
 
