@@ -93,7 +93,7 @@ count can then move only where a pivot sits exactly on a tie.
 from __future__ import annotations
 
 import math
-from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -492,7 +492,7 @@ def _cot(x):
 
 
 def _scaled(j, theta, sinh_t, k):
-    """2 e^(-j theta) w_j, where w_j = cosh(j theta) + k sinh(j theta) / sinh theta (1 + j k at theta = 0)."""
+    """2 e^(-j theta) w_j, w_j = cosh(j theta) + k sinh(j theta) / sinh theta (1 + j k at theta = 0)."""
     if sinh_t == 0.0:
         return 2.0 + 2.0 * j * k
     return 1.0 + math.exp(-2.0 * j * theta) - k * math.expm1(-2.0 * j * theta) / sinh_t
@@ -654,4 +654,5 @@ def level_slopes_many(template, lams):
 
     The record is level_pivots_many's, bit for bit.
     """
-    return [(record[:3], record[3]) for record in map(partial(_level_slope, template), lams.tolist())]
+    records = map(_level_slope, repeat(template), lams.tolist())
+    return [((neg, near, low), slope) for neg, near, low, slope in records]

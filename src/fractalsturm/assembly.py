@@ -261,9 +261,6 @@ class PencilDiscretization:
         it.  Only a pencil with a level template has this entry.
         """
         lams = [float(x) for x in lams]
-        bad = [lam for lam in lams if not math.isfinite(lam)]
-        if bad:
-            raise InvalidParametersError(f"spectral parameter {bad[0]} is not finite")
         memo = self._memo
         slopes = []
         for lam, (record, slope) in zip(lams, _kernels.level_slopes_many(self._levels, np.array(lams))):

@@ -320,7 +320,6 @@ def _eigenvalues(
     # cuts at s + step for an index whose certificate at s failed
     active = [(*piece, None) for piece in _split(points, rest)]
     template = disc._levels is not None
-    floor = 0.0 if template else np.finfo(float).eps * disc._norm_ratio
     x0 = None
     refined = set()
     # on a template pencil, per index: the next Newton point, the step
@@ -360,7 +359,7 @@ def _eigenvalues(
                     refined.add(ks[0])
                     s = nxt
             elif (not template and len(ks) == 1 and c_h - c_l == 1 and ks[0] not in refined
-                    and rtol * l >= floor):
+                    and rtol * l >= np.finfo(float).eps * disc._norm_ratio):
                 if x0 is None:
                     x0 = np.random.default_rng(0).standard_normal(disc.n_free)
                 s = _polish(disc, *sorted((side * l, side * h)), rtol, x0)

@@ -627,13 +627,6 @@ def test_template_eigenvalues_within_rtol_of_the_exact_reference(build, depth):
         assert abs(value - exact) <= rtol * exact
 
 
-def test_polished_values_within_rtol_of_newton():
-    # at depth 9 the array polish still runs on a pencil of the arrays alone
-    disc = iterate(NEUMANN, 9)
-    for got, polished in zip(eigenvalues(disc, 20), eigenvalues(from_arrays(disc), 20)):
-        assert abs(got - polished) <= 1e-10 * polished
-
-
 def port_by_port(c, inner, row, pivot, m, slope):
     """m junctions of a run swept one by one, with the lam-derivatives.
 
