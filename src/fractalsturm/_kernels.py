@@ -405,8 +405,10 @@ def _chain(template, cells, low, slopes=False):
     node c_in row' / pivot' is c_in.  Each run of equal ports is scaled
     once and adds its ports' interior counts times its length.  Its
     first two junctions are swept, and more while the last one swept
-    was clamped, so that _run starts from a pivot formed inside the run
-    that carries no clamp; _run counts the rest in closed form.
+    was a near-zero, so that _run starts from a pivot formed inside the
+    run and away from 0.  _run counts all but the last of the rest in
+    closed form, and the last is swept, so that the pivot the next port
+    reads comes from the recurrence (an exact zero there stays exact).
 
     With slopes, each class's record goes on with the log-derivative of
     its interior and c', rho_l' and rho_r' (from _level_slope); the
@@ -433,10 +435,11 @@ def _chain(template, cells, low, slopes=False):
         if c_in is None:  # the first port after a Dirichlet end: no node before it
             c_in, r_in, dc_in, dr_in, count = c2, r2, dc2, dr2, count - 1
         sigma, inner = r_in + l2, r2 + l2
-        dsigma, dinner = dr_in + dl2, dr2 + dl2
-        swept, clamped = 0, False
+        if slopes:
+            dsigma, dinner = dr_in + dl2, dr2 + dl2
+        swept = 0
         while swept < count:
-            if swept >= 2 and not clamped and count - swept > 1:
+            if swept >= 2 and count - swept > 1 and ratio >= _NEAR:
                 # all but the run's last junction in closed form
                 if not slopes:
                     n, z, ratio, row, pivot = _run(c2, inner, row, pivot, count - swept - 1)
@@ -458,16 +461,14 @@ def _chain(template, cells, low, slopes=False):
                 low = ratio
             if ratio < _NEAR:
                 near += 1
-                carried = _carry(pivot, max(_CLAMP * size, _TINY))
-                clamped, pivot = carried != pivot, carried
-            else:
-                clamped = False
+                pivot = _carry(pivot, max(_CLAMP * size, _TINY))
             neg += pivot < 0.0
             if slopes:
                 drow = dsigma + dthrough
                 dpivot = drow + dc2
                 total += dpivot / pivot
-            c_in, sigma, dc_in, dsigma = c2, inner, dc2, dinner
+                dc_in, dsigma = dc2, dinner
+            c_in, sigma = c2, inner
             swept += 1
         c_in, r_in, dc_in, dr_in = c2, r2, dc2, dr2
     if template.right is not None:  # the last node: c_out = 0, no pivot after it
