@@ -580,15 +580,16 @@ def test_counts_monotone_around_the_first_40_eigenvalues(k, depth):
     assert "a_diag" not in vars(disc)
 
 
-@pytest.mark.parametrize("build", [cantor, iterate])
-def test_depth_60_eigenvalues_equal_the_exact_reference(build, monkeypatch):
-    # 2^60 nodes: every value comes from the level template, Newton steps
+@pytest.mark.parametrize("build, depth", [(cantor, 60), (iterate, 60), (cantor, 15), (iterate, 14)])
+def test_eigenvalues_equal_the_exact_reference_to_1e_13(build, depth, monkeypatch):
+    # depth 60 (about 2^60 nodes), and 65,536 and 32,705 nodes at depths 15
+    # and 14: every value comes from the level template, Newton steps
     # included, and agrees with the 50-digit recursion to 1e-13
     def refuse(*args):
         raise AssertionError("segment walk started")
 
     monkeypatch.setattr(assembly, "_walk_segments", refuse)
-    disc = build(NEUMANN, 60)
+    disc = build(NEUMANN, depth)
     got = eigenvalues(disc, 20, rtol=1e-13)
     assert got[0] == 0.0 and len(set(got)) == 20
     for k, e in enumerate(got[1:], start=2):

@@ -253,8 +253,8 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize(
         "build",
-        [
-            counterexample_arrays,
+        [  # lambdas, so that the test ids stay <lambda>0 and <lambda>1
+            lambda: counterexample_arrays(),
             lambda: assemble(1.0, 0.0, CompositeMeasure.from_selfsim(cantor_ladder()), DIRICHLET, depth=6),
         ],
     )
