@@ -355,7 +355,7 @@ def _eigenvalues(
                 # converged: the step, or the error that quadratic convergence
                 # predicts for nxt from the last two steps, is well within rtol
                 if l < nxt < h and (step <= 0.5 * rtol * nxt or (
-                        step < 0.1 * last and step**3 <= 0.01 * rtol * nxt * last**2)):
+                        step < 0.1 * last and step * (step / last) ** 2 <= 0.01 * rtol * nxt)):
                     refined.add(ks[0])
                     s = nxt
             elif (not template and len(ks) == 1 and c_h - c_l == 1 and ks[0] not in refined

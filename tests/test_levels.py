@@ -3,8 +3,11 @@
 The reference is the tridiagonal kernel on the same pencil's arrays,
 built by the segment walk: a pencil made from those arrays alone
 (PencilDiscretization(...)) is swept by sturm_pivots_many.  The records
-themselves are pinned bit for bit to a recursion that evaluates one cell
-per call (_oracles.reference_level_inertia).
+themselves are pinned to a recursion that evaluates one cell per call
+and one junction per chain port (_oracles.reference_level_inertia): bit
+for bit where no run is counted in closed form, and otherwise with the
+50-digit recursion (_oracles.exact_negatives) deciding the counts near
+an eigenvalue, which also checks eigenvalues to 1e-13.
 """
 
 import itertools
