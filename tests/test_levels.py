@@ -685,3 +685,14 @@ def test_run_closed_form_equals_the_port_recurrence(log_c, sign, g, start, m, sl
     assert got[:5] == _kernels._run(c, inner, row, pivot, m)
     assert got[5] == pytest.approx(total, rel=1e-5, abs=1e-7 * m * (1 + abs(total)))
     assert got[7] == pytest.approx(dpivot, rel=1e-5, abs=1e-7 * (1 + abs(dpivot)))
+
+
+@pytest.mark.parametrize("inner", [-0.5, 0.0, 0.75])
+def test_run_with_a_decoupled_port(inner):
+    # c = 0: every junction inside the run has the pivot inner, which an
+    # exact zero carries as negative and near-zero
+    slope = (0.3, -0.2, 0.1, 0.4)
+    neg, near, ratio, row, pivot, total, _, dpivot = _kernels._run(0.0, inner, 1.0, 1.0, 7, slope)
+    assert (neg, near, row) == ((7, 7, 0.0) if inner == 0.0 else (7 * (inner < 0.0), 0, inner))
+    assert pivot == (inner or -_kernels._TINY) and ratio == (1.0 if inner else 0.0)
+    assert dpivot == -0.2 and total == 7 * -0.2 / pivot
