@@ -48,12 +48,12 @@ no Python call per class or port, evaluates each pivot in one fixed
 order (children left to right, levels bottom up, then the chain);
 that order keeps every record bit-identical to a per-cell one wherever
 no run is long enough for the closed form, a run of at most three
-ports.  In a longer run the closed form changes the rounding: its
-counts differ from a port-by-port sweep only within about 1e-13
-relative of an eigenvalue, its pivot ratio comes from the run's
-swept pivots and its last closed-form one, and a near-zero pivot
-inside the run is not flagged (its crossing is counted once either
-way).
+ports.  In a longer run the closed form changes the rounding: on the
+templates the tests check, its counts differ from a port-by-port sweep
+only within 1e-13 relative of an eigenvalue; its pivot ratio comes from
+the run's swept pivots and its last closed-form one, and a near-zero
+pivot inside the run is not flagged (its crossing is counted once
+either way).
 
 level_slopes_many(template, lams) is the same recursion carrying the
 lam-derivative of every template quantity by the quotient rule, for the
