@@ -255,7 +255,9 @@ class LevelTemplate(NamedTuple):
     """One table per level, from just above the leaves up to the chain
     level: per class its children left to right as (index of the child's
     class on the level below, 1 / t_i), index -1 for a massless letter,
-    a wire of conductance 1 / t_i."""
+    a wire of conductance 1 / t_i.  Levels with equal tables may share
+    one tuple (the Cantor pair's levels are all one), which the
+    recursion only reads."""
     chain: tuple[tuple[int, float, int], ...]
     """The chain level's cells and the wires between them, left to right,
     as runs of equal neighbouring ports: (index into the chain level's

@@ -665,8 +665,12 @@ def _classes(values: list[float]) -> tuple[list[int], list[float]]:
     A class opens at its smallest value, so no class spans more than
     1e-12 relative; rounding in the products of t_i m_i along different
     paths stays far below that.  Equal values share a class, so only the
-    distinct ones are sorted.
+    distinct ones are sorted, and when all of them are equal (every level
+    of the Cantor pair) there is nothing to sort: one class, opened at the
+    first value, which is the one the sort would keep.
     """
+    if values and values.count(values[0]) == len(values):
+        return [0] * len(values), values[:1]
     opened: dict[float, int] = {}
     classes: list[float] = []
     for v in sorted(set(values)):
@@ -709,26 +713,34 @@ def _pair_pencil(
     chain = tuple(_merged((next(slot) if m != 0.0 else -1, 1.0 / t, count) for t, m, count in runs))
     tables = []
     # per distinct factor tuple: a plateau letter with mass, the live
-    # letters' products, and each letter's port
+    # letters' products, each letter's port, and the level tables made
+    # so far by the class index of each child, one tuple for every level
+    # that repeats it
     letter_lists = {}
     for tf in factors[chain_level:]:
-        if tf not in letter_lists:
-            letter_lists[tf] = (
+        letters = letter_lists.get(tf)
+        if letters is None:
+            letters = letter_lists[tf] = (
                 [i for i in range(n) if tf[i] == 0.0 and dprime[i] != 0.0],
                 [(tf[i], dprime[i]) for i in range(n) if tf[i] != 0.0 and dprime[i] != 0.0],
                 [(dprime[i] != 0.0, 1.0 / tf[i]) for i in range(n) if tf[i] != 0.0],
+                {},
             )
-        flat, live, ports = letter_lists[tf]
+        flat, live, ports, shared = letters
         if classes and flat:
             raise UnsupportedConfigurationError(
                 f"cell letter {flat[0]}: dP mass sits on a plateau of R"
             )
         index, below = _classes([scale * f * d for scale in classes for f, d in live])
-        slot = iter(index)
-        tables.append(tuple(
-            tuple((next(slot) if massive else -1, inv) for massive, inv in ports)
-            for _ in classes
-        ))
+        key = tuple(index)
+        table = shared.get(key)
+        if table is None:
+            slot = iter(index)
+            table = shared[key] = tuple(
+                tuple((next(slot) if massive else -1, inv) for massive, inv in ports)
+                for _ in classes
+            )
+        tables.append(table)
         classes = below
     if bc.left is None and bc.right is None and (
         not classes or (chain_level == len(factors) and sum(run[2] for run in chain) == 1)
@@ -891,9 +903,18 @@ def positivity_scan(disc: PencilDiscretization, xi_grid) -> float | None:
     """First shift xi with A - xi B positive definite, else None.
 
     Positive definiteness is read off the LDL^T pivots: all positive
-    with relative magnitude above 1e-13.
+    with relative magnitude above 1e-13.  The candidate 0 is skipped on
+    a pencil whose level template has Neumann ends on both sides
+    (left == right == 0.0; the pair routes have q = 0), where A 1 = 0:
+    at lam = 0 every rho of such a template is +-0 exactly, so the last
+    pivot of its chain is +-0, which the kernel counts as negative with
+    ratio 0, and the sweep would reject 0 anyway.
     """
+    levels = disc._levels
+    zero_mode = levels is not None and levels.left == levels.right == 0.0
     for xi in xi_grid:
+        if zero_mode and xi == 0.0:
+            continue
         ((neg, _, min_rel),) = disc._sweeps([xi])
         if neg == 0 and min_rel > 1e-13:
             return float(xi)

@@ -38,6 +38,7 @@ from .measures import CompositeMeasure
 from .reduction import transform_measure
 from .selfsim import MonotonePrimitive, SelfSimilarParams, evaluate, validate_contraction
 from .spectral import (
+    _splitting_checks,
     asymptotics_report,
     counting_function,
     eigenvalues,
@@ -45,7 +46,6 @@ from .spectral import (
     geometric_asymptotics,
     ladder_counts,
     resolve_shift,
-    splitting_inequality,
     write_counting_csv,
 )
 
@@ -274,9 +274,7 @@ def cmd_counterexample(args) -> int:
     r = MonotonePrimitive.cantor()
     p = r.params
     lambdas = args.lam if args.lam else [510.0, 85.0, 0.0]
-    checks = [
-        splitting_inequality(r, p, args.k_iter, lam, args.depth) for lam in lambdas
-    ]
+    checks = _splitting_checks(r, p, args.k_iter, lambdas, args.depth)
     if args.json:
         text = json.dumps(
             [

@@ -762,7 +762,21 @@ def splitting_inequality(
     evaluates both sides of the claimed inequality on the same string;
     a false result at some lam refutes the general claim.
     """
-    if lam < 0.0:
+    return _splitting_checks(r_base, p, k, [lam], depth, reference_shift)[0]
+
+
+def _splitting_checks(
+    r_base: MonotonePrimitive,
+    p: SelfSimilarParams,
+    k: int,
+    lams,
+    depth: int,
+    reference_shift: float | None = None,
+) -> list[SplittingCheck]:
+    """splitting_inequality at each lam, on one pencil: one assembly, one shift
+    and one counting_function call for every lam and every d_i d'_i lam."""
+    lams = [float(lam) for lam in lams]
+    if any(lam < 0.0 for lam in lams):
         raise InvalidParametersError("lam must be nonnegative")
     if any(dp < 0.0 for dp in p.dprime):
         raise InvalidParametersError("the splitting check needs a nondecreasing P")
@@ -772,9 +786,11 @@ def splitting_inequality(
         d = list(rp.a)
     else:
         d = [a if dp != 0.0 else 0.0 for a, dp in zip(rp.a, rp.dprime)]
-    args = [lam] + [d[i] * p.dprime[i] * lam for i in range(p.n)]
-    lhs, *terms = (r.n_plus for r in counting_function(disc, args, reference_shift))
-    return SplittingCheck(float(lam), lhs, tuple(terms))
+    args = [x for lam in lams for x in [lam] + [d[i] * p.dprime[i] * lam for i in range(p.n)]]
+    counts = (r.n_plus for r in counting_function(disc, args, reference_shift))
+    # each lam's counts: N(lam), then its p.n terms
+    rows = zip(*[counts] * (p.n + 1))
+    return [SplittingCheck(lam, lhs, tuple(terms)) for lam, (lhs, *terms) in zip(lams, rows)]
 
 
 def write_counting_csv(fileobj, results, dimension: float) -> None:

@@ -8,15 +8,18 @@ against brute-force quadrature.  `cdf` reads a measure's distribution
 function off its parts, for comparing measures.  The cell walks, the
 general accumulator, the pair-route stamping, the merge rules of the
 mesh and atom lists and the scale classes of the pair routes are the
-one-call-per-item loops that the library code must reproduce, and
-`reference_level_inertia` is the level recursion with one call per
-cell and one junction per chain port, whose records the kernel must
-give bit for bit wherever it counts no run of equal ports in closed
-form.  `exact_negatives` is that recursion in 50-digit decimal, the
-exact reference for counts and eigenvalues of template pencils, whose
-float recursions differ from each other only in rounding.
+one-call-per-item loops that the library code must reproduce;
+`reference_template` builds a pair-route template level by level, each
+table its own, and `scan_every_candidate` finds its shift without
+skipping any candidate; `reference_level_inertia` is the level recursion
+with one call per cell and one junction per chain port, whose records
+the kernel must give bit for bit wherever it counts no run of equal
+ports in closed form.  `exact_negatives` is that recursion in 50-digit
+decimal, the exact reference for counts and eigenvalues of template
+pencils, whose float recursions differ from each other only in rounding.
 """
 
+import itertools
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -413,6 +416,56 @@ def reference_from_segments(segments, quad, r_mass, bc, mass_scale=1.0):
             b_diag[j + 1] += w * quad[2]
             b_off[j] += w * quad[1]
     return _finalize(nodes, a_diag, a_off, b_diag, b_off, bc)
+
+
+def reference_template(p, factors, chain_level, quad, r_mass, bc, p_scale=1.0):
+    """Level-by-level reference for the `_kernels.LevelTemplate` of
+    `assembly._pair_pencil`: the chain from the depth-first rows down to
+    chain_level, grouped port by port; below it each level's classes from
+    `classes_loop` and a table of its own, new tuples, shared with no
+    other level."""
+    from fractalsturm._kernels import LevelTemplate
+
+    rows = walk_segments(p, chain_level, lambda level, i: factors[level - 1][i])
+    index, classes = classes_loop([t * m for t, m in rows if m != 0.0])
+    slot = iter(index)
+    ports = [(next(slot) if m != 0.0 else -1, 1.0 / t) for t, m in rows]
+    chain = tuple((*port, len(list(run))) for port, run in itertools.groupby(ports))
+    tables = []
+    for tf in factors[chain_level:]:
+        letters = [i for i in range(p.n) if tf[i] != 0.0]
+        index, below = classes_loop(
+            [scale * tf[i] * p.dprime[i] for scale in classes for i in letters if p.dprime[i] != 0.0]
+        )
+        slot = iter(index)
+        tables.append(tuple(
+            tuple((next(slot) if p.dprime[i] != 0.0 else -1, 1.0 / tf[i]) for i in letters)
+            for _ in classes
+        ))
+        classes = below
+    return LevelTemplate(
+        s_unit=r_mass * p_scale,
+        quad=tuple(float(x) for x in quad),
+        leaves=tuple(classes),
+        levels=tuple(reversed(tables)),
+        chain=chain,
+        left=None if bc.left is None else bc.left * r_mass,
+        right=None if bc.right is None else bc.right * r_mass,
+    )
+
+
+def scan_every_candidate(template):
+    """Reference for `assembly.positivity_scan` on a template pencil: the
+    first shift of the default grid at which the kernel finds no negative
+    pivot and a pivot ratio above 1e-13, every candidate swept, 0 included."""
+    from fractalsturm import _kernels
+    from fractalsturm.assembly import default_shift_grid
+
+    for xi in default_shift_grid().tolist():
+        ((neg, _, ratio),) = _kernels.level_pivots_many(template, np.array([xi]))
+        if neg == 0 and ratio > 1e-13:
+            return xi
+    return None
 
 
 def classes_loop(values):

@@ -16,6 +16,7 @@ from fractalsturm import (
     assembly,
     cli,
     identity_params,
+    spectral,
 )
 from fractalsturm.cli import main
 
@@ -400,6 +401,41 @@ class TestCounterexample:
         assert rows[0]["lhs"] == 8
         assert rows[0]["rhs_terms"] == [3, 1, 3]
         assert rows[0]["holds"] is False
+
+    def test_every_lambda_on_one_pencil(self, capsys, monkeypatch):
+        # the k-iterate is assembled once for all three lambdas, and the
+        # output is what one pencil per lambda printed
+        built = []
+        assemble = spectral.assemble_iterated_pair
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "assemble_iterated_pair", spy)
+        argv = ["counterexample", "--lambda", "510", "--lambda", "85", "--lambda", "0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "lambda,lhs,rhs_terms,rhs,holds\n"
+            "510,8,3 1 3,7,False\n"
+            "85,3,2 1 2,5,True\n"
+            "0,1,1 1 1,3,True\n"
+            "counting does not split: N(510) = 8 > 7 = 3 + 1 + 3\n"
+        )
+        assert len(built) == 1
+        assert main([*argv, "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            [
+                {"lambda": 510.0, "lhs": 8, "rhs_terms": [3, 1, 3], "rhs": 7, "holds": False},
+                {"lambda": 85.0, "lhs": 3, "rhs_terms": [2, 1, 2], "rhs": 5, "holds": True},
+                {"lambda": 0.0, "lhs": 1, "rhs_terms": [1, 1, 1], "rhs": 3, "holds": True},
+            ],
+            indent=2,
+        ) + "\n"
+        assert len(built) == 2
+
+    def test_negative_lambda_exit_2(self, capsys):
+        assert main(["counterexample", "--lambda", "510", "--lambda", "-1"]) == 2
 
     def test_identity_base_inequality_holds(self, capsys):
         rc = main(["counterexample", "--k-iter", "0"])

@@ -10,12 +10,11 @@ for bit where no run is counted in closed form, and otherwise with the
 an eigenvalue, which also checks eigenvalues to 1e-13.
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fractalsturm import (
@@ -45,6 +44,8 @@ from _oracles import (
     exact_negatives,
     reference_from_segments,
     reference_level_inertia,
+    reference_template,
+    scan_every_candidate,
     walk_segments,
 )
 
@@ -103,6 +104,33 @@ def iterate10(bc, depth, **scales):
 
 def paired(bc, depth, **scales):
     return assemble_iterated_pair(MonotonePrimitive.identity(4), 2, PAIRED, bc, depth, **scales)
+
+
+# d' = (0.3, 0.7) on halves: level L has the L + 1 classes 0.15^j 0.35^(L - j),
+# so the class count grows per level and no two levels share a table
+HALVES = SelfSimilarParams(a=(0.5, 0.5), dprime=(0.3, 0.7), betaprime=(0.0, 0.3))
+# (R, P, k) of each pencil built here; k None for assemble_selfsimilar_pair
+PROBLEMS = {
+    "cantor": (IDENTITY, CANTOR, None),
+    "iterate": (CANTOR_R, CANTOR, 6),
+    "iterate0": (CANTOR_R, CANTOR, 0),
+    "iterate10": (CANTOR_R, CANTOR, 10),
+    "uneven": (IDENTITY, UNEVEN, None),
+    "paired": (MonotonePrimitive.identity(4), PAIRED, 2),
+    "halves": (MonotonePrimitive.identity(2), HALVES, None),
+}
+
+
+def pair_route(r, p, k, bc, depth, **scales):
+    """The pencil of the pair route for k (None: self-similar), with the
+    letter factors of its levels, its chain level and its hat products."""
+    if k is None:
+        disc = assemble_selfsimilar_pair(r, p, bc, depth, **scales)
+        factors, chain_level, mu = (r.params.dprime,) * depth, 0, pair_moments(r, p, 2)
+    else:
+        disc = assemble_iterated_pair(r, k, p, bc, depth, **scales)
+        factors, chain_level, mu = (r.params.dprime,) * k + (r.params.a,) * (depth - k), k, moments(p, 2)
+    return disc, factors, chain_level, np.array([mu[0] - 2 * mu[1] + mu[2], mu[1] - mu[2], mu[2]])
 
 
 @pytest.mark.parametrize(
@@ -164,26 +192,18 @@ def test_counts_equal_kernel_sweep_on_random_pairs(problem, depth, data, bc):
     st.sampled_from([NEUMANN, DIRICHLET, BoundaryCondition(0.7, None), BoundaryCondition(-0.5, 2.5)]),
 )
 def test_chain_and_arrays_equal_depth_first_walk(problem, depth, data, bc):
-    # the chain is the depth-first rows down to the chain level, classed by
-    # the sorted loop and grouped port by port; the arrays, walked on from
-    # the chain's runs, are the rows of the whole walk stamped one by one
+    # the template is the one built level by level (its chain the depth-first
+    # rows down to the chain level, classed by the sorted loop and grouped
+    # port by port; no table shared); the arrays, walked on from the chain's
+    # runs, are the rows of the whole walk stamped one by one
     r, p = problem
     k = data.draw(st.none() | st.integers(0, depth))
-    if k is None:
-        disc = assemble_selfsimilar_pair(r, p, bc, depth, r_mass=1.3, p_scale=0.7)
-        factors, chain_level, mu = (r.params.dprime,) * depth, 0, pair_moments(r, p, 2)
-    else:
-        disc = assemble_iterated_pair(r, k, p, bc, depth, r_mass=1.3, p_scale=0.7)
-        factors, chain_level, mu = (r.params.dprime,) * k + (r.params.a,) * (depth - k), k, moments(p, 2)
+    disc, factors, chain_level, quad = pair_route(r, p, k, bc, depth, r_mass=1.3, p_scale=0.7)
 
     def t_factor(level, i):
         return factors[level - 1][i]
 
-    rows = walk_segments(p, chain_level, t_factor)
-    slot = iter(classes_loop([t * m for t, m in rows if m != 0.0])[0])
-    ports = [(next(slot) if m != 0.0 else -1, 1.0 / t) for t, m in rows]
-    assert disc._levels.chain == tuple((*port, len(list(run))) for port, run in itertools.groupby(ports))
-    quad = np.array([mu[0] - 2 * mu[1] + mu[2], mu[1] - mu[2], mu[2]])
+    assert disc._levels == reference_template(p, factors, chain_level, quad, 1.3, bc, 0.7)
     want = reference_from_segments(walk_segments(p, depth, t_factor), quad, 1.3, bc, 0.7)
     for name in ("nodes", "a_diag", "a_off", "b_diag", "b_off"):
         assert np.array_equal(getattr(disc, name), getattr(want, name)), name
@@ -200,6 +220,11 @@ def scale_lists(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(scale_lists())
+# one class, the first value kept: all equal, zeros of both signs
+@example([2.5, 2.5, 2.5])
+@example([0.0, -0.0])
+@example([-0.0, 0.0, 0.0])
+@example([])
 def test_classes_equal_sorted_loop(values):
     index, classes = assembly._classes(values)
     want_index, want_classes = classes_loop(values)
@@ -696,3 +721,50 @@ def test_run_with_a_decoupled_port(inner):
     assert (neg, near, row) == ((7, 7, 0.0) if inner == 0.0 else (7 * (inner < 0.0), 0, inner))
     assert pivot == (inner or -_kernels._TINY) and ratio == (1.0 if inner else 0.0)
     assert dpivot == -0.2 and total == 7 * -0.2 / pivot
+
+
+@pytest.mark.parametrize(
+    "name, depth",
+    [("cantor", 15), ("cantor", 60), ("iterate", 9), ("iterate", 24), ("iterate0", 9),
+     ("iterate10", 12), ("uneven", 12), ("paired", 7), ("halves", 10)],
+)
+@pytest.mark.parametrize(
+    "bc", [NEUMANN, DIRICHLET, BoundaryCondition(0.7, 2.5), BoundaryCondition(None, 1.5)],
+    ids=["neumann", "dirichlet", "robin", "mixed"],
+)
+def test_shared_tables_equal_a_level_by_level_build(name, depth, bc):
+    r, p, k = PROBLEMS[name]
+    disc, factors, chain_level, quad = pair_route(r, p, k, bc, depth, r_mass=1.3, p_scale=0.7)
+    got, want = disc._levels, reference_template(p, factors, chain_level, quad, 1.3, bc, 0.7)
+    assert got == want
+    lams = np.concatenate((RECORD_LAMS, [got.zero_band, -got.zero_band]))
+    # bit for bit, signed zeros included
+    assert repr(_kernels.level_pivots_many(got, lams)) == repr(_kernels.level_pivots_many(want, lams))
+
+
+def test_repeating_levels_share_one_table():
+    levels = cantor(NEUMANN, 15)._levels.levels
+    assert len(levels) == 15 and all(table is levels[0] for table in levels)
+    levels = iterate(NEUMANN, 9)._levels.levels
+    assert len(levels) == 3 and all(table is levels[0] for table in levels)
+    # a table per class count
+    levels = pair_route(*PROBLEMS["halves"], NEUMANN, 10)[0]._levels.levels
+    assert [len(table) for table in levels] == list(range(10, 0, -1))
+    assert len({id(table) for table in levels}) == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair_problems(signed=True),
+    st.integers(1, 7),
+    st.data(),
+    st.sampled_from([NEUMANN, BoundaryCondition(0.0, -0.0)]),
+)
+def test_neumann_pairs_reject_the_zero_shift_the_scan_skips(problem, depth, data, bc):
+    # at lam = 0 every rho of the template is +-0, so the last pivot is +-0:
+    # counted as negative with ratio 0, a shift check that fails
+    r, p = problem
+    disc = pair_route(r, p, data.draw(st.none() | st.integers(0, depth)), bc, depth, r_mass=1.3, p_scale=0.7)[0]
+    ((neg, _, ratio),) = _kernels.level_pivots_many(disc._levels, np.array([0.0]))
+    assert neg >= 1 and ratio == 0.0
+    assert assembly.positivity_scan(disc, assembly.default_shift_grid()) == scan_every_candidate(disc._levels)

@@ -27,6 +27,7 @@ from fractalsturm import (
     asymptotics_report,
     assemble,
     assemble_iterated_pair,
+    assemble_selfsimilar_pair,
     cantor_ladder,
     count,
     counting_function,
@@ -44,7 +45,7 @@ from fractalsturm import (
 from fractalsturm import _kernels, assembly, spectral
 from fractalsturm.spectral import resolve_shift, zero_tolerance
 
-from _oracles import arpack_eigenvalues, dense_count, pencil_eigenvalues
+from _oracles import arpack_eigenvalues, dense_count, pencil_eigenvalues, scan_every_candidate
 
 DIRICHLET = BoundaryCondition(None, None)
 NEUMANN = BoundaryCondition(0.0, 0.0)
@@ -546,6 +547,14 @@ class TestSplittingInequality:
         with pytest.raises(InvalidParametersError):
             splitting_inequality(MonotonePrimitive.cantor(), cantor_ladder(), 0, -5.0, depth=6)
 
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_checks_on_one_pencil_equal_one_pencil_per_lambda(self, k):
+        r, cl = MonotonePrimitive.cantor(), cantor_ladder()
+        lams = [510.0, 85.0, 0.0, 85.0 / 6.0]
+        assert spectral._splitting_checks(r, cl, k, lams, 9) == [
+            splitting_inequality(r, cl, k, lam, 9) for lam in lams
+        ]
+
 
 class TestNonFiniteLambda:
     """A NaN or infinite spectral parameter raises before any kernel runs."""
@@ -642,6 +651,49 @@ class TestShiftResolution:
         zt2 = zero_tolerance(PencilDiscretization(disc.nodes, *arrays, disc.free_start))
         assert zt1 > 0
         assert zt2 == pytest.approx(zt1, rel=1e-9)
+
+
+class TestZeroProbe:
+    """positivity_scan skips the shift 0 on a pair pencil with Neumann ends, which A 1 = 0 fails."""
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        lams = []
+        spy_entries(monkeypatch, lams.extend)
+        return lams
+
+    @pytest.fixture(params=["cantor", "iterate"])
+    def build(self, request):
+        if request.param == "cantor":
+            return lambda bc: assemble_selfsimilar_pair(MonotonePrimitive.identity(3), cantor_ladder(), bc, 15)
+        return lambda bc: assemble_iterated_pair(MonotonePrimitive.cantor(), 6, cantor_ladder(), bc, 9)
+
+    def test_neumann_pair_pencil_sweeps_no_zero(self, build, swept):
+        disc = build(NEUMANN)
+        swept.clear()
+        assert resolve_shift(disc) == -1e-6
+        # -1e-6 is still validated by its own sweep
+        assert swept == [-1e-6]
+        assert scan_every_candidate(disc._levels) == -1e-6
+
+    @pytest.mark.parametrize(
+        "bc, xi",
+        [(DIRICHLET, 0.0), (BoundaryCondition(0.7, 2.5), 0.0), (BoundaryCondition(None, 0.0), 0.0),
+         (BoundaryCondition(-3.0, 0.0), -10.0)],
+        ids=["dirichlet", "robin", "mixed", "negative-robin"],
+    )
+    def test_other_ends_probe_zero_first(self, build, swept, bc, xi):
+        disc = build(bc)
+        swept.clear()
+        assert resolve_shift(disc) == xi == scan_every_candidate(disc._levels)
+        assert swept[0] == 0.0
+
+    def test_general_route_probes_zero_first(self, swept):
+        # an arrays pencil with Neumann ends is swept at 0 as before
+        disc = assemble(1.0, 0.0, CompositeMeasure.from_selfsim(cantor_ladder()), NEUMANN, depth=6)
+        swept.clear()
+        resolve_shift(disc)
+        assert swept[0] == 0.0
 
 
 def spy_entries(monkeypatch, record):
