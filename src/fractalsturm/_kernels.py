@@ -615,7 +615,9 @@ def _run(c, inner, row, pivot, m, slope=None):
     if slope is None:
         return record
     dc, dinner, drow, dpivot = slope
-    dg = -(dinner * c - inner * dc) / (4.0 * c * c)
+    # 4c^2 underflows once |c| < 1e-154: divide by c first there
+    cc = 4.0 * c * c
+    dg = -(dinner * c - inner * dc) / cc if cc >= _TINY else -(dinner - inner * (dc / c)) / (4.0 * c)
     dx_half = drow - 0.5 * dinner
     if 0.0 < g < 1.0:
         sin_t, cos_t = 2.0 * sg * cg, sign * (cg * cg - sg * sg)

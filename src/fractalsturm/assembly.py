@@ -20,9 +20,8 @@ Every cell of one level of such a pencil is a scaled copy of one
 template, so these two routes build per-level letter tables (a
 _kernels.LevelTemplate) in O(depth), and count and find eigenvalues
 from them.  The cells above the tables come from a walk over runs of
-equal cells in plain floats; the 2^depth arrays come from the numpy
-segment walk of the levels below those cells only when a caller reads
-them explicitly.
+equal cells in plain floats; the 2^depth arrays come from the same walk
+over every level, only when a caller reads them explicitly.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -59,8 +58,8 @@ _TOL = 1e-12
 # A pencil remembers at most this many swept spectral parameters; a full
 # memo is cleared and refills from the next sweeps.
 _MEMO_SIZE = 4096
-# A pair-route pencil builds its arrays only if its segment walk has at
-# most this many rows (2^25 - 1 at depth 24 of the Cantor pair).
+# A pair-route pencil builds its arrays only if its walk has at most this
+# many rows (2^25 - 1 at depth 24 of the Cantor pair).
 _MAX_NODES = 2**25
 # Mesh candidates within this distance of the first of their cluster merge.
 _MESH_MERGE = 1e-13
@@ -118,7 +117,7 @@ def boundary_data(u_matrix) -> BoundaryCondition:
     return BoundaryCondition(side(u[0, 0]), side(u[1, 1]))
 
 
-# The arrays of a pencil; a pair-route pencil's segment walk builds them on first read.
+# The arrays of a pencil; a pair-route pencil builds them on first read.
 _ARRAYS = ("nodes", "a_diag", "a_off", "b_diag", "b_off")
 
 
@@ -142,11 +141,11 @@ class PencilDiscretization:
     also holds its level template, and every count, shift check and
     eigenvalue search on it runs from that: the kernel counts it there,
     and _slopes gives the Newton steps of its eigenvalue searches, so no
-    search reads its arrays.  Its arrays come from the segment walk only
-    when a caller reads them explicitly (the fields below, n_free, or
-    resolvent_sandwich), through this constructor and its finiteness
-    check; over the node cap that read raises
-    UnsupportedConfigurationError.
+    search reads its arrays.  Its arrays come from _pair_arrays, the run
+    walk over every level, only when a caller reads them explicitly (the
+    fields below, n_free, or resolvent_sandwich), through this
+    constructor and its finiteness check; over the node cap that read
+    raises UnsupportedConfigurationError before the walk.
     """
 
     nodes: np.ndarray
@@ -554,16 +553,19 @@ def _merged(runs):
 
 
 def _walk_runs(p: SelfSimilarParams, factors) -> list[tuple[float, float, int]]:
-    """The rows _walk_segments makes from the root over `factors`, as runs of equal neighbours.
+    """Leaves of the cell tree from the root over `factors`, as runs of equal neighbours.
 
-    Each run is (t_length, mass_weight, count), left to right, in Python
-    floats with the products the numpy walk forms, so the rows it stands
-    for are that walk's rows bit for bit.  A run of cells with mass gives
-    way to its letters' children: one run of count x letters when the
-    children are all equal (the Cantor iterate's 2^k chain cells are one
-    run), else the children count times over; a massless run stays.
-    Raises what _walk_segments raises, at the same level, and first for
-    atoms of dP at cell junctions, which no pair route takes.
+    factors holds one tuple per level, top level first: entry i is the
+    horizontal shrink of letter i at that level.  Each run is (t_length,
+    mass_weight, count), left to right, in Python floats.  Level by level
+    a cell with mass gives way to its children in letter order, one per
+    letter with nonzero shrink, whose t_length and mass_weight are the
+    products a depth-first walk from the root forms; a massless cell
+    stays, one resistor segment (its mass may be -0.0).  Equal children
+    of a run make one run of count x letters (the Cantor iterate's 2^k
+    chain cells are one run).  Raises UnsupportedConfigurationError for
+    atoms of dP at cell junctions, which no pair route takes, and for dP
+    mass under a letter with zero shrink (an atom on the image axis).
     """
     if any(abs(g) > _TOL for g in junction_gaps(p)):
         raise UnsupportedConfigurationError(
@@ -588,42 +590,6 @@ def _walk_runs(p: SelfSimilarParams, factors) -> list[tuple[float, float, int]]:
                 cells += kids * count
         runs = list(_merged(cells))
     return runs
-
-
-def _walk_segments(p: SelfSimilarParams, factors, tprod: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Leaves of the cell tree below the given cells as (t_length, mass_weight) rows, left to right.
-
-    tprod and mass hold the cells the walk starts from, left to right
-    (the root is one cell of ones), and factors one tuple per level
-    below them, top level first: entry i is the horizontal shrink of
-    letter i at that level.  Letters with zero shrink must carry no dP
-    mass (otherwise an atom would appear on the image axis); massless
-    subtrees with positive shrink collapse to single resistor segments.
-    The tree is expanded one level at a time: each cell with mass is
-    replaced, in place, by its children in letter order, so the rows
-    keep the depth-first order, and each t_length is the product a
-    depth-first walk forms.
-    """
-    dprime = np.asarray(p.dprime)
-    for tf in factors:
-        tf = np.array(tf)
-        for i in np.flatnonzero((tf == 0.0) & (dprime != 0.0)):
-            if np.any(mass * dprime[i] != 0.0):
-                raise UnsupportedConfigurationError(f"cell letter {i}: dP mass sits on a plateau of R")
-        # each cell's children in its row, one _columns column per letter
-        # with shrink; a massless leaf stays, alone in its row
-        letters = np.flatnonzero(tf != 0.0)
-        new_t = _columns(tprod, tf[letters])
-        new_m = _columns(mass, dprime[letters])
-        leaf = mass == 0.0
-        if leaf.any():
-            new_t[leaf, 0] = tprod[leaf]
-            keep = np.ones(new_t.shape, dtype=bool)
-            keep[leaf, 1:] = False
-            new_t, new_m = new_t[keep], new_m[keep]
-        tprod, mass = new_t.ravel(), new_m.ravel()
-    mass[mass == 0.0] = 0.0  # no signed zeros
-    return np.stack((tprod, mass), axis=1)
 
 
 def _assemble_from_segments(
@@ -691,7 +657,7 @@ def _pair_pencil(
 ) -> PencilDiscretization:
     """A pair-route pencil counted by its level template, arrays built on first read.
 
-    factors holds the letter shrinks of each level, as _walk_segments
+    factors holds the letter shrinks of each level, as _walk_runs
     reads them.  The ports of the template's chain are the cells of
     chain_level, the deepest level whose factors still depend on the
     level, and the massless segments above them: _walk_runs gives them
@@ -699,11 +665,7 @@ def _pair_pencil(
     mass on a plateau of R there, and neighbouring equal ports merge
     into one run of the chain.  Below it the letter tables give each
     level's classes and raise for mass on a plateau as the walk does.
-    The arrays are those of _assemble_from_segments over the full walk,
-    bit for bit: _walk_segments walks only the levels below the chain,
-    from its runs.  Reading them raises UnsupportedConfigurationError,
-    before the walk allocates anything, when the walk would have more
-    than _MAX_NODES rows.
+    Its arrays come from _pair_arrays on first read.
     """
     n = p.n
     dprime = p.dprime
@@ -756,28 +718,37 @@ def _pair_pencil(
         left=None if bc.left is None else bc.left * r_mass,
         right=None if bc.right is None else bc.right * r_mass,
     )
+    return PencilDiscretization._from_template(
+        levels, 0 if bc.left is not None else 1, partial(_pair_arrays, p, factors, quad, r_mass, bc, p_scale)
+    )
 
-    def build() -> PencilDiscretization:
-        # the walk's rows, level by level from the chain's: each live
-        # cell gives way to its letters, a massless leaf stays
-        lengths, masses, counts = zip(*runs)
-        rows = sum(counts)
-        live = sum(c for c, m in zip(counts, masses) if m != 0.0)
-        for tf in factors[chain_level:]:
-            rows += live * (sum(t != 0.0 for t in tf) - 1)
-            live *= sum(t != 0.0 and d != 0.0 for t, d in zip(tf, dprime))
-        if rows > _MAX_NODES:
-            raise UnsupportedConfigurationError(
-                f"depth {len(factors)}: the segment walk for the pencil's arrays would make {rows} "
-                f"rows, over the cap of {_MAX_NODES}; counts and eigenvalues need no arrays"
-            )
-        counts = np.array(counts)
-        segments = _walk_segments(
-            p, factors[chain_level:], np.repeat(lengths, counts), np.repeat(masses, counts)
+
+def _pair_arrays(
+    p: SelfSimilarParams, factors: tuple, quad: np.ndarray, r_mass: float, bc: BoundaryCondition, p_scale: float
+) -> PencilDiscretization:
+    """The arrays of a _pair_pencil: _assemble_from_segments over the rows of _walk_runs.
+
+    Before the walk the rows are counted from the root (a live cell gives
+    way to its letters with shrink and stays live under those with d' !=
+    0; an upper bound where a mass underflows to 0), and more than
+    _MAX_NODES raise UnsupportedConfigurationError.  The runs expand to
+    rows by np.repeat, a -0.0 mass becoming +0.0, so that no massless row
+    stamps a signed zero.
+    """
+    rows = live = 1
+    for tf in factors:
+        rows += live * (sum(t != 0.0 for t in tf) - 1)
+        live *= sum(t != 0.0 and d != 0.0 for t, d in zip(tf, p.dprime))
+    if rows > _MAX_NODES:
+        raise UnsupportedConfigurationError(
+            f"depth {len(factors)}: the walk for the pencil's arrays would make {rows} "
+            f"rows, over the cap of {_MAX_NODES}; counts and eigenvalues need no arrays"
         )
-        return _assemble_from_segments(segments, quad, r_mass, bc, p_scale)
-
-    return PencilDiscretization._from_template(levels, 0 if bc.left is not None else 1, build)
+    lengths, masses, counts = zip(*_walk_runs(p, factors))
+    mass = np.repeat(masses, counts)
+    mass[mass == 0.0] = 0.0  # no signed zeros
+    segments = np.stack((np.repeat(lengths, counts), mass), axis=1)
+    return _assemble_from_segments(segments, quad, r_mass, bc, p_scale)
 
 
 def assemble_selfsimilar_pair(

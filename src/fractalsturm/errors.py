@@ -46,7 +46,7 @@ class UnsupportedConfigurationError(FractalSturmError):
     Examples: coupled (non separated) boundary conditions, mass sitting
     on a plateau of the substitution primitive, nonzero potential in the
     direct two-function assembly, the arrays of a pair-route pencil whose
-    segment walk would exceed the node cap (assembly._MAX_NODES rows).
+    walk would exceed the node cap (assembly._MAX_NODES rows).
     """
 
     exit_code = 3

@@ -322,8 +322,8 @@ def _moments(p: SelfSimilarParams, scales, shifts, order: int) -> np.ndarray:
     normalization factor 1 - sum d'_i scales_i^k within 1e-12 of zero
     raises DegenerateMomentsError naming the order.
     """
-    m = np.empty(order + 1)
-    m[0] = p.p1 - p.p0
+    gaps = junction_gaps(p)
+    m = [p.p1 - p.p0]
     for k in range(1, order + 1):
         denom = 1.0 - sum(dp * s**k for dp, s in zip(p.dprime, scales))
         if abs(denom) <= 1e-12:
@@ -336,10 +336,10 @@ def _moments(p: SelfSimilarParams, scales, shifts, order: int) -> np.ndarray:
             rhs += p.dprime[i] * inner
         # junction atoms are not images of any copy; f maps the one
         # between copies i and i + 1 to shifts[i + 1]
-        for i, gap in enumerate(junction_gaps(p)):
+        for i, gap in enumerate(gaps):
             rhs += gap * shifts[i + 1] ** k
-        m[k] = rhs / denom
-    return m
+        m.append(rhs / denom)
+    return np.array(m)
 
 
 def moments(params: SelfSimilarParams, order: int) -> np.ndarray:
@@ -389,8 +389,8 @@ def _children(params: SelfSimilarParams, left, width, weight, offset) -> np.ndar
     is the float expression a depth-first walk evaluates, so the results
     are bit-identical to it.
     """
-    # layout rule of every tree expansion (here, in jump_atoms, and in
-    # the stamping and the segment walk of assembly): no (n, k <= 3)
+    # layout rule of every numpy tree expansion (here, in jump_atoms, and
+    # in the stamping of assembly): no (n, k <= 3)
     # broadcasts, one _columns column per letter instead; and only 1-D
     # indices for np.add.at, the one form numpy runs on its fast path
     live = [i for i, d in enumerate(params.dprime) if d != 0.0]

@@ -362,7 +362,7 @@ def reference_assemble(r_mass, q, p, bc, depth):
 
 
 def walk_segments(p, depth, t_factor):
-    """Depth-first reference for `assembly._walk_segments`: (t_length, mass) leaves."""
+    """Depth-first reference for the rows of `assembly._walk_runs`: (t_length, mass) leaves."""
     from fractalsturm.errors import UnsupportedConfigurationError
 
     segments = []

@@ -32,7 +32,7 @@ from fractalsturm import (
     positivity_scan,
     resolvent_sandwich,
 )
-from fractalsturm.assembly import _Accumulator, _assemble_from_segments, _locate, _walk_runs, _walk_segments
+from fractalsturm.assembly import _Accumulator, _assemble_from_segments, _locate, _pair_arrays, _walk_runs
 from fractalsturm.selfsim import junction_gaps
 
 from _oracles import RecursiveAccumulator, reference_assemble, reference_from_segments, walk_segments
@@ -43,6 +43,9 @@ TWO_ATOMS = CompositeMeasure.from_atoms([(0.4, 1.0), (0.6, 1.0)])
 PENCIL_FIELDS = ("nodes", "a_diag", "a_off", "b_diag", "b_off")
 JUMPY = SelfSimilarParams(a=(0.3, 0.3, 0.4), dprime=(0.3, 0.0, 0.4), betaprime=(0.0, 0.45, 0.6))
 DEAD_ENDS = SelfSimilarParams(a=(0.25,) * 4, dprime=(0.0, 0.5, 0.5, 0.0), betaprime=(0.0, 0.0, 0.5, 1.0))
+# a signed P: the massless middle letter under a cell of negative mass
+# gives that row a mass of -0.0
+SIGNED = SelfSimilarParams(a=(1 / 3,) * 3, dprime=(1.2, 0.0, -0.2), betaprime=(0.0, 1.2, 1.2))
 
 
 @st.composite
@@ -351,7 +354,7 @@ class TestPairRoutes:
         identity = MonotonePrimitive.identity(3)
         m = pair_moments(identity, cantor, 2)
         quad = np.array([m[0] - 2 * m[1] + m[2], m[1] - m[2], m[2]])
-        segs = _walk_segments(cantor, (identity.params.dprime,) * 15, np.ones(1), np.ones(1))
+        segs = walk_segments(cantor, 15, lambda level, i: identity.params.dprime[i])
         got = assemble_selfsimilar_pair(identity, cantor, NEUMANN, 15)
         want = reference_from_segments(segs, quad, 1.0, NEUMANN)
         # the pair routes build their arrays on first read
@@ -363,7 +366,7 @@ class TestPairRoutes:
         r = MonotonePrimitive.cantor()
         mu = moments(cantor, 2)
         quad = np.array([mu[0] - 2 * mu[1] + mu[2], mu[1] - mu[2], mu[2]])
-        segs = _walk_segments(cantor, (r.params.dprime,) * 6 + (r.params.a,) * 3, np.ones(1), np.ones(1))
+        segs = walk_segments(cantor, 9, lambda level, i: (r.params.dprime if level <= 6 else r.params.a)[i])
         got = assemble_iterated_pair(r, 6, cantor, NEUMANN, 9)
         want = reference_from_segments(segs, quad, 1.0, NEUMANN)
         assert not any(field in vars(got) for field in PENCIL_FIELDS)
@@ -379,6 +382,8 @@ class TestPairRoutes:
     )
     # dead end letters: runs of massless segments as long as the depth
     @example(p=DEAD_ENDS, depth=6, flat=set(), shrink=[0.25] * 4)
+    # 63 rows of mass -0.0
+    @example(p=SIGNED, depth=7, flat=set(), shrink=[0.25] * 4)
     def test_level_walk_matches_depth_first_walk(self, p, depth, flat, shrink):
         # a zero shrink under a letter with mass must raise the same error
         assume(max(abs(g) for g in junction_gaps(p)) <= 1e-12)
@@ -391,21 +396,21 @@ class TestPairRoutes:
             want = walk_segments(p, depth, t_factor)
         except UnsupportedConfigurationError as exc:
             with pytest.raises(UnsupportedConfigurationError, match=re.escape(str(exc))):
-                _walk_segments(p, factors, np.ones(1), np.ones(1))
-            with pytest.raises(UnsupportedConfigurationError, match=re.escape(str(exc))):
                 _walk_runs(p, factors)
             return
-        got = _walk_segments(p, factors, np.ones(1), np.ones(1))
-        assert got.tolist() == [list(seg) for seg in want]
         # the same rows as runs of equal neighbours, each run maximal
         runs = _walk_runs(p, factors)
         assert [(t, m) for t, m, count in runs for _ in range(count)] == want
         assert all(a[:2] != b[:2] for a, b in zip(runs, runs[1:]))
         quad = np.array([0.3, 0.2, 0.5])
-        got = _assemble_from_segments(got, quad, 1.3, NEUMANN, 0.7)
-        want = reference_from_segments(want, quad, 1.3, NEUMANN, 0.7)
+        got = _pair_arrays(p, tuple(factors), quad, 1.3, NEUMANN, 0.7)
+        # bit for bit, zero signs included, the arrays of the depth-first
+        # rows, whose massless rows hold +0.0; and those stamped one by one
+        rows = _assemble_from_segments(np.array(want).reshape(-1, 2), quad, 1.3, NEUMANN, 0.7)
+        ref = reference_from_segments(want, quad, 1.3, NEUMANN, 0.7)
         for field in PENCIL_FIELDS:
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            assert getattr(got, field).tobytes() == getattr(rows, field).tobytes(), field
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
 
     def test_iteration_count_validation(self):
         with pytest.raises(InvalidParametersError):

@@ -289,19 +289,20 @@ class TestSpectrum:
     def test_arrays_over_the_node_cap_exit_3(self, problems, capsys, monkeypatch):
         # the depth-7 pair route walks 2^8 - 1 rows for its arrays, over this
         # cap; its eigenvalues come from the level template, so spectrum
-        # answers without the walk, and only an explicit read of the arrays
-        # raises the cap's error, which exits 3
+        # answers without building them, and only an explicit read of the
+        # arrays raises the cap's error, before the walk, which exits 3
         monkeypatch.setattr(assembly, "_MAX_NODES", 2**7)
+        disc = cli._build_discretization(cli.load_problem(problems["pair"]), 7, 0)
 
         def refuse(*args):
-            raise AssertionError("segment walk started")
+            raise AssertionError("pair-route arrays built")
 
-        monkeypatch.setattr(assembly, "_walk_segments", refuse)
+        monkeypatch.setattr(assembly, "_pair_arrays", refuse)
         assert main(["spectrum", problems["pair"], "--n-eigs", "2", "--k-iter", "0", "--depth", "7"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[1].split(",")[2]) == pytest.approx(14.4352, rel=1e-3)
         assert main(["asymptotics", problems["pair"], "--depth", "7"]) == 0
-        disc = cli._build_discretization(cli.load_problem(problems["pair"]), 7, 0)
+        monkeypatch.setattr(assembly, "_walk_runs", refuse)
         with pytest.raises(UnsupportedConfigurationError, match="cap") as raised:
             disc.a_diag
         assert raised.value.exit_code == 3

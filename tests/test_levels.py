@@ -1,7 +1,7 @@
 """Tests for the level recursion that counts pair-route pencils.
 
 The reference is the tridiagonal kernel on the same pencil's arrays,
-built by the segment walk: a pencil made from those arrays alone
+built by the run walk: a pencil made from those arrays alone
 (PencilDiscretization(...)) is swept by sturm_pivots_many.  The records
 themselves are pinned to a recursion that evaluates one cell per call
 and one junction per chain port (_oracles.reference_level_inertia): bit
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgttrf
 
 from fractalsturm import (
     BoundaryCondition,
@@ -194,8 +195,8 @@ def test_counts_equal_kernel_sweep_on_random_pairs(problem, depth, data, bc):
 def test_chain_and_arrays_equal_depth_first_walk(problem, depth, data, bc):
     # the template is the one built level by level (its chain the depth-first
     # rows down to the chain level, classed by the sorted loop and grouped
-    # port by port; no table shared); the arrays, walked on from the chain's
-    # runs, are the rows of the whole walk stamped one by one
+    # port by port; no table shared); the arrays, from the run walk over
+    # every level, are the rows of the whole walk stamped one by one
     r, p = problem
     k = data.draw(st.none() | st.integers(0, depth))
     disc, factors, chain_level, quad = pair_route(r, p, k, bc, depth, r_mass=1.3, p_scale=0.7)
@@ -235,9 +236,9 @@ def test_classes_equal_sorted_loop(values):
 
 def test_pair_templates_walk_no_numpy_rows(monkeypatch):
     def refuse(*args):
-        raise AssertionError("numpy segment walk started")
+        raise AssertionError("pair-route arrays built")
 
-    monkeypatch.setattr(assembly, "_walk_segments", refuse)
+    monkeypatch.setattr(assembly, "_pair_arrays", refuse)
     assert len(cantor(NEUMANN, 15)._levels.levels) == 15
     assert paired(NEUMANN, 7)._levels.chain[0] == (0, 16.0, 2)
     # the k = 14 Cantor iterate's 2^14 chain cells are one run
@@ -371,9 +372,9 @@ def test_arrays_over_the_node_cap_raise_before_the_walk(monkeypatch):
     disc = cantor(NEUMANN, 9)
 
     def refuse(*args):
-        raise AssertionError("segment walk started")
+        raise AssertionError("walk started")
 
-    monkeypatch.setattr(assembly, "_walk_segments", refuse)
+    monkeypatch.setattr(assembly, "_walk_runs", refuse)
     assert (count(disc, 1e3).n_plus, eigenvalues(disc, 3)) == want
     assert want[0] > 3
     assert "a_diag" not in vars(disc)
@@ -393,7 +394,7 @@ def test_node_cap_admits_depth_24_of_the_cantor_pair(monkeypatch, depth, walks):
     def walk(*args):
         raise Walked
 
-    monkeypatch.setattr(assembly, "_walk_segments", walk)
+    monkeypatch.setattr(assembly, "_walk_runs", walk)
     with pytest.raises(Walked if walks else UnsupportedConfigurationError):
         disc.a_diag
 
@@ -595,6 +596,25 @@ def test_slopes_carry_the_records_and_the_log_det_derivative(build, depth, bc):
             assert slope == pytest.approx(want, rel=1e-7, abs=1e-9 * np.abs(b).sum()), lam
 
 
+def test_slope_where_a_run_coupling_squared_underflows():
+    # at lam = -1e11 a run of the k = 6 iterate at depth 12 has |c| < 1e-154,
+    # where 4c^2 underflowed to 0 and the slope raised ZeroDivisionError; it
+    # matches a central difference of log |det(A - lam B)| on the arrays
+    disc = iterate(NEUMANN, 12)
+    lam, h = -1e11, 1e6
+    ((record, slope),) = _kernels.level_slopes_many(disc._levels, np.array([lam]))
+    assert [record] == _kernels.level_pivots_many(disc._levels, np.array([lam]))
+
+    def log_det(x):
+        off = disc.a_off - x * disc.b_off
+        _, u, _, _, _, info = dgttrf(off, disc.a_diag - x * disc.b_diag, off)
+        assert info == 0
+        return np.log(np.abs(u)).sum()
+
+    assert disc.n_free == 8129
+    assert slope == pytest.approx((log_det(lam + h) - log_det(lam - h)) / (2.0 * h), rel=1e-6)
+
+
 @pytest.mark.parametrize("k, depth", [(6, 9), (10, 12), (14, 16)])
 def test_counts_monotone_around_the_first_40_eigenvalues(k, depth):
     # the iterate's chain is one run of 2^k ports, counted in closed form
@@ -614,9 +634,9 @@ def test_eigenvalues_equal_the_exact_reference_to_1e_13(build, depth, monkeypatc
     # and 14: every value comes from the level template, Newton steps
     # included, and agrees with the 50-digit recursion to 1e-13
     def refuse(*args):
-        raise AssertionError("segment walk started")
+        raise AssertionError("pair-route arrays built")
 
-    monkeypatch.setattr(assembly, "_walk_segments", refuse)
+    monkeypatch.setattr(assembly, "_pair_arrays", refuse)
     disc = build(NEUMANN, depth)
     got = eigenvalues(disc, 20, rtol=1e-13)
     assert got[0] == 0.0 and len(set(got)) == 20
